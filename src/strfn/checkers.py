@@ -16,7 +16,13 @@ Witness determinism: the reported counterexample is the first failure in
 the enumeration order of the quantified tuple -- length-lex order on the
 concatenation of the tuple's components, ties broken by split position.
 On failure the counters cover the instances examined before the scan
-terminated, which is likewise deterministic.
+terminated, which is likewise deterministic.  The preassociativity
+check is the one exception: its counters come from its scan over
+kernel-class pairs, while its witness comes from a separate canonical
+enumeration run once that scan has found a failure.
+
+Every checker reads its values from ``fn.domain(level)``, which also
+enforces ``0 <= level <= fn.bound``.
 """
 
 from __future__ import annotations
@@ -25,17 +31,8 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .core import (
-    Alphabet,
-    BoundedFn,
-    Value,
-    enumerate_strings,
-)
-from .errors import (
-    NotApplicableError,
-    OutOfDomainError,
-    PreconditionError,
-)
+from .core import BoundedFn, Value, count_strings
+from .errors import NotApplicableError, PreconditionError
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -84,24 +81,9 @@ def _finish(witness: Witness | None, checked: int, skipped: int,
     return CheckReport(HOLDS, None, checked, skipped, detail)
 
 
-def _require_bound(fn: BoundedFn, level: int) -> None:
-    if level < 0:
-        raise ValueError(f"check bound must be nonnegative, got {level}")
-    if level > fn.bound:
-        raise OutOfDomainError(
-            f"check bound {level} exceeds the function's evaluation bound {fn.bound}"
-        )
-
-
 def _require_string_valued(fn: BoundedFn, op: str) -> None:
     if not fn.string_valued:
         raise PreconditionError(f"{op} applies to string-valued functions only")
-
-
-def _domain(fn: BoundedFn, level: int) -> tuple[list[str], dict[str, Value]]:
-    strings = list(enumerate_strings(fn.alphabet, level))
-    vals = {s: fn.definition.apply(s) for s in strings}
-    return strings, vals
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +126,9 @@ def _assoc_scan(strings, vals, level, reduced, offset, step):
 
 
 def _run_assoc(fn: BoundedFn, level: int, reduced: bool, jobs: int) -> CheckReport:
-    _require_bound(fn, level)
+    dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
-    strings, vals = _domain(fn, level)
+    strings, vals = dom.strings, dom.vals
     if jobs <= 1:
         _, witness, checked, skipped = _assoc_scan(strings, vals, level, reduced, 0, 1)
         return _finish(witness, checked, skipped)
@@ -192,25 +174,6 @@ def check_associative_reduced(fn: BoundedFn, level: int, jobs: int = 1) -> Check
 # preassociativity
 
 
-def _context_pool(alphabet: Alphabet, level: int):
-    """All context pairs (x, z) with |x|+|z| <= level.
-
-    Ordered by total length, then x in length-lex order, then z; ``cum[b]``
-    counts the contexts of total length <= b, so a budget maps to a prefix.
-    """
-    letters = alphabet.letters
-    contexts: list[tuple[str, str]] = []
-    cum = [0] * (level + 1)
-    for total in range(level + 1):
-        for i in range(total + 1):
-            for xs in itertools.product(letters, repeat=i):
-                x = "".join(xs)
-                for zs in itertools.product(letters, repeat=total - i):
-                    contexts.append((x, "".join(zs)))
-        cum[total] = len(contexts)
-    return contexts, cum
-
-
 def _preassoc_first_witness(alphabet, vals, level):
     """Locate the canonical first witness by direct enumeration.
 
@@ -247,50 +210,36 @@ def _preassoc_first_witness(alphabet, vals, level):
     return None
 
 
-def check_preassociative(fn: BoundedFn, level: int, jobs: int = 1) -> CheckReport:
+def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
     """Verify F(y) = F(y') implies F(xyz) = F(xy'z) on the bounded domain.
 
     X^{<=level} is partitioned into kernel classes by value; each unordered
     pair within a class is tested once against every context (x, z) for
     which both sides stay within the bound.  Contexts where only the
     shorter side fits are counted as skipped.  Any codomain is accepted.
-    """
-    del jobs  # the kernel-class scan is cheap; a single worker suffices
-    _require_bound(fn, level)
-    strings, vals = _domain(fn, level)
-    contexts, cum = _context_pool(fn.alphabet, level)
 
-    classes: dict[Value, list[str]] = {}
-    for s in strings:
-        classes.setdefault(vals[s], []).append(s)
+    On failure, ``checked`` and ``skipped`` count the pair scan up to the
+    first failing instance it meets, while the witness is the canonical
+    first failure in length-lex order on x+y+y2+z, found by a second,
+    separate enumeration.  The two need not be the same instance.
+    """
+    dom = fn.domain(level)
+    vals = dom.vals
+    contexts, cum = dom.contexts
 
     checked = 0
     skipped = 0
-    failed = False
-    for members in classes.values():
-        for a_idx in range(len(members)):
-            y = members[a_idx]
-            for b_idx in range(a_idx + 1, len(members)):
-                y2 = members[b_idx]
-                both = cum[level - len(y2)] if len(y2) <= level else 0
-                one_sided = cum[level - len(y)]
-                skipped += one_sided - both
-                for x, z in contexts[:both]:
-                    checked += 1
-                    if vals[x + y + z] != vals[x + y2 + z]:
-                        failed = True
-                        break
-                if failed:
-                    break
-            if failed:
-                break
-        if failed:
-            break
-
-    if not failed:
-        return _finish(None, checked, skipped)
-    witness = _preassoc_first_witness(fn.alphabet, vals, level)
-    return CheckReport(FAILS, witness, checked, skipped)
+    for members in dom.classes.values():
+        for y, y2 in itertools.combinations(members, 2):
+            # Members are in length-lex order, so |y| <= |y2| <= level.
+            both = cum[level - len(y2)]
+            skipped += cum[level - len(y)] - both
+            for x, z in contexts[:both]:
+                checked += 1
+                if vals[x + y + z] != vals[x + y2 + z]:
+                    witness = _preassoc_first_witness(fn.alphabet, vals, level)
+                    return CheckReport(FAILS, witness, checked, skipped)
+    return _finish(None, checked, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +248,11 @@ def check_preassociative(fn: BoundedFn, level: int, jobs: int = 1) -> CheckRepor
 
 def check_standard(fn: BoundedFn, level: int) -> CheckReport:
     """Verify F(x) = F(empty) only for x = empty."""
-    _require_bound(fn, level)
-    strings, vals = _domain(fn, level)
+    dom = fn.domain(level)
+    vals = dom.vals
     base = vals[""]
     checked = 0
-    for s in strings[1:]:
+    for s in dom.strings[1:]:
         checked += 1
         if vals[s] == base:
             return CheckReport(
@@ -314,13 +263,11 @@ def check_standard(fn: BoundedFn, level: int) -> CheckReport:
 
 def check_idempotent(fn: BoundedFn, level: int) -> CheckReport:
     """Verify F(F(x)) = F(x); skips x whose value is longer than the bound."""
-    _require_bound(fn, level)
+    vals = fn.domain(level).vals
     _require_string_valued(fn, "idempotence check")
-    strings, vals = _domain(fn, level)
     checked = 0
     skipped = 0
-    for s in strings:
-        v = vals[s]
+    for s, v in vals.items():
         if len(v) > level:
             skipped += 1
             continue
@@ -336,13 +283,11 @@ def check_m_bounded(fn: BoundedFn, m: int, level: int) -> CheckReport:
     """Verify |F(x)| <= m on the bounded domain."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    _require_bound(fn, level)
+    vals = fn.domain(level).vals
     _require_string_valued(fn, "boundedness check")
-    strings, vals = _domain(fn, level)
     checked = 0
-    for s in strings:
+    for s, v in vals.items():
         checked += 1
-        v = vals[s]
         if len(v) > m:
             return CheckReport(
                 FAILS,
@@ -360,13 +305,12 @@ def check_m_determined_range(fn: BoundedFn, m: int, level: int) -> CheckReport:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m > level:
         raise PreconditionError(f"m = {m} exceeds the check bound {level}")
-    _require_bound(fn, level)
-    strings, vals = _domain(fn, level)
-    low = {vals[s] for s in strings if len(s) <= m}
+    dom = fn.domain(level)
+    vals = dom.vals
+    cut = count_strings(fn.alphabet, m)
+    low = {vals[s] for s in dom.strings[:cut]}
     checked = 0
-    for s in strings:
-        if len(s) <= m:
-            continue
+    for s in dom.strings[cut:]:
         checked += 1
         if vals[s] not in low:
             return CheckReport(
@@ -393,19 +337,25 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
     - "iii": F(F(xy) z) = F(x F(yz))
     - "iv":  F(xy) = F(F(x) F(y))
     """
-    _require_bound(fn, level)
+    dom = fn.domain(level)
     _require_string_valued(fn, "equivalent-definitions check")
-    if fn.eval("") != "":
+    strings, vals = dom.strings, dom.vals
+    if vals[""] != "":
         raise PreconditionError(
             "equivalent-definitions check requires F(empty) = empty"
         )
-    strings, vals = _domain(fn, level)
 
-    reports = {"i": _run_assoc(fn, level, reduced=False, jobs=1)}
+    return {
+        "i": _run_assoc(fn, level, reduced=False, jobs=1),
+        "ii": _decompositions_agree(strings, vals, level),
+        "iii": _assoc_iii(strings, vals, level),
+        "iv": _assoc_iv(strings, vals, level),
+    }
 
-    # (ii) all decompositions of a string produce the same inner evaluation
+
+def _decompositions_agree(strings, vals, level) -> CheckReport:
+    """(ii): all decompositions of a string produce the same inner evaluation."""
     checked = skipped = 0
-    witness = None
     for w in strings:
         n = len(w)
         first = None
@@ -430,16 +380,13 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
                         first[1],
                         out,
                     )
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports["ii"] = _finish(witness, checked, skipped)
+                    return _finish(witness, checked, skipped)
+    return _finish(None, checked, skipped)
 
-    # (iii) F(F(xy) z) = F(x F(yz))
+
+def _assoc_iii(strings, vals, level) -> CheckReport:
+    """(iii): F(F(xy) z) = F(x F(yz))."""
     checked = skipped = 0
-    witness = None
     for w in strings:
         n = len(w)
         for i in range(n + 1):
@@ -456,16 +403,13 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
                     witness = Witness(
                         (("x", w[:i]), ("y", w[i:j]), ("z", w[j:])), left, right
                     )
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports["iii"] = _finish(witness, checked, skipped)
+                    return _finish(witness, checked, skipped)
+    return _finish(None, checked, skipped)
 
-    # (iv) F(xy) = F(F(x) F(y))
+
+def _assoc_iv(strings, vals, level) -> CheckReport:
+    """(iv): F(xy) = F(F(x) F(y))."""
     checked = skipped = 0
-    witness = None
     for w in strings:
         n = len(w)
         for i in range(n + 1):
@@ -479,12 +423,8 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
                 witness = Witness(
                     (("x", w[:i]), ("y", w[i:])), vals[w], vals[u + v]
                 )
-                break
-        if witness:
-            break
-    reports["iv"] = _finish(witness, checked, skipped)
-
-    return reports
+                return _finish(witness, checked, skipped)
+    return _finish(None, checked, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +437,11 @@ def check_injective_rigidity(fn: BoundedFn, level: int) -> CheckReport:
     Vacuous (with the disqualifying pair in the witness) when F is not
     injective or not idempotent there.
     """
-    _require_bound(fn, level)
+    vals = fn.domain(level).vals
     _require_string_valued(fn, "rigidity check")
-    strings, vals = _domain(fn, level)
 
     seen: dict[Value, str] = {}
-    for s in strings:
-        v = vals[s]
+    for s, v in vals.items():
         if v in seen:
             return CheckReport(
                 VACUOUS,
@@ -514,27 +452,18 @@ def check_injective_rigidity(fn: BoundedFn, level: int) -> CheckReport:
             )
         seen[v] = s
 
-    skipped = 0
-    for s in strings:
-        v = vals[s]
-        if len(v) > level:
-            skipped += 1
-            continue
-        if vals[v] != v:
-            return CheckReport(
-                VACUOUS,
-                Witness((("x", s),), vals[v], v),
-                0,
-                skipped,
-                detail="not idempotent on the domain",
-            )
+    idempotent = check_idempotent(fn, level)
+    skipped = idempotent.skipped
+    if idempotent.verdict == FAILS:
+        return CheckReport(VACUOUS, idempotent.witness, 0, skipped,
+                           detail="not idempotent on the domain")
 
     checked = 0
-    for s in strings:
+    for s, v in vals.items():
         checked += 1
-        if vals[s] != s:
+        if v != s:
             return CheckReport(
-                FAILS, Witness((("x", s),), vals[s], s), checked, skipped
+                FAILS, Witness((("x", s),), v, s), checked, skipped
             )
     return _finish(None, checked, skipped)
 
@@ -547,22 +476,16 @@ def find_absorbed_string(fn: BoundedFn, level: int) -> str | None:
     with |x a z| <= level.  Returns None when no candidate verifies.
     Raises NotApplicableError when F is standard on the domain.
     """
-    _require_bound(fn, level)
-    strings, vals = _domain(fn, level)
-    base = vals[""]
-    mates = [s for s in strings[1:] if vals[s] == base]
+    dom = fn.domain(level)
+    vals = dom.vals
+    mates = dom.classes[vals[""]][1:]
     if not mates:
         raise NotApplicableError(
             "function is standard on the bounded domain; nothing is absorbed"
         )
-    contexts, cum = _context_pool(fn.alphabet, level)
+    contexts, cum = dom.contexts
     for a in mates:
-        budget = level - len(a)
-        good = True
-        for x, z in contexts[: cum[budget]]:
-            if vals[x + z] != vals[x + a + z]:
-                good = False
-                break
-        if good:
+        if all(vals[x + z] == vals[x + a + z]
+               for x, z in contexts[: cum[level - len(a)]]):
             return a
     return None

@@ -10,9 +10,10 @@ JSON; a one-line human summary goes to standard error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 
 from .checkers import (
     FAILS,
@@ -28,7 +29,7 @@ from .checkers import (
     check_preassociative,
     check_standard,
 )
-from .core import Alphabet
+from .core import Alphabet, count_strings
 from .errors import (
     ConditionsFailedError,
     InsufficientHorizonError,
@@ -64,8 +65,22 @@ from .specio import (
 DEFAULT_BOUND = 6
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one ``error:`` line, like every input error."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="strfn", description="bounded-domain algebra of string functions"
     )
     sub = top.add_subparsers(dest="command", required=True)
@@ -74,7 +89,7 @@ def _parser() -> argparse.ArgumentParser:
         if inputs:
             p.add_argument("--input", action="append", default=[],
                            help="input spec file (JSON)")
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+        p.add_argument("--bound", type=_nonnegative, default=DEFAULT_BOUND,
                        help="domain bound L (default 6)")
         p.add_argument("--output", help="also write the JSON report to this file")
 
@@ -88,8 +103,8 @@ def _parser() -> argparse.ArgumentParser:
         "assoc", "assoc-reduced", "preassoc", "standard", "idempotent",
         "bounded", "range", "equiv-defs", "rigidity", "weakly-length", "length",
     ])
-    p.add_argument("--m", type=int, help="output-length bound for bounded/range")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--m", type=_nonnegative, help="output-length bound for bounded/range")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (max: CPU count)")
 
     p = sub.add_parser("extend", help="grow a low-arity package to X^<=L")
     common(p)
@@ -109,7 +124,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="alphabet letters in order, e.g. 'ab'")
     p.add_argument("--x0", required=True)
     p.add_argument("--x1", required=True)
-    p.add_argument("--m-exp", type=int, default=1, dest="m_exp",
+    p.add_argument("--m-exp", type=_nonnegative, default=1, dest="m_exp",
                    help="exponent index m (block length 2^m)")
 
     p = sub.add_parser("compare", help="kernel quasiorder of two functions")
@@ -164,7 +179,7 @@ def _run_eval(args: argparse.Namespace) -> int:
 
 def _run_check(args: argparse.Namespace) -> int:
     fn = load_function(_one_input(args))
-    level, jobs = args.bound, args.jobs
+    level, jobs = args.bound, min(args.jobs, os.cpu_count() or 1)
     needs_m = args.property in ("bounded", "range")
     if needs_m and args.m is None:
         raise StrfnError(f"check {args.property} requires --m")
@@ -173,7 +188,7 @@ def _run_check(args: argparse.Namespace) -> int:
     elif args.property == "assoc-reduced":
         result = check_associative_reduced(fn, level, jobs=jobs)
     elif args.property == "preassoc":
-        result = check_preassociative(fn, level, jobs=jobs)
+        result = check_preassociative(fn, level)
     elif args.property == "standard":
         result = check_standard(fn, level)
     elif args.property == "idempotent":
@@ -201,9 +216,10 @@ def _run_check(args: argparse.Namespace) -> int:
 
 def _run_extend(args: argparse.Namespace) -> int:
     spec = load_partial(_one_input(args))
-    grown = extend(spec, args.bound)
-    _emit(function_to_json(grown), args,
-          f"extended to bound {args.bound} ({len(grown.value_map())} entries)")
+    # No name holds the grown table, so it is freed before serializing.
+    _emit(function_to_json(extend(spec, args.bound)), args,
+          f"extended to bound {args.bound} "
+          f"({count_strings(spec.alphabet, args.bound)} entries)")
     return 0
 
 
@@ -217,17 +233,22 @@ def _run_factorize(args: argparse.Namespace) -> int:
     })
 
 
+def _is_count(v: Any) -> bool:
+    return isinstance(v, int) and v >= 0
+
+
 def _alpha_values(obj: Any) -> list[int]:
     if isinstance(obj, Mapping):
         obj = obj.get("values")
-    if not isinstance(obj, list) or not all(isinstance(v, int) for v in obj):
-        raise StrfnError("profile input must be an array of integers "
-                         "(or an object with a 'values' array)")
+    if not isinstance(obj, list) or not obj or not all(map(_is_count, obj)):
+        raise StrfnError("profile input must be a nonempty array of integers "
+                         ">= 0 (or an object with a 'values' array)")
     return obj
 
 
 def _run_alpha(args: argparse.Namespace) -> int:
     data = _read(_one_input(args))
+    fields = data if isinstance(data, Mapping) else {}
     if args.action == "check":
         report = check_alpha_equations(_alpha_values(data))
         _emit(report_to_json(report), args, _summarize("alpha equations", report))
@@ -241,21 +262,26 @@ def _run_alpha(args: argparse.Namespace) -> int:
               args, f"rejected: {shape.message}")
         return 1
     if args.action == "synth":
-        if not isinstance(data, Mapping):
-            raise StrfnError("synth input must be {n1, ell, window}")
-        made = synthesize_alpha(
-            data.get("n1"), data.get("ell"), data.get("window", [])
-        )
+        n1, ell, window = fields.get("n1"), fields.get("ell"), fields.get("window")
+        if not (_is_count(n1) and _is_count(ell) and ell > 0 and isinstance(window, list)
+                and len(window) == n1 + ell and all(map(_is_count, window))):
+            raise StrfnError("synth input must be {n1 >= 0, ell >= 1, window} "
+                             "with n1 + ell window entries")
+        made = synthesize_alpha(n1, ell, window)
         if isinstance(made, AlphaFn):
             _emit(alpha_to_json(made), args, "synthesized")
             return 0
         _emit({"rejected": made.condition, "message": made.message},
               args, f"rejected: {made.message}")
         return 1
-    if not isinstance(data, Mapping) or "witnesses" not in data:
-        raise StrfnError("minimize input must be {values, witnesses}")
+    witnesses = fields.get("witnesses")
+    if not (isinstance(witnesses, list) and witnesses and all(
+            isinstance(w, list) and len(w) == 2 and all(isinstance(v, int) for v in w)
+            for w in witnesses)):
+        raise StrfnError("minimize input must be {values, witnesses}, with "
+                         "witnesses a nonempty array of [start, period] pairs")
     start, period = minimal_period(
-        _alpha_values(data), [tuple(w) for w in data["witnesses"]]
+        _alpha_values(data), [tuple(w) for w in witnesses]
     )
     _emit({"start": start, "period": period}, args,
           f"minimal combined witness ({start}, {period})")
@@ -264,6 +290,8 @@ def _run_alpha(args: argparse.Namespace) -> int:
 
 def _run_theta(args: argparse.Namespace) -> int:
     alphabet = Alphabet(tuple(args.alphabet))
+    if not args.x0 or not args.x1 or args.x0 == args.x1:
+        raise StrfnError("--x0 and --x1 must be distinct nonempty strings")
     spec = ThetaSpec(args.x0, args.x1, args.m_exp)
     if args.action == "class":
         if args.string is None:
@@ -274,8 +302,9 @@ def _run_theta(args: argparse.Namespace) -> int:
               + (" (truncated)" if cls.truncated else ""))
         return 3 if cls.truncated else 0
     if args.action == "rep":
-        fn = theta_rep_fn(alphabet, args.bound, spec)
-        _emit(function_to_json(fn), args,
+        # No name holds the function, so its evaluated domain is freed
+        # before the table is serialized.
+        _emit(function_to_json(theta_rep_fn(alphabet, args.bound, spec)), args,
               f"representative table up to bound {args.bound}")
         return 0
     rows = []

@@ -10,13 +10,14 @@ on every string up to a length bound.
 All checkers in this package quantify over the bounded domain
 ``X^0 ∪ ... ∪ X^L`` in *length-lex* order: shorter strings first, ties
 broken letter by letter in alphabet order.  Everything downstream leans
-on :func:`enumerate_strings` producing exactly that order.
+on :func:`enumerate_strings` producing exactly that order, and reads the
+function's values there from one :class:`Domain` per level.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Union
 
@@ -156,6 +157,8 @@ class BoundedFn:
     alphabet: Alphabet
     bound: int
     definition: object
+    # The latest domain built by domain(); freed together with the function.
+    _domain: Domain | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bound < 0:
@@ -174,19 +177,95 @@ class BoundedFn:
             raise OutOfDomainError(
                 f"string of length {len(s)} exceeds evaluation bound {self.bound}"
             )
-        return self.definition.apply(s)
+        return self.definition.apply(self.alphabet.validate(s))
 
     def __call__(self, s: str) -> Value:
         return self.eval(s)
 
+    def domain(self, level: int | None = None) -> Domain:
+        """The evaluated domain X^{<=level} (default: the bound).
+
+        Memoized for the most recent level, so the checkers and
+        constructions run on one function evaluate each string once.
+        """
+        level = self.bound if level is None else level
+        dom = self._domain
+        if dom is None or dom.level != level:
+            dom = Domain(self, level)
+            object.__setattr__(self, "_domain", dom)
+        return dom
+
     def value_map(self, max_len: int | None = None) -> dict[str, Value]:
-        """Evaluate on the whole bounded domain; keys in length-lex order."""
-        limit = self.bound if max_len is None else max_len
-        if limit > self.bound:
+        """Evaluate on the whole bounded domain; keys in length-lex order.
+
+        The map is the domain's own: read it, do not mutate it.
+        """
+        return self.domain(max_len).vals
+
+
+class Domain:
+    """The values of one function on X^{<=level}, each evaluated once.
+
+    ``vals`` is the only thing built eagerly; its keys are in length-lex
+    order.  The string list, the kernel classes and the context pool are
+    derived from it on first use.  Everything here is shared by every
+    caller of :meth:`BoundedFn.domain`, so callers must not mutate it.
+    """
+
+    def __init__(self, fn: BoundedFn, level: int) -> None:
+        if level < 0:
+            raise ValueError(f"check bound must be nonnegative, got {level}")
+        if level > fn.bound:
             raise OutOfDomainError(
-                f"requested map up to length {limit} but bound is {self.bound}"
+                f"check bound {level} exceeds the function's evaluation bound {fn.bound}"
             )
-        return {s: self.definition.apply(s) for s in enumerate_strings(self.alphabet, limit)}
+        self.alphabet = fn.alphabet
+        self.level = level
+        apply = fn.definition.apply
+        self.vals: dict[str, Value] = {
+            s: apply(s) for s in enumerate_strings(fn.alphabet, level)
+        }
+
+    @cached_property
+    def strings(self) -> list[str]:
+        return list(self.vals)
+
+    def of_length(self, k: int) -> list[str]:
+        """The strings of length exactly ``k``, in length-lex order."""
+        start = count_strings(self.alphabet, k - 1)
+        return self.strings[start:start + len(self.alphabet) ** k]
+
+    @cached_property
+    def classes(self) -> dict[Value, list[str]]:
+        """Kernel classes keyed by value, in first-seen order.
+
+        Members are in length-lex order, so each class's first member is
+        its leader, the length-lex least preimage of the value.
+        """
+        classes: dict[Value, list[str]] = {}
+        for s, v in self.vals.items():
+            classes.setdefault(v, []).append(s)
+        return classes
+
+    @cached_property
+    def contexts(self) -> tuple[list[tuple[str, str]], list[int]]:
+        """All context pairs (x, z) with |x|+|z| <= level, and their counts.
+
+        Ordered by total length, then x in length-lex order, then z;
+        ``cum[b]`` counts the contexts of total length <= b, so a budget
+        maps to a prefix.
+        """
+        letters = self.alphabet.letters
+        contexts: list[tuple[str, str]] = []
+        cum = [0] * (self.level + 1)
+        for total in range(self.level + 1):
+            for i in range(total + 1):
+                for xs in itertools.product(letters, repeat=i):
+                    x = "".join(xs)
+                    for zs in itertools.product(letters, repeat=total - i):
+                        contexts.append((x, "".join(zs)))
+            cum[total] = len(contexts)
+        return contexts, cum
 
 
 def table_fn(

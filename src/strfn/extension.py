@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .checkers import (
@@ -20,11 +21,10 @@ from .checkers import (
     CheckReport,
     Witness,
     _finish,
-    _require_bound,
     check_associative_full,
     check_m_bounded,
 )
-from .core import Alphabet, BoundedFn, enumerate_strings, table_fn
+from .core import STRING, Alphabet, BoundedFn, TableDef, enumerate_strings, table_fn
 from .errors import ConditionsFailedError, MalformedSpecError, PreconditionError
 
 Part = tuple[tuple[str, str], ...]
@@ -60,8 +60,9 @@ class PartialSpec:
                         f"output {out!r} at arity {k} exceeds the bound {self.m}"
                     )
 
-    def part_map(self, k: int) -> dict[str, str]:
-        return dict(self.parts[k])
+    @cached_property
+    def _maps(self) -> tuple[dict[str, str], ...]:
+        return tuple(dict(part) for part in self.parts)
 
     def value_at(self, s: str) -> str:
         """Evaluate via the stored parts; arity must be at most m + 1."""
@@ -69,7 +70,7 @@ class PartialSpec:
             raise MalformedSpecError(
                 f"arity {len(s)} exceeds the stored tables (max {self.m + 1})"
             )
-        return self.part_map(len(s))[s]
+        return self._maps[len(s)][s]
 
 
 def partial_spec(
@@ -105,10 +106,7 @@ def verify_conditions(spec: PartialSpec) -> dict[str, CheckReport]:
     All evaluations stay inside the stored tables because outputs have
     at most m letters.
     """
-    maps = [spec.part_map(k) for k in range(spec.m + 2)]
-
-    def low(s: str) -> str:
-        return maps[len(s)][s]
+    low = spec.value_at
 
     reports: dict[str, CheckReport] = {}
 
@@ -128,7 +126,7 @@ def verify_conditions(spec: PartialSpec) -> dict[str, CheckReport]:
 
     witness = None
     checked = 0
-    empty_val = maps[0][""]
+    empty_val = low("")
     for x in spec.alphabet.letters:
         checked += 1
         if low(x) != low(x + empty_val):
@@ -142,18 +140,12 @@ def verify_conditions(spec: PartialSpec) -> dict[str, CheckReport]:
     witness = None
     checked = 0
     sides = ("",) + spec.alphabet.letters
-    for y in enumerate_strings(spec.alphabet, spec.m):
-        for x in sides:
-            for z in sides:
-                checked += 1
-                lhs = low(low(x + y) + z)
-                rhs = low(x + low(y + z))
-                if lhs != rhs:
-                    witness = Witness((("x", x), ("y", y), ("z", z)), lhs, rhs)
-                    break
-            if witness:
-                break
-        if witness:
+    for y, x, z in itertools.product(enumerate_strings(spec.alphabet, spec.m), sides, sides):
+        checked += 1
+        lhs = low(low(x + y) + z)
+        rhs = low(x + low(y + z))
+        if lhs != rhs:
+            witness = Witness((("x", x), ("y", y), ("z", z)), lhs, rhs)
             break
     reports["c"] = _finish(
         witness, checked, 0,
@@ -173,15 +165,21 @@ def recursion_extension(spec: PartialSpec, level: int) -> BoundedFn:
         raise PreconditionError(
             f"extension level {level} must be at least m + 2 = {spec.m + 2}"
         )
+    # One table, filled in length-lex order: the stored parts are already
+    # validated, and every fold reads a shorter, already filled string.
     entries: dict[str, str] = {}
-    for part in spec.parts:
-        entries.update(part)
-    for n in range(spec.m + 2, level + 1):
-        for s in enumerate_strings(spec.alphabet, n, min_len=n):
-            folded = entries[s[:-1]] + s[-1]
-            assert folded in entries, "m-bounded outputs keep the fold in range"
-            entries[s] = entries[folded]
-    return table_fn(spec.alphabet, level, entries)
+    for s in enumerate_strings(spec.alphabet, level):
+        if len(s) <= spec.m + 1:
+            entries[s] = spec.value_at(s)
+            continue
+        folded = entries[s[:-1]] + s[-1]
+        if folded not in entries:
+            raise MalformedSpecError(
+                f"fold {folded!r} of {s!r} leaves the stored arities; "
+                f"outputs must have at most m = {spec.m} letters"
+            )
+        entries[s] = entries[folded]
+    return BoundedFn(spec.alphabet, level, TableDef(STRING, entries))
 
 
 def extend(spec: PartialSpec, level: int) -> BoundedFn:
@@ -204,8 +202,8 @@ def check_determination(
     failure is raised as PreconditionError carrying the reports.  When
     the low-arity parts differ the claim does not apply: VACUOUS.
     """
-    _require_bound(fn, level)
-    _require_bound(other, level)
+    f_vals = fn.domain(level).vals
+    g_vals = other.domain(level).vals
     gates = {
         "first associative": check_associative_full(fn, level),
         "first m-bounded": check_m_bounded(fn, m, level),
@@ -218,20 +216,19 @@ def check_determination(
             "determination preconditions failed: " + ", ".join(sorted(bad)), bad
         )
 
-    for s in enumerate_strings(fn.alphabet, min(m + 1, level)):
-        a, b = fn.definition.apply(s), other.definition.apply(s)
-        if a != b:
-            return CheckReport(
-                VACUOUS, Witness((("x", s),), a, b), 0, 0,
-                detail="low-arity parts differ; determination does not apply",
-            )
-
+    # Length-lex order puts every low-arity string before the rest, so one
+    # pass first compares the parts of arity <= m + 1, then everything else.
     checked = 0
-    for s in enumerate_strings(fn.alphabet, level):
+    for s, a in f_vals.items():
+        b = g_vals[s]
         if len(s) <= m + 1:
+            if a != b:
+                return CheckReport(
+                    VACUOUS, Witness((("x", s),), a, b), 0, 0,
+                    detail="low-arity parts differ; determination does not apply",
+                )
             continue
         checked += 1
-        a, b = fn.definition.apply(s), other.definition.apply(s)
         if a != b:
             return CheckReport(
                 FAILS, Witness((("x", s),), a, b), checked, 0,
@@ -247,7 +244,6 @@ def identity_patch(fn: BoundedFn, k: int, m: int, level: int) -> BoundedFn:
     """
     if k > m:
         raise PreconditionError(f"patch arity {k} exceeds the bound m = {m}")
-    _require_bound(fn, level)
     gates = {
         "associative": check_associative_full(fn, level),
         "m-bounded": check_m_bounded(fn, m, level),

@@ -11,15 +11,15 @@ data determines the whole function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from .checkers import (
-    FAILS,
     CheckReport,
     Witness,
     _finish,
-    _require_bound,
     check_associative_full,
     check_m_determined_range,
     check_preassociative,
@@ -35,11 +35,7 @@ from .errors import (
 
 def kernel_classes(fn: BoundedFn, level: int) -> list[list[str]]:
     """Partition X^<=level by equal value, classes led by their smallest member."""
-    _require_bound(fn, level)
-    classes: dict[Value, list[str]] = {}
-    for s in enumerate_strings(fn.alphabet, level):
-        classes.setdefault(fn.definition.apply(s), []).append(s)
-    return list(classes.values())
+    return [list(members) for members in fn.domain(level).classes.values()]
 
 
 @dataclass(frozen=True)
@@ -54,24 +50,26 @@ class QuasiInverse:
     entries: tuple[tuple[Value, str], ...]
     bound: int
 
+    @cached_property
+    def _preimage(self) -> dict[Value, str]:
+        return dict(self.entries)
+
     def apply(self, y: Value) -> str:
-        for value, preimage in self.entries:
-            if value == y:
-                return preimage
-        raise QuasiInverseError(f"value {y!r} is not attained on the bounded domain")
+        try:
+            return self._preimage[y]
+        except KeyError:
+            raise QuasiInverseError(f"value {y!r} is not attained on the bounded domain")
 
     def __contains__(self, y: Value) -> bool:
-        return any(value == y for value, _ in self.entries)
+        return y in self._preimage
 
 
 def quasi_inverse(fn: BoundedFn, level: int) -> QuasiInverse:
-    _require_bound(fn, level)
-    entries: dict[Value, str] = {}
-    for s in enumerate_strings(fn.alphabet, level):
-        v = fn.definition.apply(s)
-        if v not in entries:
-            entries[v] = s
-    return QuasiInverse(tuple(entries.items()), level)
+    """The kernel-class leaders of fn on X^<=level, keyed by value."""
+    classes = fn.domain(level).classes
+    return QuasiInverse(
+        tuple((v, members[0]) for v, members in classes.items()), level
+    )
 
 
 @dataclass
@@ -89,11 +87,15 @@ class Factorization:
         """True when every attached verdict is non-failing."""
         return all(r.ok for r in self.checks.values())
 
+    @cached_property
+    def _outer(self) -> dict[str, Value]:
+        return dict(self.f)
+
     def outer(self, s: str) -> Value:
-        for key, v in self.f:
-            if key == s:
-                return v
-        raise QuasiInverseError(f"{s!r} is not in the range of the inner function")
+        try:
+            return self._outer[s]
+        except KeyError:
+            raise QuasiInverseError(f"{s!r} is not in the range of the inner function")
 
 
 def factorize(fn: BoundedFn, level: int) -> Factorization:
@@ -103,22 +105,14 @@ def factorize(fn: BoundedFn, level: int) -> Factorization:
     record that the core fails associativity instead, which is exactly
     the diagnostic the equivalence predicts.
     """
-    _require_bound(fn, level)
+    vals = fn.domain(level).vals
     g = quasi_inverse(fn, level)
-    vals = {s: fn.definition.apply(s) for s in enumerate_strings(fn.alphabet, level)}
-    h_entries = {s: g.apply(v) for s, v in vals.items()}
-    inner = table_fn(fn.alphabet, level, h_entries)
-
-    f_entries: dict[str, Value] = {}
-    for s in enumerate_strings(fn.alphabet, level):
-        hs = h_entries[s]
-        if hs not in f_entries:
-            f_entries[hs] = vals[hs]
-
-    for s, v in vals.items():
-        hs = h_entries[s]
-        assert f_entries[hs] == v, "outer . inner must reproduce the source"
-        assert h_entries[hs] == hs, "the inner core must be idempotent"
+    # H sends each string to its class leader and f sends the leader to the
+    # class value: f . H = F and H . H = H hold iff F(leader) is that value.
+    f = tuple((leader, v) for v, leader in g.entries)
+    if any(vals[leader] != v for leader, v in f):
+        raise QuasiInverseError("outer . inner must reproduce the source")
+    inner = table_fn(fn.alphabet, level, {s: g.apply(v) for s, v in vals.items()})
 
     checks = {
         "source-preassociative": check_preassociative(fn, level),
@@ -126,9 +120,9 @@ def factorize(fn: BoundedFn, level: int) -> Factorization:
         "source-standard": check_standard(fn, level),
         "inner-standard": check_standard(inner, level),
     }
-    if checks["source-standard"].ok:
-        assert h_entries[""] == "", "standardness must transfer to the core"
-    return Factorization(fn, g, inner, tuple(f_entries.items()), checks)
+    if checks["source-standard"].ok and g.apply(vals[""]) != "":
+        raise QuasiInverseError("standardness must transfer to the core")
+    return Factorization(fn, g, inner, f, checks)
 
 
 def check_quasi_inverse_conditions(
@@ -144,12 +138,12 @@ def check_quasi_inverse_conditions(
     H is g . F for the canonical quasi-inverse g.  Instances whose folded
     argument leaves the bounded domain are counted as skipped.
     """
-    _require_bound(fn, level)
+    dom = fn.domain(level)
     if m + 1 > level:
         raise PreconditionError(
             f"need level >= m + 1 = {m + 1} to read the (m+1)-ary part, got {level}"
         )
-    vals = {s: fn.definition.apply(s) for s in enumerate_strings(fn.alphabet, level)}
+    vals = dom.vals
     g = quasi_inverse(fn, level)
 
     def h(s: str) -> str:
@@ -160,7 +154,7 @@ def check_quasi_inverse_conditions(
     low = {vals[s] for s in enumerate_strings(fn.alphabet, m)}
     witness = None
     checked = 0
-    for x in enumerate_strings(fn.alphabet, m + 1, min_len=m + 1):
+    for x in dom.of_length(m + 1):
         checked += 1
         if vals[x] not in low:
             witness = Witness((("x", x),), vals[x], None)
@@ -185,34 +179,27 @@ def check_quasi_inverse_conditions(
 
     witness = None
     checked = skipped = 0
-    for y in enumerate_strings(fn.alphabet, m):
-        for x in fn.alphabet.letters:
-            for z in fn.alphabet.letters:
-                left = h(x + y) + z
-                right = x + h(y + z)
-                if len(left) > level or len(right) > level:
-                    skipped += 1
-                    continue
-                checked += 1
-                if vals[left] != vals[right]:
-                    witness = Witness(
-                        (("x", x), ("y", y), ("z", z)), vals[left], vals[right]
-                    )
-                    break
-            if witness:
-                break
-        if witness:
+    letters = fn.alphabet.letters
+    for y, x, z in itertools.product(enumerate_strings(fn.alphabet, m), letters, letters):
+        left = h(x + y) + z
+        right = x + h(y + z)
+        if len(left) > level or len(right) > level:
+            skipped += 1
+            continue
+        checked += 1
+        if vals[left] != vals[right]:
+            witness = Witness((("x", x), ("y", y), ("z", z)), vals[left], vals[right])
             break
     reports["b"] = _finish(witness, checked, skipped)
 
     witness = None
     checked = 0
-    for w in enumerate_strings(fn.alphabet, level):
+    for w, v in vals.items():
         for i in range(len(w) + 1):
             y, z = w[:i], w[i:]
             checked += 1
-            if vals[w] != vals[h(y) + z]:
-                witness = Witness((("y", y), ("z", z)), vals[w], vals[h(y) + z])
+            if v != vals[h(y) + z]:
+                witness = Witness((("y", y), ("z", z)), v, vals[h(y) + z])
                 break
         if witness:
             break
@@ -228,13 +215,14 @@ def check_bounded_retraction(
     Reports: "range" always; when it holds, also "h-bounded" (|H(x)| <= m),
     "retraction" (F = F . H pointwise), and "partition" (on each block
     H^{-1}(X^k) the function coincides with its k-ary part after H).
+    The last two test the same equation at the same strings, so one pass
+    produces both.
     """
-    _require_bound(fn, level)
     reports = {"range": check_m_determined_range(fn, m, level)}
     if not reports["range"].ok:
         return reports
 
-    vals = {s: fn.definition.apply(s) for s in enumerate_strings(fn.alphabet, level)}
+    vals = fn.domain(level).vals
     g = quasi_inverse(fn, level)
     h_map = {s: g.apply(v) for s, v in vals.items()}
 
@@ -250,31 +238,23 @@ def check_bounded_retraction(
         detail=f"|H(x)| exceeds m = {m}" if witness else None,
     )
 
-    witness = None
-    checked = 0
-    for s, hs in h_map.items():
-        checked += 1
-        if vals[s] != vals[hs]:
-            witness = Witness((("x", s),), vals[s], vals[hs])
-            break
-    reports["retraction"] = _finish(
-        witness, checked, 0,
-        detail="F(H(x)) differs from F(x)" if witness else None,
-    )
-
-    witness = None
+    retraction = partition = None
     checked = 0
     blocks: dict[int, int] = {}
     for s, hs in h_map.items():
-        k = len(hs)
-        blocks[k] = blocks.get(k, 0) + 1
+        blocks[len(hs)] = blocks.get(len(hs), 0) + 1
         checked += 1
         if vals[s] != vals[hs]:
-            witness = Witness((("k", str(k)), ("x", s)), vals[s], vals[hs])
+            retraction = Witness((("x", s),), vals[s], vals[hs])
+            partition = Witness((("k", str(len(hs))), ("x", s)), vals[s], vals[hs])
             break
+    reports["retraction"] = _finish(
+        retraction, checked, 0,
+        detail="F(H(x)) differs from F(x)" if retraction else None,
+    )
     sizes = ", ".join(f"{k}: {blocks[k]}" for k in sorted(blocks))
     reports["partition"] = _finish(
-        witness, checked, 0, detail=f"block sizes {{{sizes}}}"
+        partition, checked, 0, detail=f"block sizes {{{sizes}}}"
     )
     return reports
 
@@ -301,15 +281,19 @@ class VariadicParts:
     def m(self) -> int:
         return len(self.parts) - 2
 
+    @cached_property
+    def _maps(self) -> tuple[dict[str, Value], ...]:
+        return tuple(dict(part) for part in self.parts)
+
     def value_at(self, s: str) -> Value:
         if len(s) >= len(self.parts):
             raise MalformedSpecError(
                 f"arity {len(s)} exceeds the stored tables (max {self.m + 1})"
             )
-        for key, v in self.parts[len(s)]:
-            if key == s:
-                return v
-        raise MalformedSpecError(f"no entry for {s!r}")  # unreachable after validation
+        try:
+            return self._maps[len(s)][s]
+        except KeyError:
+            raise MalformedSpecError(f"no entry for {s!r}")
 
 
 def variadic_parts(

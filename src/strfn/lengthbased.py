@@ -22,10 +22,11 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
-from .checkers import FAILS, CheckReport, Witness, _finish
-from .core import STRING, TOKEN, Alphabet, BoundedFn, Token, Value
+from .checkers import FAILS, CheckReport, Witness, _finish, _require_string_valued
+from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Token, Value
 from .errors import (
     InsufficientHorizonError,
     MissingEntryError,
@@ -264,11 +265,15 @@ class PsiTable:
             if len(s) != n:
                 raise ValueError(f"psi({n}) = {s!r} must have length {n}")
 
+    @cached_property
+    def _map(self) -> dict[int, str]:
+        return dict(self.entries)
+
     def apply(self, n: int) -> str:
-        for k, s in self.entries:
-            if k == n:
-                return s
-        raise MissingEntryError(f"psi has no entry for {n}")
+        try:
+            return self._map[n]
+        except KeyError:
+            raise MissingEntryError(f"psi has no entry for {n}")
 
 
 def psi_table(pairs: Mapping[int, str] | Sequence[tuple[int, str]]) -> PsiTable:
@@ -304,57 +309,39 @@ class LengthBasedRejection:
     message: str
 
 
-def check_length_based(fn: BoundedFn, level: int) -> CheckReport:
-    """Verify F(x) depends on |x| only (any codomain)."""
-    from .checkers import _require_bound
-
-    _require_bound(fn, level)
-    strings = list(_by_length(fn, level))
+def _constant_per_length(
+    dom: Domain, key: Callable[[Value], object], detail: str | None
+) -> CheckReport:
+    """Verify key(F(x)) is the same for all x of each length in the domain."""
+    vals = dom.vals
     checked = 0
-    for group in strings:
-        first_s, first_v = group[0]
-        for s, v in group[1:]:
+    for k in range(dom.level + 1):
+        first, *rest = dom.of_length(k)
+        for s in rest:
             checked += 1
-            if v != first_v:
+            if key(vals[s]) != key(vals[first]):
                 return CheckReport(
                     FAILS,
-                    Witness((("x", first_s), ("y", s)), first_v, v),
+                    Witness((("x", first), ("y", s)), vals[first], vals[s]),
                     checked,
                     0,
-                    detail="same length, different values",
+                    detail=detail,
                 )
     return _finish(None, checked, 0)
+
+
+def check_length_based(fn: BoundedFn, level: int) -> CheckReport:
+    """Verify F(x) depends on |x| only (any codomain)."""
+    return _constant_per_length(
+        fn.domain(level), lambda v: v, "same length, different values"
+    )
 
 
 def check_weakly_length_based(fn: BoundedFn, level: int) -> CheckReport:
     """Verify |F(x)| depends on |x| only (string-valued functions)."""
-    from .checkers import _require_bound, _require_string_valued
-
-    _require_bound(fn, level)
+    dom = fn.domain(level)
     _require_string_valued(fn, "weak length-basedness check")
-    checked = 0
-    for group in _by_length(fn, level):
-        first_s, first_v = group[0]
-        for s, v in group[1:]:
-            checked += 1
-            if len(v) != len(first_v):
-                return CheckReport(
-                    FAILS,
-                    Witness((("x", first_s), ("y", s)), first_v, v),
-                    checked,
-                    0,
-                    detail="same length, different output lengths",
-                )
-    return _finish(None, checked, 0)
-
-
-def _by_length(fn: BoundedFn, level: int):
-    from .core import enumerate_strings
-
-    groups: list[list[tuple[str, Value]]] = [[] for _ in range(level + 1)]
-    for s in enumerate_strings(fn.alphabet, level):
-        groups[len(s)].append((s, fn.definition.apply(s)))
-    return groups
+    return _constant_per_length(dom, len, "same length, different output lengths")
 
 
 def decompose_length_based(
@@ -366,21 +353,17 @@ def decompose_length_based(
     values would force an inconsistent psi, or when the recovered profile
     table does not classify.  InsufficientHorizonError propagates.
     """
-    from .checkers import _require_bound, _require_string_valued
-
-    _require_bound(fn, level)
+    dom = fn.domain(level)
     _require_string_valued(fn, "length-based decomposition")
-
-    per_length: list[str] = []
-    for group in _by_length(fn, level):
-        first_s, first_v = group[0]
-        for s, v in group[1:]:
-            if v != first_v:
-                return LengthBasedRejection(
-                    "not-length-based",
-                    f"F({first_s!r}) = {first_v!r} but F({s!r}) = {v!r}",
-                )
-        per_length.append(first_v)
+    report = _constant_per_length(dom, lambda v: v, None)
+    if not report.ok:
+        (_, x), (_, y) = report.witness.bindings
+        return LengthBasedRejection(
+            "not-length-based",
+            f"F({x!r}) = {report.witness.lhs!r} but F({y!r}) = {report.witness.rhs!r}",
+        )
+    # Each length's first string in length-lex order repeats the first letter.
+    per_length = [dom.vals[fn.alphabet.letters[0] * k] for k in range(level + 1)]
 
     table = [len(v) for v in per_length]
     psi_entries: dict[int, str] = {}
@@ -409,15 +392,18 @@ class RelabeledLengthDef:
     relabel: tuple[tuple[str, Value], ...]
     codomain: str
 
+    @cached_property
+    def _maps(self) -> tuple[dict[int, str], dict[str, Value]]:
+        return dict(self.mu), dict(self.relabel)
+
     def apply(self, s: str) -> Value:
-        n = len(s)
-        for k, out in self.mu:
-            if k == n:
-                for key, v in self.relabel:
-                    if key == out:
-                        return v
-                raise MissingEntryError(f"relabeling has no entry for {out!r}")
-        raise MissingEntryError(f"mu has no entry for length {n}")
+        mu, relabel = self._maps
+        if len(s) not in mu:
+            raise MissingEntryError(f"mu has no entry for length {len(s)}")
+        out = mu[len(s)]
+        if out not in relabel:
+            raise MissingEntryError(f"relabeling has no entry for {out!r}")
+        return relabel[out]
 
 
 def compose_preassoc_length_based(

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import STRING, Alphabet, BoundedFn, Value, enumerate_strings
+from .core import STRING, Alphabet, BoundedFn, Value
 from .errors import OutOfDomainError, PreconditionError
 
 
@@ -169,12 +169,11 @@ class KernelComparison:
 
 
 def _constant_on_classes(
-    grouper: dict[str, Value], checker: dict[str, Value], order: list[str]
+    grouper: dict[str, Value], checker: dict[str, Value]
 ) -> tuple[str, str] | None:
     """First pair (length-lex by class leader) grouped together but split."""
     leaders: dict[Value, str] = {}
-    for s in order:
-        g = grouper[s]
+    for s, g in grouper.items():
         if g not in leaders:
             leaders[g] = s
         elif checker[leaders[g]] != checker[s]:
@@ -186,16 +185,11 @@ def preceq(fn: BoundedFn, other: BoundedFn, level: int) -> KernelComparison:
     """Compare kernels: fn is below other when other's kernel is finer."""
     if fn.alphabet != other.alphabet:
         raise PreconditionError("kernel comparison requires a common alphabet")
-    if level > fn.bound or level > other.bound:
-        raise OutOfDomainError(
-            f"comparison level {level} exceeds a function's bound"
-        )
-    order = list(enumerate_strings(fn.alphabet, level))
-    f_vals = {s: fn.definition.apply(s) for s in order}
-    g_vals = {s: other.definition.apply(s) for s in order}
+    f_vals = fn.domain(level).vals
+    g_vals = other.domain(level).vals
 
-    not_f_below = _constant_on_classes(g_vals, f_vals, order)
-    not_g_below = _constant_on_classes(f_vals, g_vals, order)
+    not_f_below = _constant_on_classes(g_vals, f_vals)
+    not_g_below = _constant_on_classes(f_vals, g_vals)
     f_below, g_below = not_f_below is None, not_g_below is None
     if f_below and g_below:
         return KernelComparison(EQUIVALENT, True, True, None)

@@ -35,7 +35,7 @@ from .builtins import (
     build_builtin,
 )
 from .checkers import CheckReport, Witness
-from .core import STRING, TOKEN, Alphabet, BoundedFn, TableDef, Token, Value, table_fn
+from .core import STRING, Alphabet, BoundedFn, TableDef, Token, Value, table_fn
 from .errors import MalformedSpecError
 from .extension import PartialSpec, partial_spec
 from .factorization import Factorization
@@ -197,7 +197,15 @@ def _function_from_object(
         name = obj.get("name")
         if not isinstance(name, str):
             raise MalformedSpecError("builtin function needs a 'name' field")
-        params = dict(obj.get("params", {}))
+        params = obj.get("params", {})
+        if not isinstance(params, Mapping):
+            raise MalformedSpecError(f"builtin 'params' must be an object: {params!r}")
+        params = dict(params)
+        order = params.get("order") if name == "sort" else None
+        if order is not None and not (
+            isinstance(order, (list, str)) and all(isinstance(c, str) for c in order)
+        ):
+            raise MalformedSpecError(f"sort 'order' must be an array of letters: {order!r}")
         if name == "length_of":
             params["inner"] = _function_from_object(
                 params.get("inner"), alphabet, bound

@@ -7,9 +7,14 @@ summary on stderr.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strfn
 from strfn import (
     Alphabet,
     length_fn,
@@ -334,3 +339,32 @@ def test_output_file_matches_stdout(capsys, tmp_path, ofo_file):
     _, out, _ = run(capsys, "check", "assoc", "--input", ofo_file,
                     "--output", str(report_path))
     assert report_path.read_text() == out
+
+
+def _ofo_spec(params):
+    return {"alphabet": ["a", "b"], "bound": 2,
+            "function": {"kind": "builtin", "name": "ofo", "params": params}}
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["check", "standard", "--bound", "-1"], _ofo_spec({})),
+    (["theta", "class", "a", "--alphabet", "ab", "--x0", "a", "--x1", "a"], None),
+    (["theta", "chain", "--alphabet", "ab", "--x0", "a", "--x1", "b",
+      "--m-exp", "-3"], None),
+    (["alpha", "synth"], {"n1": None}),
+    (["check", "standard"], {"alphabet": ["a", "b"], "bound": 2, "function": {
+        "kind": "builtin", "name": "sort", "params": {"order": 5}}}),
+    (["check", "standard"], _ofo_spec([1])),
+    (["eval", "ac"], _ofo_spec({})),
+], ids=["negative-bound", "equal-blocks", "negative-exponent", "null-synth",
+        "sort-order-not-letters", "params-not-object", "eval-foreign-letter"])
+def test_input_errors_exit_2_with_one_line(tmp_path, argv, spec):
+    if spec is not None:
+        argv = argv + ["--input", write(tmp_path, "spec.json", spec)]
+    env = dict(os.environ, PYTHONPATH=str(Path(strfn.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "strfn", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -12,9 +13,14 @@ from strfn import (
     OutOfDomainError,
     TableDef,
     Token,
+    check_bounded_retraction,
+    check_equivalent_definitions,
+    check_quasi_inverse_conditions,
     concat,
     count_strings,
     enumerate_strings,
+    factorize,
+    ofo_fn,
     power,
     table_fn,
 )
@@ -154,3 +160,49 @@ def test_table_def_missing_entry(ab):
         fn.eval("a")
     with pytest.raises(MissingEntryError):
         BoundedFn(ab, 1, definition).eval("a")
+
+
+def test_eval_rejects_foreign_letters(ab):
+    with pytest.raises(AlphabetError):
+        ofo_fn(ab, 2).eval("ac")
+
+
+class CountingDef:
+    """Wraps a definition and records every string it is applied to."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    @property
+    def codomain(self):
+        return self.inner.codomain
+
+    def apply(self, s):
+        self.calls[s] += 1
+        return self.inner.apply(s)
+
+
+@pytest.mark.parametrize("run", [
+    lambda fn, level: factorize(fn, level),
+    lambda fn, level: check_bounded_retraction(fn, 2, level),
+    lambda fn, level: check_quasi_inverse_conditions(fn, 2, level),
+    lambda fn, level: check_equivalent_definitions(fn, level),
+], ids=["factorize", "bounded-retraction", "quasi-inverse-conditions",
+        "equivalent-definitions"])
+def test_domain_evaluates_each_string_once(ab, run):
+    counting = CountingDef(ofo_fn(ab, 4).definition)
+    run(BoundedFn(ab, 4, counting), 4)
+    assert counting.calls == Counter(enumerate_strings(ab, 4))
+
+
+def test_domain_is_memoized_for_the_latest_level(ab):
+    fn = ofo_fn(ab, 3)
+    dom = fn.domain(2)
+    assert fn.domain(2) is dom
+    assert dom.of_length(2) == ["aa", "ab", "ba", "bb"]
+    assert dom.classes["ab"] == ["ab"]
+    assert fn.domain() is not dom and fn.domain().level == 3
+    assert fn.domain(3).classes["ab"] == ["ab", "aab", "aba", "abb"]
+    with pytest.raises(OutOfDomainError):
+        fn.domain(4)
