@@ -1,20 +1,18 @@
 """Closed-form example functions: the toolkit's standard fixtures.
 
 Each builtin is a small frozen definition object (picklable, hashable)
-wrapped in a :class:`~strfn.core.BoundedFn` by its factory.  They cover
-the classic behaviours the checkers are designed to separate: letter
-removal and its non-standard variant, first-occurrence filtering,
-separator insertion, sorting, plain length, and length-of compositions.
+wrapped in a :class:`~strfn.core.BoundedFn` by its factory.  ``BUILTINS``
+registers each one under the name spec files use for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
-from .core import STRING, TOKEN, Alphabet, BoundedFn, Token, Value, table_fn
+from .core import STRING, TOKEN, Alphabet, BoundedFn, Token, Value
 from .errors import MalformedSpecError, PreconditionError
-from .lengthbased import AlphaFn, PsiTable, compose_length_based
+from .lengthbased import AlphaFn, LengthBasedDef, PsiTable, compose_length_based
 
 
 @dataclass(frozen=True)
@@ -183,44 +181,52 @@ def length_based_fn(
     return compose_length_based(alphabet, bound, alpha, psi)
 
 
+# Param kinds; specio keeps one JSON codec per kind.
+LETTER, ORDER, VALUE, PROFILE, PSI, FUNCTION = (
+    "letter", "order", "value", "profile", "psi", "function")
+
+
+@dataclass(frozen=True)
+class Builtin:
+    """A spec name's definition class and factory.  ``params`` maps each
+    param, which the definition stores under the same attribute name, to
+    its kind, in serialized order; the factory defaults the ``optional``."""
+
+    definition: type
+    factory: Callable[..., BoundedFn]
+    params: Mapping[str, str] = field(default_factory=dict)
+    optional: tuple[str, ...] = ()
+
+
+BUILTINS: dict[str, Builtin] = {
+    "identity": Builtin(IdentityDef, identity_fn),
+    "sort": Builtin(SortDef, sort_fn, {"order": ORDER}, ("order",)),
+    "letter_remove": Builtin(LetterRemoveDef, letter_remove_fn, {"letter": LETTER}),
+    "letter_remove_g": Builtin(LetterRemoveGDef, letter_remove_g_fn, {"letter": LETTER}),
+    "ofo": Builtin(OfoDef, ofo_fn),
+    "separator_insert": Builtin(SeparatorInsertDef, separator_insert_fn, {"bar": LETTER}),
+    "length": Builtin(LengthDef, length_fn),
+    # The inner function carries its own alphabet and bound.
+    "length_of": Builtin(LengthOfDef, lambda alphabet, bound, inner: length_of_fn(inner),
+                         {"inner": FUNCTION}),
+    "constant": Builtin(ConstantDef, constant_fn, {"value": VALUE}),
+    "length_based": Builtin(LengthBasedDef, length_based_fn,
+                            {"alpha": PROFILE, "psi": PSI}),
+}
+
+
 def build_builtin(
     name: str, alphabet: Alphabet, bound: int, params: Mapping[str, object] | None = None
 ) -> BoundedFn:
     """Construct a builtin by its registry name, as used in spec files."""
+    entry = BUILTINS.get(name)
+    if entry is None:
+        raise MalformedSpecError(f"unknown builtin {name!r}")
     params = dict(params or {})
-    try:
-        if name == "identity":
-            return identity_fn(alphabet, bound)
-        if name == "sort":
-            order = params.pop("order", None)
-            return sort_fn(
-                alphabet, bound, tuple(order) if order is not None else None
-            )
-        if name == "letter_remove":
-            return letter_remove_fn(alphabet, bound, params.pop("letter"))
-        if name == "letter_remove_g":
-            return letter_remove_g_fn(alphabet, bound, params.pop("letter"))
-        if name == "ofo":
-            return ofo_fn(alphabet, bound)
-        if name == "separator_insert":
-            return separator_insert_fn(alphabet, bound, params.pop("bar"))
-        if name == "length":
-            return length_fn(alphabet, bound)
-        if name == "length_of":
-            return length_of_fn(params.pop("inner"))
-        if name == "length_based":
-            return length_based_fn(
-                alphabet, bound, params.pop("alpha"), params.pop("psi")
-            )
-        if name == "constant":
-            return constant_fn(alphabet, bound, params.pop("value"))
-        if name == "table":
-            return table_fn(
-                alphabet, bound, params.pop("entries"),
-                params.pop("codomain", STRING),
-            )
-    except KeyError as exc:
-        raise MalformedSpecError(
-            f"builtin {name!r} is missing parameter {exc.args[0]!r}"
-        ) from None
-    raise MalformedSpecError(f"unknown builtin {name!r}")
+    for key in params:
+        if key not in entry.params:
+            raise MalformedSpecError(f"builtin {name!r} has no parameter {key!r}")
+    for key in entry.params:
+        if key not in params and key not in entry.optional:
+            raise MalformedSpecError(f"builtin {name!r} is missing parameter {key!r}")
+    return entry.factory(alphabet, bound, **params)

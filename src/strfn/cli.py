@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping, NoReturn
+from typing import Any, Callable, Mapping, NoReturn
 
 from .checkers import (
     FAILS,
@@ -29,7 +29,7 @@ from .checkers import (
     check_preassociative,
     check_standard,
 )
-from .core import Alphabet, count_strings
+from .core import Alphabet, BoundedFn, count_strings
 from .errors import (
     ConditionsFailedError,
     InsufficientHorizonError,
@@ -45,10 +45,10 @@ from .lengthbased import (
     check_weakly_length_based,
     classify_alpha,
     minimal_period,
-    synthesize_alpha,
 )
 from .quotient import ThetaSpec, preceq, theta_class, theta_rep_fn
 from .specio import (
+    _is_count,
     _read,
     alpha_to_json,
     factorization_to_json,
@@ -57,6 +57,7 @@ from .specio import (
     load_partial,
     report_to_json,
     reports_to_json,
+    structured_alpha_from_json,
     theta_class_to_json,
     to_text,
     value_to_json,
@@ -79,6 +80,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return min(value, os.cpu_count() or 1)
+
+
 def _parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="strfn", description="bounded-domain algebra of string functions"
@@ -99,12 +107,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run one property checker")
     common(p)
-    p.add_argument("property", choices=[
-        "assoc", "assoc-reduced", "preassoc", "standard", "idempotent",
-        "bounded", "range", "equiv-defs", "rigidity", "weakly-length", "length",
-    ])
+    p.add_argument("property", choices=list(_CHECKS))
     p.add_argument("--m", type=_nonnegative, help="output-length bound for bounded/range")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (max: CPU count)")
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes (max: CPU count)")
 
     p = sub.add_parser("extend", help="grow a low-arity package to X^<=L")
     common(p)
@@ -177,35 +182,31 @@ def _run_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_check(args: argparse.Namespace) -> int:
-    fn = load_function(_one_input(args))
-    level, jobs = args.bound, min(args.jobs, os.cpu_count() or 1)
-    needs_m = args.property in ("bounded", "range")
-    if needs_m and args.m is None:
+def _required_m(args: argparse.Namespace) -> int:
+    if args.m is None:
         raise StrfnError(f"check {args.property} requires --m")
-    if args.property == "assoc":
-        result: Any = check_associative_full(fn, level, jobs=jobs)
-    elif args.property == "assoc-reduced":
-        result = check_associative_reduced(fn, level, jobs=jobs)
-    elif args.property == "preassoc":
-        result = check_preassociative(fn, level)
-    elif args.property == "standard":
-        result = check_standard(fn, level)
-    elif args.property == "idempotent":
-        result = check_idempotent(fn, level)
-    elif args.property == "bounded":
-        result = check_m_bounded(fn, args.m, level)
-    elif args.property == "range":
-        result = check_m_determined_range(fn, args.m, level)
-    elif args.property == "equiv-defs":
-        result = check_equivalent_definitions(fn, level)
-    elif args.property == "rigidity":
-        result = check_injective_rigidity(fn, level)
-    elif args.property == "weakly-length":
-        result = check_weakly_length_based(fn, level)
-    else:
-        result = check_length_based(fn, level)
+    return args.m
 
+
+# The checker behind each property.  The lambdas look the checkers up
+# when called, so a checker rebound on this module is the one that runs.
+_CHECKS: dict[str, Callable[[BoundedFn, argparse.Namespace], Any]] = {
+    "assoc": lambda fn, a: check_associative_full(fn, a.bound, jobs=a.jobs),
+    "assoc-reduced": lambda fn, a: check_associative_reduced(fn, a.bound, jobs=a.jobs),
+    "preassoc": lambda fn, a: check_preassociative(fn, a.bound),
+    "standard": lambda fn, a: check_standard(fn, a.bound),
+    "idempotent": lambda fn, a: check_idempotent(fn, a.bound),
+    "bounded": lambda fn, a: check_m_bounded(fn, _required_m(a), a.bound),
+    "range": lambda fn, a: check_m_determined_range(fn, _required_m(a), a.bound),
+    "equiv-defs": lambda fn, a: check_equivalent_definitions(fn, a.bound),
+    "rigidity": lambda fn, a: check_injective_rigidity(fn, a.bound),
+    "weakly-length": lambda fn, a: check_weakly_length_based(fn, a.bound),
+    "length": lambda fn, a: check_length_based(fn, a.bound),
+}
+
+
+def _run_check(args: argparse.Namespace) -> int:
+    result = _CHECKS[args.property](load_function(_one_input(args)), args)
     if isinstance(result, CheckReport):
         _emit(report_to_json(result), args, _summarize(args.property, result))
         return _report_exit(result)
@@ -233,10 +234,6 @@ def _run_factorize(args: argparse.Namespace) -> int:
     })
 
 
-def _is_count(v: Any) -> bool:
-    return isinstance(v, int) and v >= 0
-
-
 def _alpha_values(obj: Any) -> list[int]:
     if isinstance(obj, Mapping):
         obj = obj.get("values")
@@ -262,12 +259,8 @@ def _run_alpha(args: argparse.Namespace) -> int:
               args, f"rejected: {shape.message}")
         return 1
     if args.action == "synth":
-        n1, ell, window = fields.get("n1"), fields.get("ell"), fields.get("window")
-        if not (_is_count(n1) and _is_count(ell) and ell > 0 and isinstance(window, list)
-                and len(window) == n1 + ell and all(map(_is_count, window))):
-            raise StrfnError("synth input must be {n1 >= 0, ell >= 1, window} "
-                             "with n1 + ell window entries")
-        made = synthesize_alpha(n1, ell, window)
+        made = structured_alpha_from_json(
+            fields.get("n1"), fields.get("ell"), fields.get("window"))
         if isinstance(made, AlphaFn):
             _emit(alpha_to_json(made), args, "synthesized")
             return 0
@@ -360,10 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(to_text({"error": str(exc)}))
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 3
-    except StrfnError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (StrfnError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Union
 
-from .errors import (
-    AlphabetError,
-    MissingEntryError,
-    OutOfDomainError,
-)
+from .errors import AlphabetError, MalformedSpecError, MissingEntryError, OutOfDomainError
 
 STRING = "string"
 TOKEN = "token"
@@ -281,7 +277,7 @@ def table_fn(
     outputs are validated against the alphabet.
     """
     if codomain not in (STRING, TOKEN):
-        raise ValueError(f"codomain must be 'string' or 'token', got {codomain!r}")
+        raise MalformedSpecError(f"codomain must be 'string' or 'token', got {codomain!r}")
     entries: dict[str, Value] = {}
     getter = source if callable(source) else source.__getitem__
     for s in enumerate_strings(alphabet, bound):
@@ -291,9 +287,9 @@ def table_fn(
             raise MissingEntryError(f"table source has no entry for {s!r}")
         if codomain == STRING:
             if not isinstance(v, str):
-                raise TypeError(f"string-valued table produced {v!r} for {s!r}")
+                raise MalformedSpecError(f"string-valued table produced {v!r} for {s!r}")
             alphabet.validate(v)
         elif not isinstance(v, Token):
-            raise TypeError(f"token-valued table produced {v!r} for {s!r}")
+            raise MalformedSpecError(f"token-valued table produced {v!r} for {s!r}")
         entries[s] = v
     return BoundedFn(alphabet, bound, TableDef(codomain, entries))

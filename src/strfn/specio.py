@@ -6,6 +6,13 @@ File shapes:
   where the function object is ``{"kind": "builtin", "name": ..., "params":
   {...}}`` or ``{"kind": "table", "codomain": "string"|"token",
   "entries": [[input, output], ...]}``.
+- builtins and their params: ``identity``, ``ofo``, ``length`` (none);
+  ``sort`` (optional ``order``, every letter once, default the alphabet
+  order); ``letter_remove``, ``letter_remove_g`` (``letter``);
+  ``separator_insert`` (``bar`` letter); ``constant`` (``value``);
+  ``length_of`` (``inner``, a string-valued function object);
+  ``length_based`` (``alpha`` profile, ``psi`` table).  Missing and
+  unknown params are rejected.
 - token values: ``{"token": <int or string>}``; strings are plain text.
 - low-arity package: ``{"alphabet": [...], "m": m, "parts": {"0": "...",
   "1": [[in, out], ...], ...}}``.
@@ -20,20 +27,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from .builtins import (
-    ConstantDef,
-    IdentityDef,
-    LengthDef,
-    LengthOfDef,
-    LetterRemoveDef,
-    LetterRemoveGDef,
-    OfoDef,
-    SeparatorInsertDef,
-    SortDef,
-    build_builtin,
-)
+from .builtins import BUILTINS, FUNCTION, LETTER, ORDER, PROFILE, PSI, VALUE, build_builtin
 from .checkers import CheckReport, Witness
 from .core import STRING, Alphabet, BoundedFn, TableDef, Token, Value, table_fn
 from .errors import MalformedSpecError
@@ -43,7 +39,7 @@ from .lengthbased import (
     IDENTITY,
     STRUCTURED,
     AlphaFn,
-    LengthBasedDef,
+    AlphaRejection,
     PsiTable,
     identity_alpha,
     psi_table,
@@ -90,16 +86,26 @@ def alpha_to_json(alpha: AlphaFn) -> dict[str, Any]:
     }
 
 
+def _is_count(v: Any) -> bool:
+    return isinstance(v, int) and v >= 0
+
+
+def structured_alpha_from_json(n1: Any, ell: Any, window: Any) -> AlphaFn | AlphaRejection:
+    """``synthesize_alpha`` on JSON fields, once their shapes are checked."""
+    if not (_is_count(n1) and _is_count(ell) and ell > 0 and isinstance(window, list)
+            and len(window) == n1 + ell and all(map(_is_count, window))):
+        raise MalformedSpecError("a structured profile needs n1 >= 0, ell >= 1 and "
+                                 "n1 + ell window entries >= 0")
+    return synthesize_alpha(n1, ell, window)
+
+
 def alpha_from_json(obj: Any) -> AlphaFn:
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise MalformedSpecError(f"not a profile: {obj!r}")
     if obj["kind"] == IDENTITY:
         return identity_alpha()
     if obj["kind"] == STRUCTURED:
-        try:
-            made = synthesize_alpha(obj["n1"], obj["ell"], list(obj["values"]))
-        except KeyError as exc:
-            raise MalformedSpecError(f"profile missing field {exc.args[0]!r}") from None
+        made = structured_alpha_from_json(obj.get("n1"), obj.get("ell"), obj.get("values"))
         if isinstance(made, AlphaFn):
             return made
         raise MalformedSpecError(f"invalid profile: {made.message}")
@@ -114,62 +120,65 @@ def psi_from_json(obj: Any) -> PsiTable:
     if not isinstance(obj, list):
         raise MalformedSpecError("psi table must be an array of [n, string] pairs")
     try:
-        return psi_table([(int(n), s) for n, s in obj])
+        return psi_table([(int(n), _string_from_json(s)) for n, s in obj])
     except (TypeError, ValueError) as exc:
         raise MalformedSpecError(f"bad psi table: {exc}") from None
 
 
+def _string_from_json(obj: Any) -> str:
+    if not isinstance(obj, str):
+        raise MalformedSpecError(f"not a string: {obj!r}")
+    return obj
+
+
+def _order_from_json(obj: Any) -> list[str] | str | None:
+    """An order of letters; null stands for the alphabet order."""
+    if obj is not None and not (
+        isinstance(obj, (list, str)) and all(isinstance(c, str) for c in obj)
+    ):
+        raise MalformedSpecError(f"'order' must be an array of letters: {obj!r}")
+    return obj
+
+
+def _pairs_from_json(
+    obj: Any, what: str, decode: Callable[[Any], Value]
+) -> dict[str, Value]:
+    """Map each ``[input string, output]`` pair; ``decode`` reads the output."""
+    if not isinstance(obj, list):
+        raise MalformedSpecError(f"{what} needs an array of [input, output] pairs")
+    mapping = {}
+    for pair in obj:
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
+            raise MalformedSpecError(f"bad {what} entry: {pair!r}")
+        mapping[pair[0]] = decode(pair[1])
+    return mapping
+
+
+def _table_to_json(codomain: str, entries: Mapping[str, Value]) -> dict[str, Any]:
+    return {"kind": "table", "codomain": codomain,
+            "entries": [[s, value_to_json(v)] for s, v in entries.items()]}
+
+
 def _definition_to_json(definition: object) -> dict[str, Any] | None:
     """The function object for a recognized definition, else None."""
-    if isinstance(definition, IdentityDef):
-        return {"kind": "builtin", "name": "identity", "params": {}}
-    if isinstance(definition, SortDef):
-        return {"kind": "builtin", "name": "sort",
-                "params": {"order": list(definition.order)}}
-    if isinstance(definition, LetterRemoveDef):
-        return {"kind": "builtin", "name": "letter_remove",
-                "params": {"letter": definition.letter}}
-    if isinstance(definition, LetterRemoveGDef):
-        return {"kind": "builtin", "name": "letter_remove_g",
-                "params": {"letter": definition.letter}}
-    if isinstance(definition, OfoDef):
-        return {"kind": "builtin", "name": "ofo", "params": {}}
-    if isinstance(definition, SeparatorInsertDef):
-        return {"kind": "builtin", "name": "separator_insert",
-                "params": {"bar": definition.bar}}
-    if isinstance(definition, LengthDef):
-        return {"kind": "builtin", "name": "length", "params": {}}
-    if isinstance(definition, LengthOfDef):
-        inner = _definition_to_json(definition.inner)
-        if inner is None:
-            return None
-        return {"kind": "builtin", "name": "length_of", "params": {"inner": inner}}
-    if isinstance(definition, ConstantDef):
-        return {"kind": "builtin", "name": "constant",
-                "params": {"value": value_to_json(definition.value)}}
-    if isinstance(definition, LengthBasedDef):
-        return {"kind": "builtin", "name": "length_based",
-                "params": {"alpha": alpha_to_json(definition.alpha),
-                           "psi": psi_to_json(definition.psi)}}
     if isinstance(definition, TableDef):
-        return {
-            "kind": "table",
-            "codomain": definition.codomain,
-            "entries": [[s, value_to_json(v)]
-                        for s, v in definition.entries.items()],
-        }
-    return None
+        return _table_to_json(definition.codomain, definition.entries)
+    name = _BUILTIN_NAMES.get(type(definition))
+    if name is None:
+        return None
+    params = {}
+    for key, kind in BUILTINS[name].params.items():
+        params[key] = _PARAM_CODECS[kind][0](getattr(definition, key))
+        if params[key] is None:
+            return None
+    return {"kind": "builtin", "name": name, "params": params}
 
 
 def function_to_json(fn: BoundedFn) -> dict[str, Any]:
     """Serialize; unrecognized closed forms are materialized as tables."""
     obj = _definition_to_json(fn.definition)
     if obj is None:
-        obj = {
-            "kind": "table",
-            "codomain": fn.codomain,
-            "entries": [[s, value_to_json(v)] for s, v in fn.value_map().items()],
-        }
+        obj = _table_to_json(fn.codomain, fn.value_map())
     return {
         "alphabet": alphabet_to_json(fn.alphabet),
         "bound": fn.bound,
@@ -184,15 +193,8 @@ def _function_from_object(
         raise MalformedSpecError("function object needs a 'kind' field")
     kind = obj["kind"]
     if kind == "table":
-        entries = obj.get("entries")
-        if not isinstance(entries, list):
-            raise MalformedSpecError("table function needs an 'entries' array")
-        mapping = {}
-        for pair in entries:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise MalformedSpecError(f"bad table entry: {pair!r}")
-            mapping[pair[0]] = value_from_json(pair[1])
-        return table_fn(alphabet, bound, mapping, obj.get("codomain", STRING))
+        entries = _pairs_from_json(obj.get("entries"), "table", value_from_json)
+        return table_fn(alphabet, bound, entries, obj.get("codomain", STRING))
     if kind == "builtin":
         name = obj.get("name")
         if not isinstance(name, str):
@@ -200,23 +202,29 @@ def _function_from_object(
         params = obj.get("params", {})
         if not isinstance(params, Mapping):
             raise MalformedSpecError(f"builtin 'params' must be an object: {params!r}")
-        params = dict(params)
-        order = params.get("order") if name == "sort" else None
-        if order is not None and not (
-            isinstance(order, (list, str)) and all(isinstance(c, str) for c in order)
-        ):
-            raise MalformedSpecError(f"sort 'order' must be an array of letters: {order!r}")
-        if name == "length_of":
-            params["inner"] = _function_from_object(
-                params.get("inner"), alphabet, bound
-            )
-        if name == "length_based":
-            params["alpha"] = alpha_from_json(params.get("alpha"))
-            params["psi"] = psi_from_json(params.get("psi"))
-        if name == "constant":
-            params["value"] = value_from_json(params.get("value"))
-        return build_builtin(name, alphabet, bound, params)
+        # build_builtin rejects unknown names and params; they pass undecoded.
+        kinds = BUILTINS[name].params if name in BUILTINS else {}
+        decoded = dict(params)
+        for key, kind in kinds.items():
+            if key in params:
+                decode = _PARAM_CODECS[kind][1]
+                decoded[key] = (decode(params[key], alphabet, bound) if kind == FUNCTION
+                                else decode(params[key]))
+        return build_builtin(name, alphabet, bound, decoded)
     raise MalformedSpecError(f"unknown function kind {kind!r}")
+
+
+# One JSON codec per builtin param kind: (encode, decode).  Only the
+# function decoder takes the enclosing spec's alphabet and bound.
+_PARAM_CODECS: dict[str, tuple[Callable[..., Any], Callable[..., Any]]] = {
+    LETTER: (str, _string_from_json),
+    ORDER: (list, _order_from_json),
+    VALUE: (value_to_json, value_from_json),
+    PROFILE: (alpha_to_json, alpha_from_json),
+    PSI: (psi_to_json, psi_from_json),
+    FUNCTION: (_definition_to_json, _function_from_object),
+}
+_BUILTIN_NAMES = {entry.definition: name for name, entry in BUILTINS.items()}
 
 
 def function_from_json(obj: Any) -> BoundedFn:
@@ -268,12 +276,8 @@ def partial_from_json(obj: Any) -> PartialSpec:
         if str(k) not in raw:
             raise MalformedSpecError(f"'parts' is missing arity {k}")
         entry = raw[str(k)]
-        if isinstance(entry, str):
-            parts.append(entry)
-        elif isinstance(entry, list):
-            parts.append({pair[0]: pair[1] for pair in entry})
-        else:
-            raise MalformedSpecError(f"bad arity-{k} table: {entry!r}")
+        parts.append(entry if isinstance(entry, str) else
+                     _pairs_from_json(entry, f"arity-{k} table", _string_from_json))
     return partial_spec(alphabet, m, parts)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -341,9 +342,33 @@ def test_output_file_matches_stdout(capsys, tmp_path, ofo_file):
     assert report_path.read_text() == out
 
 
+def _spec(function):
+    return {"alphabet": ["a", "b"], "bound": 2, "function": function}
+
+
 def _ofo_spec(params):
-    return {"alphabet": ["a", "b"], "bound": 2,
-            "function": {"kind": "builtin", "name": "ofo", "params": params}}
+    return _spec({"kind": "builtin", "name": "ofo", "params": params})
+
+
+def _table_spec(last_entry, codomain="string"):
+    entries = [[s, s] for s in ("", "a", "aa", "ab", "ba", "bb")] + [last_entry]
+    return _spec({"kind": "table", "codomain": codomain, "entries": entries})
+
+
+def _parts_spec(first_pair):
+    return {"alphabet": ["a", "b"], "m": 1, "parts": {
+        "0": "", "1": [first_pair, ["b", "b"]],
+        "2": [[s, s[0]] for s in ("aa", "ab", "ba", "bb")]}}
+
+
+def _profile_spec(**fields):
+    alpha = {"kind": "structured", "n1": 2, "ell": 2, "values": [0, 1, 4, 5], **fields}
+    return _spec({"kind": "builtin", "name": "length_based", "params": {
+        "alpha": alpha, "psi": [[0, ""], [1, "a"], [4, "aaaa"]]}})
+
+
+_CHECK = ["check", "standard", "--bound", "2"]
+_EXTEND = ["extend", "--bound", "3"]
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -356,8 +381,33 @@ def _ofo_spec(params):
         "kind": "builtin", "name": "sort", "params": {"order": 5}}}),
     (["check", "standard"], _ofo_spec([1])),
     (["eval", "ac"], _ofo_spec({})),
+    (_CHECK, _spec({"kind": "builtin", "name": "letter_remove",
+                    "params": {"letter": [1]}})),
+    (_CHECK, _ofo_spec({"bogus": 1})),
+    (_CHECK, _spec({"kind": "builtin", "name": "table", "params": {
+        "entries": {"": {"token": 1}}}})),
+    (_CHECK, _table_spec([["b"], "b"])),
+    (_CHECK, _table_spec(["b", "b"], codomain="foo")),
+    (_CHECK, _table_spec(["b", "b"], codomain="token")),
+    (_CHECK, _table_spec(["b", {"token": 1}])),
+    (_EXTEND, _parts_spec(["a"])),
+    (_EXTEND, _parts_spec(5)),
+    (_EXTEND, _parts_spec(["a", 5])),
+    (_EXTEND, _parts_spec([["a"], "a"])),
+    (_CHECK, _profile_spec(n1="x")),
+    (_CHECK, _profile_spec(values=5)),
+    (_CHECK, _profile_spec(values=[0, 1, 4])),
+    (["check", "assoc", "--bound", "2", "--jobs", "0"], _ofo_spec({})),
+    (["check", "assoc", "--bound", "2", "--jobs", "-5"], _ofo_spec({})),
 ], ids=["negative-bound", "equal-blocks", "negative-exponent", "null-synth",
-        "sort-order-not-letters", "params-not-object", "eval-foreign-letter"])
+        "sort-order-not-letters", "params-not-object", "eval-foreign-letter",
+        "letter-not-a-string", "unknown-param", "builtin-table-name",
+        "table-input-not-a-string", "table-codomain-unknown",
+        "string-in-token-table", "token-in-string-table",
+        "parts-pair-too-short", "parts-pair-not-a-list", "parts-output-not-a-string",
+        "parts-input-not-a-string", "profile-n1-not-a-count",
+        "profile-values-not-an-array", "profile-window-wrong-length",
+        "jobs-zero", "jobs-negative"])
 def test_input_errors_exit_2_with_one_line(tmp_path, argv, spec):
     if spec is not None:
         argv = argv + ["--input", write(tmp_path, "spec.json", spec)]
@@ -368,3 +418,89 @@ def test_input_errors_exit_2_with_one_line(tmp_path, argv, spec):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1
+
+
+def _builtin_spec(letters, bound, name, **params):
+    return {"alphabet": list(letters), "bound": bound,
+            "function": {"kind": "builtin", "name": name, "params": params}}
+
+
+_TOKEN_TABLE = {"alphabet": ["a", "b"], "bound": 1, "function": {
+    "kind": "table", "codomain": "token",
+    "entries": [["", {"token": 0}], ["a", {"token": 1}], ["b", {"token": 1}]]}}
+_FIRST_LETTER = {"alphabet": ["a", "b"], "m": 1, "parts": {
+    "0": "", "1": [["a", "a"], ["b", "b"]],
+    "2": [["aa", "a"], ["ab", "a"], ["ba", "b"], ["bb", "b"]]}}
+
+# (argv, valid input); every run stays at bound <= 3 on at most 3 letters.
+_VALID_INPUTS = [
+    (_CHECK, _builtin_spec("ab", 2, "ofo")),
+    (["check", "assoc", "--bound", "2"],
+     _builtin_spec("ab", 2, "sort", order=["b", "a"])),
+    (["eval", "ab"], _builtin_spec("ab", 2, "letter_remove", letter="a")),
+    (["check", "idempotent", "--bound", "2"],
+     _builtin_spec("ab|", 2, "separator_insert", bar="|")),
+    (["eval", "ab"], _builtin_spec("ab", 2, "constant", value={"token": 3})),
+    (["check", "preassoc", "--bound", "2"], _builtin_spec(
+        "ab", 2, "length_of", inner={"kind": "builtin", "name": "letter_remove_g",
+                                     "params": {"letter": "a"}})),
+    (_CHECK, _builtin_spec(
+        "ab", 2, "length_based",
+        alpha={"kind": "structured", "n1": 2, "ell": 2, "values": [0, 1, 4, 5]},
+        psi=[[0, ""], [1, "a"], [4, "aaaa"]])),
+    (["check", "preassoc", "--bound", "1"], _TOKEN_TABLE),
+    (_EXTEND, _FIRST_LETTER),
+    (["alpha", "synth"], {"n1": 2, "ell": 2, "window": [0, 1, 4, 5]}),
+    (["alpha", "minimize"], {"values": [0, 1, 4, 5, 4, 5], "witnesses": [[2, 2]]}),
+]
+
+
+def _random_json(rng, depth=0):
+    pick = rng.randrange(6 if depth < 2 else 4)
+    if pick == 0:
+        return rng.choice([None, True, False])
+    if pick == 1:
+        return rng.randint(-2, 4)
+    if pick in (2, 3):
+        return rng.choice(["", "a", "b", "ab", "ba", "c", "|", "token",
+                           "string", "structured", "identity", "ofo"])
+    if pick == 4:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(3))]
+    return {rng.choice(["token", "kind", "name", "n1", "values", "a"]):
+            _random_json(rng, depth + 1) for _ in range(rng.randrange(3))}
+
+
+def _paths(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(obj, path, new):
+    if not path:
+        return new
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return obj
+
+
+def test_fuzzed_specs_exit_with_a_code_and_one_error_line(capsys, tmp_path):
+    rng = random.Random(20141)
+    path = tmp_path / "fuzz.json"
+    for case in range(400):
+        argv, valid = rng.choice(_VALID_INPUTS)
+        spec = _replaced(valid, rng.choice(list(_paths(valid))), _random_json(rng))
+        path.write_text(json.dumps(spec))
+        try:
+            code = main(argv + ["--input", str(path)])
+        except Exception as exc:
+            pytest.fail(f"case {case}: {argv} on {spec!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (case, argv, spec)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (case, spec, err)

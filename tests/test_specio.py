@@ -15,6 +15,8 @@ from strfn import (
     enumerate_strings,
     factorize,
     identity_alpha,
+    identity_fn,
+    length_based_fn,
     length_fn,
     length_of_fn,
     letter_remove_fn,
@@ -22,12 +24,15 @@ from strfn import (
     ofo_fn,
     partial_spec,
     psi_table,
+    separator_insert_fn,
     sort_fn,
     synthesize_alpha,
     table_fn,
     theta_class,
     theta_rep_fn,
 )
+from strfn import specio
+from strfn.builtins import BUILTINS
 from strfn.specio import (
     alpha_from_json,
     alpha_to_json,
@@ -65,25 +70,43 @@ def test_alphabet_json(ab3):
         alphabet_from_json("ab")
 
 
-def test_function_round_trips(ab):
-    builders = [
-        lambda: ofo_fn(ab, 3),
-        lambda: sort_fn(ab, 3, order=("b", "a")),
-        lambda: letter_remove_fn(ab, 3, "a"),
-        lambda: letter_remove_g_fn(ab, 3, "a"),
-        lambda: length_fn(ab, 3),
-        lambda: length_of_fn(sort_fn(ab, 3)),
-        lambda: constant_fn(ab, 3, Token("k")),
-        lambda: table_fn(ab, 1, {"": Token(0), "a": Token(1), "b": Token(1)},
-                         codomain="token"),
-    ]
-    for build in builders:
-        fn = build()
-        clone = function_from_json(function_to_json(fn))
-        assert clone.alphabet == fn.alphabet
-        assert clone.bound == fn.bound
-        for s in enumerate_strings(fn.alphabet, fn.bound):
-            assert clone.eval(s) == fn.eval(s)
+# One function per registry entry, plus a lookup table.
+_ROUND_TRIP_BUILDERS = {
+    "identity": lambda ab: identity_fn(ab, 3),
+    "sort": lambda ab: sort_fn(ab, 3, order=("b", "a")),
+    "letter_remove": lambda ab: letter_remove_fn(ab, 3, "a"),
+    "letter_remove_g": lambda ab: letter_remove_g_fn(ab, 3, "a"),
+    "ofo": lambda ab: ofo_fn(ab, 3),
+    "separator_insert": lambda ab: separator_insert_fn(ab, 3, "b"),
+    "length": lambda ab: length_fn(ab, 3),
+    "length_of": lambda ab: length_of_fn(sort_fn(ab, 3)),
+    "constant": lambda ab: constant_fn(ab, 3, Token("k")),
+    "length_based": lambda ab: length_based_fn(
+        ab, 3, synthesize_alpha(2, 2, (0, 1, 4, 5)),
+        psi_table({0: "", 1: "a", 4: "aaaa", 5: "aaaaa"})),
+    "table": lambda ab: table_fn(ab, 1, {"": Token(0), "a": Token(1), "b": Token(1)},
+                                 codomain="token"),
+}
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, "table"])
+def test_function_round_trips(ab, name):
+    fn = _ROUND_TRIP_BUILDERS[name](ab)
+    obj = function_to_json(fn)
+    clone = function_from_json(obj)
+    assert clone.alphabet == fn.alphabet
+    assert clone.bound == fn.bound
+    for s in enumerate_strings(fn.alphabet, fn.bound):
+        assert clone.eval(s) == fn.eval(s)
+    assert function_to_json(clone) == obj
+    assert obj["function"].get("name", "table") == name
+
+
+def test_docstring_lists_every_builtin():
+    for name, entry in BUILTINS.items():
+        assert f"``{name}``" in specio.__doc__
+        for param in entry.params:
+            assert f"``{param}``" in specio.__doc__
 
 
 def test_unrecognized_definitions_become_tables(ab):
