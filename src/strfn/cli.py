@@ -49,6 +49,7 @@ from .lengthbased import (
 from .quotient import ThetaSpec, preceq, theta_class, theta_rep_fn
 from .specio import (
     _is_count,
+    _is_int,
     _read,
     alpha_to_json,
     factorization_to_json,
@@ -269,7 +270,7 @@ def _run_alpha(args: argparse.Namespace) -> int:
         return 1
     witnesses = fields.get("witnesses")
     if not (isinstance(witnesses, list) and witnesses and all(
-            isinstance(w, list) and len(w) == 2 and all(isinstance(v, int) for v in w)
+            isinstance(w, list) and len(w) == 2 and all(map(_is_int, w))
             for w in witnesses)):
         raise StrfnError("minimize input must be {values, witnesses}, with "
                          "witnesses a nonempty array of [start, period] pairs")
@@ -301,9 +302,10 @@ def _run_theta(args: argparse.Namespace) -> int:
               f"representative table up to bound {args.bound}")
         return 0
     rows = []
+    # Each F^m is built once; only the pair being compared is kept alive.
+    hi = theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, 1))
     for m in range(1, max(args.m_exp, 2)):
-        lo = theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, m))
-        hi = theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, m + 1))
+        lo, hi = hi, theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, m + 1))
         cmp = preceq(lo, hi, args.bound)
         rows.append({
             "m": m,

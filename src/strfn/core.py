@@ -273,7 +273,7 @@ def table_fn(
     """Materialize a total lookup table over the bounded domain.
 
     ``source`` is either a callable evaluated on every string up to
-    ``bound`` or a mapping that must already cover all of them; string
+    ``bound`` or a mapping that must cover exactly those strings; string
     outputs are validated against the alphabet.
     """
     if codomain not in (STRING, TOKEN):
@@ -292,4 +292,7 @@ def table_fn(
         elif not isinstance(v, Token):
             raise MalformedSpecError(f"token-valued table produced {v!r} for {s!r}")
         entries[s] = v
+    if not callable(source) and len(source) > len(entries):
+        extra = next(s for s in source if s not in entries)
+        raise MalformedSpecError(f"table has an entry for {extra!r} outside X^<={bound}")
     return BoundedFn(alphabet, bound, TableDef(codomain, entries))

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
-from .core import STRING, Alphabet, BoundedFn, Value
+from .core import STRING, Alphabet, BoundedFn, Value, enumerate_strings
 from .errors import OutOfDomainError, PreconditionError
 
 
@@ -74,10 +74,7 @@ def _occurrence_rewrites(s: str, old: str, new: str) -> list[str]:
         start = i + 1
 
 
-@lru_cache(maxsize=None)
-def _closure(
-    x: str, block0: str, block1: str, level: int, letters: tuple[str, ...] | None
-) -> tuple[tuple[str, ...], bool]:
+def _closure(x: str, block0: str, block1: str, level: int) -> tuple[set[str], bool]:
     seen = {x}
     queue = deque([x])
     truncated = False
@@ -91,35 +88,20 @@ def _closure(
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-    if letters is None:
-        key = lambda s: (len(s), s)
-    else:
-        index = {c: i for i, c in enumerate(letters)}
-        key = lambda s: (len(s), tuple(index[c] for c in s))
-    return tuple(sorted(seen, key=key)), truncated
+    return seen, truncated
 
 
-def theta_class(
-    x: str, spec: ThetaSpec, level: int, alphabet: Alphabet | None = None
-) -> ThetaClass:
-    """Close {x} under single-occurrence block swaps, breadth first.
-
-    Members are ordered length-lex (by the alphabet's order when given,
-    else by native string order within each length).
-    """
+def theta_class(x: str, spec: ThetaSpec, level: int, alphabet: Alphabet) -> ThetaClass:
+    """Close {x} under single-occurrence block swaps, breadth first; length-lex members."""
     if len(x) > level:
         raise OutOfDomainError(f"|{x!r}| exceeds the bound {level}")
-    if alphabet is not None:
-        alphabet.validate(x)
-    block0, block1 = spec.blocks
-    letters = alphabet.letters if alphabet is not None else None
-    members, truncated = _closure(x, block0, block1, level, letters)
-    return ThetaClass(members, truncated)
+    for s in (x, spec.x0, spec.x1):
+        alphabet.validate(s)
+    members, truncated = _closure(x, *spec.blocks, level)
+    return ThetaClass(tuple(sorted(members, key=alphabet.length_lex_key)), truncated)
 
 
-def canonical_rep(
-    x: str, spec: ThetaSpec, level: int, alphabet: Alphabet | None = None
-) -> str:
+def canonical_rep(x: str, spec: ThetaSpec, level: int, alphabet: Alphabet) -> str:
     """The length-lex least member of x's class: the value of F^m at x."""
     return theta_class(x, spec, level, alphabet).rep
 
@@ -130,20 +112,35 @@ class ThetaRepDef:
 
     spec: ThetaSpec
     level: int
-    letters: tuple[str, ...]
+    alphabet: Alphabet
     codomain: str = STRING
 
-    def apply(self, s: str) -> str:
+    @cached_property
+    def reps(self) -> dict[str, str]:
+        """Each string of X^{<=level} mapped to the least member of its class.
+
+        One length-lex pass runs the BFS only from unlabelled strings and
+        labels the whole class with that string.  Swaps are reversible, so
+        the bounded classes partition the domain, and a string is still
+        unlabelled when reached iff no earlier string shares its class.
+        """
         block0, block1 = self.spec.blocks
-        members, _ = _closure(s, block0, block1, self.level, self.letters)
-        return members[0]
+        reps: dict[str, str] = {}
+        for s in enumerate_strings(self.alphabet, self.level):
+            if s not in reps:
+                members, _ = _closure(s, block0, block1, self.level)
+                reps.update(dict.fromkeys(members, s))
+        return reps
+
+    def apply(self, s: str) -> str:
+        return self.reps[s]
 
 
 def theta_rep_fn(alphabet: Alphabet, bound: int, spec: ThetaSpec) -> BoundedFn:
     """The canonical-representative function as a bounded function."""
     alphabet.validate(spec.x0)
     alphabet.validate(spec.x1)
-    return BoundedFn(alphabet, bound, ThetaRepDef(spec, bound, alphabet.letters))
+    return BoundedFn(alphabet, bound, ThetaRepDef(spec, bound, alphabet))
 
 
 EQUIVALENT = "equivalent"

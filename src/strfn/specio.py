@@ -59,7 +59,7 @@ def value_from_json(obj: Any) -> Value:
         return obj
     if isinstance(obj, Mapping) and set(obj) == {"token"}:
         payload = obj["token"]
-        if not isinstance(payload, (int, str)):
+        if not (_is_int(payload) or isinstance(payload, str)):
             raise MalformedSpecError(f"token payload must be int or string: {obj!r}")
         return Token(payload)
     raise MalformedSpecError(f"not a value: {obj!r}")
@@ -86,8 +86,13 @@ def alpha_to_json(alpha: AlphaFn) -> dict[str, Any]:
     }
 
 
+def _is_int(v: Any) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_count(v: Any) -> bool:
-    return isinstance(v, int) and v >= 0
+    return _is_int(v) and v >= 0
 
 
 def structured_alpha_from_json(n1: Any, ell: Any, window: Any) -> AlphaFn | AlphaRejection:
@@ -117,11 +122,13 @@ def psi_to_json(psi: PsiTable) -> list[list[Any]]:
 
 
 def psi_from_json(obj: Any) -> PsiTable:
-    if not isinstance(obj, list):
+    if not (isinstance(obj, list) and all(
+            isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and isinstance(e[1], str)
+            for e in obj)):
         raise MalformedSpecError("psi table must be an array of [n, string] pairs")
     try:
-        return psi_table([(int(n), _string_from_json(s)) for n, s in obj])
-    except (TypeError, ValueError) as exc:
+        return psi_table([(n, s) for n, s in obj])
+    except ValueError as exc:
         raise MalformedSpecError(f"bad psi table: {exc}") from None
 
 
@@ -235,7 +242,7 @@ def function_from_json(obj: Any) -> BoundedFn:
             raise MalformedSpecError(f"function spec is missing {field!r}")
     alphabet = alphabet_from_json(obj["alphabet"])
     bound = obj["bound"]
-    if not isinstance(bound, int) or bound < 0:
+    if not _is_count(bound):
         raise MalformedSpecError(f"bound must be a nonnegative integer: {bound!r}")
     return _function_from_object(obj["function"], alphabet, bound)
 
@@ -266,7 +273,7 @@ def partial_from_json(obj: Any) -> PartialSpec:
             raise MalformedSpecError(f"low-arity package is missing {field!r}")
     alphabet = alphabet_from_json(obj["alphabet"])
     m = obj["m"]
-    if not isinstance(m, int) or m < 0:
+    if not _is_count(m):
         raise MalformedSpecError(f"m must be a nonnegative integer: {m!r}")
     raw = obj["parts"]
     if not isinstance(raw, Mapping):

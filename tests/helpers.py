@@ -92,3 +92,41 @@ def random_token_table(alphabet, bound, rng, pool):
 
     entries = {s: rng.choice(pool) for s in enumerate_strings(alphabet, bound)}
     return table_fn(alphabet, bound, entries, codomain="token")
+
+
+def oracle_block_classes(alphabet, level, block0, block1):
+    """Block-swap classes of X^{<=level} by a naive fixpoint over rewrite pairs.
+
+    Lists every pair of domain strings related by swapping one occurrence
+    of a block, then lowers each string's label to the least label of its
+    pair partners until nothing changes.  Returns a dict from each string
+    to (its class members in length-lex order, truncated), where the class
+    is truncated when some member has a swap leaving the domain.
+    """
+    strings = list(enumerate_strings(alphabet, level))
+    position = {s: i for i, s in enumerate(strings)}
+    pairs, escaping = [], set()
+    for s in strings:
+        for old, new in ((block0, block1), (block1, block0)):
+            for i in range(len(s) - len(old) + 1):
+                if s[i:i + len(old)] == old:
+                    t = s[:i] + new + s[i + len(old):]
+                    if len(t) > level:
+                        escaping.add(s)
+                    else:
+                        pairs.append((s, t))
+    label = {s: s for s in strings}
+    changed = True
+    while changed:
+        changed = False
+        for s, t in pairs:
+            least = min(label[s], label[t], key=position.__getitem__)
+            for u in (s, t):
+                if label[u] != least:
+                    label[u] = least
+                    changed = True
+    members: dict[str, list[str]] = {}
+    for s in strings:
+        members.setdefault(label[s], []).append(s)
+    truncated = {label[s] for s in escaping}
+    return {s: (tuple(members[label[s]]), label[s] in truncated) for s in strings}

@@ -361,10 +361,13 @@ def _parts_spec(first_pair):
         "2": [[s, s[0]] for s in ("aa", "ab", "ba", "bb")]}}
 
 
-def _profile_spec(**fields):
+def _profile_spec(psi=([0, ""], [1, "a"], [4, "aaaa"]), **fields):
     alpha = {"kind": "structured", "n1": 2, "ell": 2, "values": [0, 1, 4, 5], **fields}
     return _spec({"kind": "builtin", "name": "length_based", "params": {
-        "alpha": alpha, "psi": [[0, ""], [1, "a"], [4, "aaaa"]]}})
+        "alpha": alpha, "psi": list(psi)}})
+
+
+_DOMAIN_2 = ("", "a", "b", "aa", "ab", "ba", "bb")
 
 
 _CHECK = ["check", "standard", "--bound", "2"]
@@ -399,6 +402,19 @@ _EXTEND = ["extend", "--bound", "3"]
     (_CHECK, _profile_spec(values=[0, 1, 4])),
     (["check", "assoc", "--bound", "2", "--jobs", "0"], _ofo_spec({})),
     (["check", "assoc", "--bound", "2", "--jobs", "-5"], _ofo_spec({})),
+    (["check", "standard", "--bound", "1"], {**_ofo_spec({}), "bound": True}),
+    (_CHECK, _spec({"kind": "table", "codomain": "token", "entries":
+                    [[s, {"token": 1}] for s in _DOMAIN_2[:-1]] + [["bb", {"token": True}]]})),
+    (_EXTEND, {**_parts_spec(["a", "a"]), "m": True}),
+    (_CHECK, _profile_spec(values=[0, True, 4, 5])),
+    (_CHECK, _profile_spec(psi=([0, ""], [True, "a"], [4, "aaaa"]))),
+    (_CHECK, _profile_spec(psi=([0, ""], "1a", [4, "aaaa"]))),
+    (_CHECK, _profile_spec(psi=([0, ""], ["1", "a"], [4, "aaaa"]))),
+    (["alpha", "check"], [0, True, 4, 5, 4, 5]),
+    (["alpha", "minimize"], {"values": [0, 4, 5, 4, 5, 4, 5], "witnesses": [[True, 2]]}),
+    (_CHECK, _spec({"kind": "table", "entries":
+                    [[s, s] for s in _DOMAIN_2] + [["zzz", "a"], ["abab", "b"]]})),
+    (["theta", "class", "aa", "--alphabet", "ab", "--x0", "c", "--x1", "a"], None),
 ], ids=["negative-bound", "equal-blocks", "negative-exponent", "null-synth",
         "sort-order-not-letters", "params-not-object", "eval-foreign-letter",
         "letter-not-a-string", "unknown-param", "builtin-table-name",
@@ -407,7 +423,10 @@ _EXTEND = ["extend", "--bound", "3"]
         "parts-pair-too-short", "parts-pair-not-a-list", "parts-output-not-a-string",
         "parts-input-not-a-string", "profile-n1-not-a-count",
         "profile-values-not-an-array", "profile-window-wrong-length",
-        "jobs-zero", "jobs-negative"])
+        "jobs-zero", "jobs-negative", "bound-true", "token-true", "m-true",
+        "profile-window-bool", "psi-index-bool", "psi-entry-a-string",
+        "psi-index-a-string", "alpha-values-bool", "minimize-witness-bool",
+        "table-entry-outside-domain", "theta-foreign-block"])
 def test_input_errors_exit_2_with_one_line(tmp_path, argv, spec):
     if spec is not None:
         argv = argv + ["--input", write(tmp_path, "spec.json", spec)]
@@ -432,6 +451,9 @@ _FIRST_LETTER = {"alphabet": ["a", "b"], "m": 1, "parts": {
     "0": "", "1": [["a", "a"], ["b", "b"]],
     "2": [["aa", "a"], ["ab", "a"], ["ba", "b"], ["bb", "b"]]}}
 
+# Stands for the path of a valid first input, so the fuzzed one is second.
+_FIRST = "<first input>"
+
 # (argv, valid input); every run stays at bound <= 3 on at most 3 letters.
 _VALID_INPUTS = [
     (_CHECK, _builtin_spec("ab", 2, "ofo")),
@@ -452,7 +474,12 @@ _VALID_INPUTS = [
     (_EXTEND, _FIRST_LETTER),
     (["alpha", "synth"], {"n1": 2, "ell": 2, "window": [0, 1, 4, 5]}),
     (["alpha", "minimize"], {"values": [0, 1, 4, 5, 4, 5], "witnesses": [[2, 2]]}),
+    (["alpha", "check"], [0, 1, 4, 5, 4, 5, 4]),
+    (["alpha", "classify"], [0, 1, 4, 5, 4, 5, 4]),
+    (["compare", "--bound", "2", "--input", _FIRST], _builtin_spec("ab", 2, "length")),
 ]
+_KEYS = ["token", "kind", "name", "n1", "values", "a", "alphabet", "bound", "function",
+         "params", "entries", "codomain", "m", "parts", "1", "ell", "window", "witnesses"]
 
 
 def _random_json(rng, depth=0):
@@ -466,8 +493,8 @@ def _random_json(rng, depth=0):
                            "string", "structured", "identity", "ofo"])
     if pick == 4:
         return [_random_json(rng, depth + 1) for _ in range(rng.randrange(3))]
-    return {rng.choice(["token", "kind", "name", "n1", "values", "a"]):
-            _random_json(rng, depth + 1) for _ in range(rng.randrange(3))}
+    return {rng.choice(_KEYS): _random_json(rng, depth + 1)
+            for _ in range(rng.randrange(3))}
 
 
 def _paths(obj, path=()):
@@ -478,29 +505,67 @@ def _paths(obj, path=()):
         yield from _paths(child, path + (key,))
 
 
-def _replaced(obj, path, new):
-    if not path:
-        return new
-    obj = json.loads(json.dumps(obj))
-    parent = obj
+def _mutated(obj, rng):
+    """A copy of ``obj`` with one node replaced, deleted, or given a new child."""
+    box = [json.loads(json.dumps(obj))]
+    path = (0,) + rng.choice(list(_paths(box[0])))
+    parent = box
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = new
-    return obj
+    node, op = parent[path[-1]], rng.choice(("replace", "delete", "add"))
+    if op == "delete" and len(path) > 1:
+        del parent[path[-1]]
+    elif op == "add" and isinstance(node, dict):
+        node[rng.choice(_KEYS)] = _random_json(rng, 1)
+    elif op == "add" and isinstance(node, list):
+        node.insert(rng.randrange(len(node) + 1), _random_json(rng, 1))
+    else:
+        parent[path[-1]] = _random_json(rng)
+    return box[0]
+
+
+def _exit_code(argv, what):
+    """``main``'s exit code, usage errors included; any exception fails the test."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+    except Exception as exc:
+        pytest.fail(f"{what}: {argv} raised {exc!r}")
 
 
 def test_fuzzed_specs_exit_with_a_code_and_one_error_line(capsys, tmp_path):
     rng = random.Random(20141)
     path = tmp_path / "fuzz.json"
+    first = write(tmp_path, "first.json", _builtin_spec("ab", 2, "ofo"))
     for case in range(400):
         argv, valid = rng.choice(_VALID_INPUTS)
-        spec = _replaced(valid, rng.choice(list(_paths(valid))), _random_json(rng))
+        argv = [first if arg == _FIRST else arg for arg in argv]
+        spec = _mutated(valid, rng)
         path.write_text(json.dumps(spec))
-        try:
-            code = main(argv + ["--input", str(path)])
-        except Exception as exc:
-            pytest.fail(f"case {case}: {argv} on {spec!r} raised {exc!r}")
+        code = _exit_code(argv + ["--input", str(path)], f"case {case} on {spec!r}")
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), (case, argv, spec)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (case, spec, err)
+
+
+_THETA_VALUES = ["", "a", "b", "c", "|", "aa", "ab", "ba", "bb", "abc", "cab", "a|",
+                 "aab", "abab", "-a", "--x0"]
+
+
+def test_fuzzed_theta_arguments_exit_with_a_code_and_one_error_line(capsys):
+    rng = random.Random(20142)
+    for case in range(300):
+        values = {"string": "ab", "--alphabet": "ab", "--x0": "a", "--x1": "b"}
+        for key in rng.sample(sorted(values), rng.randint(1, 2)):
+            values[key] = rng.choice(_THETA_VALUES)
+        argv = ["theta", rng.choice(["class", "rep", "chain"]), values.pop("string"),
+                "--bound", "3", "--m-exp", str(rng.randrange(3))]
+        for option, value in values.items():
+            argv += [option, value]
+        code = _exit_code(argv, f"case {case}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (case, argv)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (case, argv, err)

@@ -9,6 +9,7 @@ from strfn import (
     Alphabet,
     AlphabetError,
     BoundedFn,
+    MalformedSpecError,
     MissingEntryError,
     OutOfDomainError,
     TableDef,
@@ -116,6 +117,13 @@ def test_table_fn_eval(ab):
 def test_table_fn_requires_total_table(ab):
     with pytest.raises(MissingEntryError):
         table_fn(ab, 1, {"": "", "a": "a"})  # no entry for "b"
+
+
+def test_table_fn_rejects_entries_outside_the_domain(ab):
+    exact = {"": "", "a": "a", "b": "b"}
+    for extra in ({"zzz": "a"}, {"abab": "b"}, {"zzz": "a", "abab": "b"}):
+        with pytest.raises(MalformedSpecError, match=repr(next(iter(extra)))):
+            table_fn(ab, 1, {**exact, **extra})
 
 
 def test_table_fn_out_of_domain(ab):

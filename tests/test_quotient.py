@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
+import strfn
+from helpers import oracle_block_classes
 from strfn import (
     EQUIVALENT,
     HOLDS,
     INCOMPARABLE,
     STRICTLY_BELOW,
+    Alphabet,
     AlphabetError,
     OutOfDomainError,
     PreconditionError,
@@ -162,3 +168,47 @@ def test_preceq_requires_shared_alphabet(ab, ab3, first_letter):
     other = identity_fn(ab3, 4)
     with pytest.raises(PreconditionError):
         preceq(first_letter, other, 4)
+
+
+# (x0, x1, m): single letters, doubled blocks, uneven blocks whose swaps
+# leave the domain (aa <-> b), overlapping blocks (ab <-> ba), and blocks
+# of different lengths doubled (b <-> ab, m = 1).
+_SPECS = [("a", "b", 0), ("a", "b", 1), ("aa", "b", 0), ("ab", "ba", 0), ("b", "ab", 1)]
+
+
+@pytest.mark.parametrize("x0, x1, m", _SPECS)
+@pytest.mark.parametrize("letters, top", [("ab", 7), ("ba", 7), ("cab", 5)])
+def test_classes_match_the_fixpoint_oracle(x0, x1, m, letters, top):
+    alphabet = Alphabet(tuple(letters))
+    spec = ThetaSpec(x0, x1, m)
+    for level in range(top + 1):
+        expected = oracle_block_classes(alphabet, level, *spec.blocks)
+        reps = theta_rep_fn(alphabet, level, spec).value_map()
+        assert reps == {s: members[0] for s, (members, _) in expected.items()}
+        for s, (members, truncated) in expected.items():
+            cls = theta_class(s, spec, level, alphabet)
+            assert (cls.members, cls.truncated) == (members, truncated), (level, s)
+
+
+def test_oracle_sees_truncation_and_letter_order(ab):
+    classes = oracle_block_classes(ab, 2, "aa", "b")
+    assert classes["bb"] == (("bb",), True)
+    assert classes["b"] == (("b", "aa"), False)
+    assert classes["ab"] == (("ab",), True)
+    swapped = oracle_block_classes(Alphabet(("b", "a")), 2, "a", "b")
+    assert swapped["ab"] == (("bb", "ba", "ab", "aa"), False)
+
+
+def test_theta_class_validates_blocks(ab):
+    with pytest.raises(AlphabetError):
+        theta_class("aa", ThetaSpec("c", "a", 0), 2, ab)
+
+
+def test_no_module_level_memo():
+    """Memo tables live on the objects that own them, never in a global cache."""
+    memo = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|^\s*@cache\b"
+                      r"|^from functools import .*\bcache\b", re.MULTILINE)
+    found = [f"{path.name}: {hit.group(0)}"
+             for path in sorted(Path(strfn.__file__).parent.glob("*.py"))
+             for hit in memo.finditer(path.read_text())]
+    assert found == []

@@ -160,6 +160,36 @@ def test_psi_json():
         psi_from_json([[1, "aa"]])  # wrong length
 
 
+@pytest.mark.parametrize("obj", [
+    ["1a", [2, "ab"]],   # a two-character string is not a pair
+    [["1", "a"]],        # nor is a string index
+    [[True, "a"]],       # nor a bool index
+    [[1, "a", "b"]],
+    [[1.0, "a"]],
+    [[1, 5]],
+    [5],
+])
+def test_psi_from_json_reads_only_int_string_pairs(obj):
+    with pytest.raises(MalformedSpecError):
+        psi_from_json(obj)
+
+
+def test_json_integers_are_never_bools(ab, first_letter_spec):
+    for payload in (True, False):
+        with pytest.raises(MalformedSpecError):
+            value_from_json({"token": payload})
+    assert value_from_json({"token": 1}) == Token(1)
+    assert not specio._is_count(True) and not specio._is_count(False)
+    ofo = function_to_json(ofo_fn(ab, 1))
+    with pytest.raises(MalformedSpecError):
+        function_from_json({**ofo, "bound": True})
+    with pytest.raises(MalformedSpecError):
+        partial_from_json({**partial_to_json(first_letter_spec), "m": True})
+    with pytest.raises(MalformedSpecError):
+        alpha_from_json({"kind": "structured", "n1": 2, "ell": 2,
+                         "values": [0, True, 4, 5]})
+
+
 def test_partial_round_trip(ab, first_letter_spec):
     obj = partial_to_json(first_letter_spec)
     assert obj["m"] == 1
