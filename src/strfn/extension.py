@@ -1,11 +1,10 @@
 """Unique associative extension of low-arity data.
 
 An m-bounded associative function is pinned down by its behaviour on
-strings of at most m + 1 letters.  This module validates a package of
-such low-arity tables (:class:`PartialSpec`) against the three
-compatibility conditions that make extension possible, and then grows
-the unique associative function on X^<=L from them by the fold
-G(yz) = G(G(y)z).
+strings of at most m + 1 letters.  This module holds such low-arity
+tables (:class:`VariadicParts`), validates a :class:`PartialSpec` against
+the three compatibility conditions that make extension possible, and
+grows the unique associative function on X^<=L by the fold G(yz) = G(G(y)z).
 """
 
 from __future__ import annotations
@@ -24,27 +23,22 @@ from .checkers import (
     check_associative_full,
     check_m_bounded,
 )
-from .core import STRING, Alphabet, BoundedFn, TableDef, enumerate_strings, table_fn
+from .core import STRING, Alphabet, BoundedFn, TableDef, Value, enumerate_strings, table_fn
 from .errors import ConditionsFailedError, MalformedSpecError, PreconditionError
 
-Part = tuple[tuple[str, str], ...]
+Part = tuple[tuple[str, Value], ...]
 
 
 @dataclass(frozen=True)
-class PartialSpec:
-    """Total tables for arities 0..m+1, every output at most m letters."""
+class VariadicParts:
+    """Low-arity tables F_0..F_{m+1}, any codomain, total per arity; m is derived."""
 
     alphabet: Alphabet
-    m: int
     parts: tuple[Part, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 0:
-            raise MalformedSpecError(f"bound must be nonnegative, got {self.m}")
-        if len(self.parts) != self.m + 2:
-            raise MalformedSpecError(
-                f"need parts for arities 0..{self.m + 1}, got {len(self.parts)} tables"
-            )
+        if len(self.parts) < 2:
+            raise MalformedSpecError("need tables for arities 0 and 1 at least")
         for k, part in enumerate(self.parts):
             keys = [s for s, _ in part]
             expected = list(enumerate_strings(self.alphabet, k, min_len=k))
@@ -53,24 +47,65 @@ class PartialSpec:
                     f"arity-{k} table must cover exactly the {len(expected)} "
                     f"strings of length {k}"
                 )
-            for s, out in part:
+
+    @property
+    def m(self) -> int:
+        return len(self.parts) - 2
+
+    @cached_property
+    def _maps(self) -> tuple[dict[str, Value], ...]:
+        return tuple(dict(part) for part in self.parts)
+
+    def value_at(self, s: str) -> Value:
+        """Evaluate via the stored parts; arity must be at most m + 1."""
+        if len(s) >= len(self.parts):
+            raise MalformedSpecError(
+                f"arity {len(s)} exceeds the stored tables (max {self.m + 1})"
+            )
+        try:
+            return self._maps[len(s)][s]
+        except KeyError:
+            raise MalformedSpecError(f"no entry for {s!r}")
+
+
+class PartialSpec(VariadicParts):
+    """Tables whose every output is a string of at most m letters, so that
+    a stored output plus one letter is again a key of the tables."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for k, part in enumerate(self.parts):
+            for _, out in part:
+                if not isinstance(out, str):
+                    raise MalformedSpecError(
+                        f"output {out!r} at arity {k} is not a string"
+                    )
                 self.alphabet.validate(out)
                 if len(out) > self.m:
                     raise MalformedSpecError(
                         f"output {out!r} at arity {k} exceeds the bound {self.m}"
                     )
 
-    @cached_property
-    def _maps(self) -> tuple[dict[str, str], ...]:
-        return tuple(dict(part) for part in self.parts)
 
-    def value_at(self, s: str) -> str:
-        """Evaluate via the stored parts; arity must be at most m + 1."""
-        if len(s) >= len(self.parts):
-            raise MalformedSpecError(
-                f"arity {len(s)} exceeds the stored tables (max {self.m + 1})"
-            )
-        return self._maps[len(s)][s]
+def _pack(parts: Sequence[Mapping[str, Value] | Value]) -> tuple[Part, ...]:
+    """Sorted pairs per arity; the arity-0 part may be given as a bare value."""
+    packed = []
+    for k, part in enumerate(parts):
+        if not isinstance(part, Mapping):
+            if k != 0:
+                raise MalformedSpecError(
+                    f"bare value only allowed for arity 0, not {k}"
+                )
+            part = {"": part}
+        packed.append(tuple(sorted(part.items())))
+    return tuple(packed)
+
+
+def variadic_parts(
+    alphabet: Alphabet, parts: Sequence[Mapping[str, Value] | Value]
+) -> VariadicParts:
+    """Constructor accepting dicts per arity; arity 0 may be a bare value."""
+    return VariadicParts(alphabet, _pack(parts))
 
 
 def partial_spec(
@@ -79,16 +114,14 @@ def partial_spec(
     parts: Sequence[Mapping[str, str] | str],
 ) -> PartialSpec:
     """Convenience constructor; the arity-0 part may be given as a bare value."""
-    packed: list[Part] = []
-    for k, part in enumerate(parts):
-        if isinstance(part, str):
-            if k != 0:
-                raise MalformedSpecError(
-                    f"bare string only allowed for arity 0, not {k}"
-                )
-            part = {"": part}
-        packed.append(tuple(sorted(part.items())))
-    return PartialSpec(alphabet, m, tuple(packed))
+    packed = _pack(parts)
+    if m < 0:
+        raise MalformedSpecError(f"bound must be nonnegative, got {m}")
+    if len(packed) != m + 2:
+        raise MalformedSpecError(
+            f"need parts for arities 0..{m + 1}, got {len(packed)} tables"
+        )
+    return PartialSpec(alphabet, packed)
 
 
 def verify_conditions(spec: PartialSpec) -> dict[str, CheckReport]:
@@ -275,4 +308,4 @@ def enumerate_partial_specs(alphabet: Alphabet, m: int) -> Iterator[PartialSpec]
             tuple(zip(keys[lo:hi], assignment[lo:hi]))
             for lo, hi in arity_of
         )
-        yield PartialSpec(alphabet, m, parts)
+        yield PartialSpec(alphabet, parts)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from .checkers import (
     CheckReport,
@@ -25,12 +24,9 @@ from .checkers import (
     check_preassociative,
     check_standard,
 )
-from .core import Alphabet, BoundedFn, Value, enumerate_strings, table_fn
-from .errors import (
-    MalformedSpecError,
-    PreconditionError,
-    QuasiInverseError,
-)
+from .core import BoundedFn, Value, enumerate_strings, table_fn
+from .errors import PreconditionError, QuasiInverseError
+from .extension import VariadicParts
 
 
 def kernel_classes(fn: BoundedFn, level: int) -> list[list[str]]:
@@ -257,59 +253,6 @@ def check_bounded_retraction(
         partition, checked, 0, detail=f"block sizes {{{sizes}}}"
     )
     return reports
-
-
-@dataclass(frozen=True)
-class VariadicParts:
-    """Low-arity tables F_0..F_{m+1}, any codomain, total per arity."""
-
-    alphabet: Alphabet
-    parts: tuple[tuple[tuple[str, Value], ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
-            raise MalformedSpecError("need tables for arities 0 and 1 at least")
-        for k, part in enumerate(self.parts):
-            keys = sorted(s for s, _ in part)
-            expected = sorted(enumerate_strings(self.alphabet, k, min_len=k))
-            if keys != expected:
-                raise MalformedSpecError(
-                    f"arity-{k} table must cover exactly the strings of length {k}"
-                )
-
-    @property
-    def m(self) -> int:
-        return len(self.parts) - 2
-
-    @cached_property
-    def _maps(self) -> tuple[dict[str, Value], ...]:
-        return tuple(dict(part) for part in self.parts)
-
-    def value_at(self, s: str) -> Value:
-        if len(s) >= len(self.parts):
-            raise MalformedSpecError(
-                f"arity {len(s)} exceeds the stored tables (max {self.m + 1})"
-            )
-        try:
-            return self._maps[len(s)][s]
-        except KeyError:
-            raise MalformedSpecError(f"no entry for {s!r}")
-
-
-def variadic_parts(
-    alphabet: Alphabet, parts: Sequence[Mapping[str, Value] | Value]
-) -> VariadicParts:
-    """Constructor accepting dicts per arity; arity 0 may be a bare value."""
-    packed = []
-    for k, part in enumerate(parts):
-        if not isinstance(part, Mapping):
-            if k != 0:
-                raise MalformedSpecError(
-                    f"bare value only allowed for arity 0, not {k}"
-                )
-            part = {"": part}
-        packed.append(tuple(sorted(part.items())))
-    return VariadicParts(alphabet, tuple(packed))
 
 
 def recursive_eval(parts: VariadicParts, g: QuasiInverse, x: str) -> Value:

@@ -136,6 +136,30 @@ def check_alpha_equations(values: Sequence[int]) -> CheckReport:
     return _finish(None, checked, 0)
 
 
+def _window_rejection(values: Sequence[int], n1: int, ell: int) -> AlphaRejection | None:
+    """Rejection for the first n in [n1, n1 + ell) with alpha(n) < n or off n mod ell."""
+    for n in range(n1, n1 + ell):
+        v = values[n]
+        if v < n:
+            return AlphaRejection(
+                "window-growth", f"alpha({n}) = {v} < {n} inside the window"
+            )
+        if (v - n) % ell != 0:
+            return AlphaRejection(
+                "window-residue",
+                f"alpha({n}) = {v} is not congruent to {n} mod {ell}",
+            )
+    return None
+
+
+def _verify_period(values: Sequence[int], start: int, period: int) -> tuple[int, int] | None:
+    """First index where the claimed periodicity breaks, or None."""
+    for n in range(start, len(values) - period):
+        if values[n] != values[n + period]:
+            return (n, n + period)
+    return None
+
+
 def classify_alpha(values: Sequence[int]) -> AlphaFn | AlphaRejection:
     """Recover the rigid shape of a profile table, or reject.
 
@@ -157,24 +181,14 @@ def classify_alpha(values: Sequence[int]) -> AlphaFn | AlphaRejection:
     if horizon < n1 + 2 * ell:
         raise InsufficientHorizonError(n1, ell, horizon)
 
-    for n in range(n1, n1 + ell):
-        v = values[n]
-        if v < n:
-            return AlphaRejection(
-                "window-growth", f"alpha({n}) = {v} < {n} inside the window"
-            )
-        if (v - n) % ell != 0:
-            return AlphaRejection(
-                "window-residue",
-                f"alpha({n}) = {v} is not congruent to {n} mod {ell}",
-            )
+    if rejection := _window_rejection(values, n1, ell):
+        return rejection
 
-    for n in range(n1, len(values) - ell):
-        if values[n] != values[n + ell]:
-            return AlphaRejection(
-                "periodicity",
-                f"alpha({n}) = {values[n]} but alpha({n + ell}) = {values[n + ell]}",
-            )
+    if broke := _verify_period(values, n1, ell):
+        n, n2 = broke
+        return AlphaRejection(
+            "periodicity", f"alpha({n}) = {values[n]} but alpha({n2}) = {values[n2]}"
+        )
 
     return AlphaFn(STRUCTURED, n1, ell, tuple(values[: n1 + ell]))
 
@@ -195,26 +209,9 @@ def synthesize_alpha(n1: int, ell: int, window: Sequence[int]) -> AlphaFn | Alph
             return AlphaRejection(
                 "identity-prefix", f"alpha({n}) = {window[n]} != {n} below the threshold"
             )
-    for n in range(n1, n1 + ell):
-        v = window[n]
-        if v < n:
-            return AlphaRejection(
-                "window-growth", f"alpha({n}) = {v} < {n} inside the window"
-            )
-        if (v - n) % ell != 0:
-            return AlphaRejection(
-                "window-residue",
-                f"alpha({n}) = {v} is not congruent to {n} mod {ell}",
-            )
+    if rejection := _window_rejection(window, n1, ell):
+        return rejection
     return AlphaFn(STRUCTURED, n1, ell, tuple(window))
-
-
-def _verify_period(values: Sequence[int], start: int, period: int) -> tuple[int, int] | None:
-    """First index where the claimed periodicity breaks, or None."""
-    for n in range(start, len(values) - period):
-        if values[n] != values[n + period]:
-            return (n, n + period)
-    return None
 
 
 def minimal_period(
@@ -261,9 +258,13 @@ class PsiTable:
     entries: tuple[tuple[int, str], ...]
 
     def __post_init__(self) -> None:
+        seen: set[int] = set()
         for n, s in self.entries:
             if len(s) != n:
                 raise ValueError(f"psi({n}) = {s!r} must have length {n}")
+            if n in seen:
+                raise ValueError(f"psi has more than one entry for {n}")
+            seen.add(n)
 
     @cached_property
     def _map(self) -> dict[int, str]:

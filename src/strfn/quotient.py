@@ -74,7 +74,12 @@ def _occurrence_rewrites(s: str, old: str, new: str) -> list[str]:
         start = i + 1
 
 
-def _closure(x: str, block0: str, block1: str, level: int) -> tuple[set[str], bool]:
+def _closure(x: str, spec: ThetaSpec, level: int) -> tuple[set[str], bool]:
+    # A block longer than the level never occurs in X^{<=level}, and swapping
+    # it in always leaves the domain; a stand-in of level + 1 letters does the
+    # same, so 2^m is computed only when it is at most the level.
+    reps = 2**spec.m if spec.m < level.bit_length() else level + 1
+    block0, block1 = ((w * reps)[: level + 1] for w in (spec.x0, spec.x1))
     seen = {x}
     queue = deque([x])
     truncated = False
@@ -97,7 +102,7 @@ def theta_class(x: str, spec: ThetaSpec, level: int, alphabet: Alphabet) -> Thet
         raise OutOfDomainError(f"|{x!r}| exceeds the bound {level}")
     for s in (x, spec.x0, spec.x1):
         alphabet.validate(s)
-    members, truncated = _closure(x, *spec.blocks, level)
+    members, truncated = _closure(x, spec, level)
     return ThetaClass(tuple(sorted(members, key=alphabet.length_lex_key)), truncated)
 
 
@@ -124,11 +129,10 @@ class ThetaRepDef:
         the bounded classes partition the domain, and a string is still
         unlabelled when reached iff no earlier string shares its class.
         """
-        block0, block1 = self.spec.blocks
         reps: dict[str, str] = {}
         for s in enumerate_strings(self.alphabet, self.level):
             if s not in reps:
-                members, _ = _closure(s, block0, block1, self.level)
+                members, _ = _closure(s, self.spec, self.level)
                 reps.update(dict.fromkeys(members, s))
         return reps
 

@@ -157,6 +157,8 @@ def _pairs_from_json(
     for pair in obj:
         if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
             raise MalformedSpecError(f"bad {what} entry: {pair!r}")
+        if pair[0] in mapping:
+            raise MalformedSpecError(f"{what} repeats the input {pair[0]!r}")
         mapping[pair[0]] = decode(pair[1])
     return mapping
 
@@ -285,6 +287,9 @@ def partial_from_json(obj: Any) -> PartialSpec:
         entry = raw[str(k)]
         parts.append(entry if isinstance(entry, str) else
                      _pairs_from_json(entry, f"arity-{k} table", _string_from_json))
+    if len(raw) != m + 2:  # every arity is present, so some other key is too
+        extra = sorted(set(raw) - {str(k) for k in range(m + 2)})
+        raise MalformedSpecError(f"'parts' keys must be arities 0..{m + 1}, got {extra!r}")
     return partial_spec(alphabet, m, parts)
 
 

@@ -415,6 +415,12 @@ _EXTEND = ["extend", "--bound", "3"]
     (_CHECK, _spec({"kind": "table", "entries":
                     [[s, s] for s in _DOMAIN_2] + [["zzz", "a"], ["abab", "b"]]})),
     (["theta", "class", "aa", "--alphabet", "ab", "--x0", "c", "--x1", "a"], None),
+    (_CHECK, _spec({"kind": "table", "entries": [[s, s] for s in _DOMAIN_2] + [["a", "a"]]})),
+    (_EXTEND, {"alphabet": ["a", "b"], "m": 0, "parts": {
+        "0": "", "1": [["a", ""], ["b", ""], ["a", ""]]}}),
+    (_CHECK, _profile_spec(psi=([0, ""], [1, "a"], [1, "b"], [4, "aaaa"]))),
+    (_EXTEND, {"alphabet": ["a", "b"], "m": 0, "parts": {
+        "0": "", "1": [["a", ""], ["b", ""]], "7": "garbage", "x": 1}}),
 ], ids=["negative-bound", "equal-blocks", "negative-exponent", "null-synth",
         "sort-order-not-letters", "params-not-object", "eval-foreign-letter",
         "letter-not-a-string", "unknown-param", "builtin-table-name",
@@ -426,7 +432,8 @@ _EXTEND = ["extend", "--bound", "3"]
         "jobs-zero", "jobs-negative", "bound-true", "token-true", "m-true",
         "profile-window-bool", "psi-index-bool", "psi-entry-a-string",
         "psi-index-a-string", "alpha-values-bool", "minimize-witness-bool",
-        "table-entry-outside-domain", "theta-foreign-block"])
+        "table-entry-outside-domain", "theta-foreign-block", "table-input-repeated",
+        "parts-input-repeated", "psi-index-repeated", "parts-unknown-arity"])
 def test_input_errors_exit_2_with_one_line(tmp_path, argv, spec):
     if spec is not None:
         argv = argv + ["--input", write(tmp_path, "spec.json", spec)]
@@ -560,8 +567,12 @@ def test_fuzzed_theta_arguments_exit_with_a_code_and_one_error_line(capsys):
         values = {"string": "ab", "--alphabet": "ab", "--x0": "a", "--x1": "b"}
         for key in rng.sample(sorted(values), rng.randint(1, 2)):
             values[key] = rng.choice(_THETA_VALUES)
-        argv = ["theta", rng.choice(["class", "rep", "chain"]), values.pop("string"),
-                "--bound", "3", "--m-exp", str(rng.randrange(3))]
+        action = rng.choice(["class", "rep", "chain"])
+        # chain prints one row per m, so only class and rep take huge exponents.
+        m_exp = rng.randrange(3) if action == "chain" else rng.choice(
+            [0, 1, 2, 3, 40, 2**40])
+        argv = ["theta", action, values.pop("string"),
+                "--bound", "3", "--m-exp", str(m_exp)]
         for option, value in values.items():
             argv += [option, value]
         code = _exit_code(argv, f"case {case}")

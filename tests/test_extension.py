@@ -12,6 +12,7 @@ from strfn import (
     ConditionsFailedError,
     MalformedSpecError,
     PreconditionError,
+    Token,
     check_associative_full,
     check_determination,
     check_m_bounded,
@@ -62,6 +63,11 @@ def test_partial_spec_validation(ab):
     # bare strings stand for the arity-0 part only
     with pytest.raises(MalformedSpecError):
         partial_spec(ab, 0, ["", "a"])
+    # outputs are strings, at every arity
+    with pytest.raises(MalformedSpecError):
+        partial_spec(ab, 0, [Token(0), {"a": "", "b": ""}])
+    with pytest.raises(MalformedSpecError):
+        partial_spec(ab, 0, ["", {"a": Token(0), "b": ""}])
 
 
 def test_conditions_hold_for_first_letter(first_letter_spec):

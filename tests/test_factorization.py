@@ -12,6 +12,7 @@ from strfn import (
     check_preassociative,
     check_quasi_inverse_conditions,
     constant_fn,
+    enumerate_partial_specs,
     enumerate_strings,
     factorize,
     identity_fn,
@@ -22,6 +23,7 @@ from strfn import (
     letter_remove_g_fn,
     ofo_fn,
     quasi_inverse,
+    recursion_extension,
     recursive_eval,
     table_fn,
     variadic_parts,
@@ -211,6 +213,16 @@ def test_recursive_eval_rejects_oversized_pullbacks(ab):
                                 {"aa": "aa", "ab": "ab", "ba": "ba", "bb": "bb"}])
     with pytest.raises(QuasiInverseError):
         recursive_eval(parts, g, "aaa")
+
+
+def test_both_folds_agree_on_every_one_bounded_spec(ab):
+    """One table type serves both folds: through the identity quasi-inverse
+    at level 1, recursive_eval is the associative extension's fold."""
+    g = quasi_inverse(identity_fn(ab, 1), 1)
+    strings = list(enumerate_strings(ab, 5))
+    for spec in enumerate_partial_specs(ab, 1):
+        grown = recursion_extension(spec, 5).value_map()
+        assert grown == {s: recursive_eval(spec, g, s) for s in strings}, spec
 
 
 def test_relabeling_preserves_preassociativity(ab):

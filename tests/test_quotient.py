@@ -171,9 +171,11 @@ def test_preceq_requires_shared_alphabet(ab, ab3, first_letter):
 
 
 # (x0, x1, m): single letters, doubled blocks, uneven blocks whose swaps
-# leave the domain (aa <-> b), overlapping blocks (ab <-> ba), and blocks
-# of different lengths doubled (b <-> ab, m = 1).
-_SPECS = [("a", "b", 0), ("a", "b", 1), ("aa", "b", 0), ("ab", "ba", 0), ("b", "ab", 1)]
+# leave the domain (aa <-> b), overlapping blocks (ab <-> ba), blocks of
+# different lengths doubled (b <-> ab, m = 1), and a block of 4 letters
+# against one of 8, which is longer than every level here.
+_SPECS = [("a", "b", 0), ("a", "b", 1), ("aa", "b", 0), ("ab", "ba", 0), ("b", "ab", 1),
+          ("a", "bb", 2)]
 
 
 @pytest.mark.parametrize("x0, x1, m", _SPECS)
