@@ -16,10 +16,12 @@ Witness determinism: the reported counterexample is the first failure in
 the enumeration order of the quantified tuple -- length-lex order on the
 concatenation of the tuple's components, ties broken by split position.
 On failure the counters cover the instances examined before the scan
-terminated, which is likewise deterministic.  The preassociativity
-check is the one exception: its counters come from its scan over
-kernel-class pairs, while its witness comes from a separate canonical
-enumeration run once that scan has found a failure.
+terminated, which is likewise deterministic.  The associativity checks
+return the same report for every ``jobs``, since their pooled runs add
+up to the serial scan.  The preassociativity check is the one exception:
+its counters come from its scan over kernel-class pairs, while its
+witness comes from a separate canonical enumeration run once that scan
+has found a failure.
 
 Every checker reads its values from ``fn.domain(level)``, which also
 enforces ``0 <= level <= fn.bound``.
@@ -27,6 +29,7 @@ enforces ``0 <= level <= fn.bound``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -90,15 +93,23 @@ def _require_string_valued(fn: BoundedFn, op: str) -> None:
 # associativity
 
 
-def _assoc_scan(strings, vals, level, reduced, offset, step):
-    """Scan splits of each concatenation; return first failure and counters.
+def _starmap(func, arg_tuples, jobs):
+    """Each ``func(*args)`` in order, on ``jobs`` worker processes when jobs > 1."""
+    if jobs <= 1:
+        return [func(*args) for args in arg_tuples]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(func, *zip(*arg_tuples)))
 
-    The failure key (string index, i, j) orders failures globally, which
-    lets parallel workers agree on the first witness.
+
+def _assoc_scan(strings, vals, level, reduced, lo, hi):
+    """Scan the splits of each string of the run ``strings[lo:hi]``, in order.
+
+    Returns the first failure (or None), the counters up to it and the
+    number of strings entered, the failing one included.
     """
     checked = 0
     skipped = 0
-    for wi in range(offset, len(strings), step):
+    for wi in range(lo, hi):
         w = strings[wi]
         n = len(w)
         lhs = vals[w]
@@ -121,42 +132,40 @@ def _assoc_scan(strings, vals, level, reduced, offset, step):
                 witness = Witness(
                     (("x", w[:i]), ("y", y), ("z", w[j:])), lhs, rhs
                 )
-                return (wi, i, j), witness, checked, skipped
-    return None, None, checked, skipped
+                return witness, checked, skipped, wi + 1 - lo
+    return None, checked, skipped, hi - lo
 
 
 def _run_assoc(fn: BoundedFn, level: int, reduced: bool, jobs: int) -> CheckReport:
+    """Scan ``jobs`` contiguous runs of about equal split count; add them up in order.
+
+    Each run before the first failing one was scanned in full, so the sums
+    up to that run are the serial counters; later runs are dropped.
+    """
     dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
     strings, vals = dom.strings, dom.vals
-    if jobs <= 1:
-        _, witness, checked, skipped = _assoc_scan(strings, vals, level, reduced, 0, 1)
-        return _finish(witness, checked, skipped)
-
-    checked = 0
-    skipped = 0
-    best_key = None
-    best_witness = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_assoc_scan, strings, vals, level, reduced, off, jobs)
-            for off in range(jobs)
-        ]
-        for fut in futures:
-            key, witness, c, s = fut.result()
-            checked += c
-            skipped += s
-            if key is not None and (best_key is None or key < best_key):
-                best_key = key
-                best_witness = witness
-    return _finish(best_witness, checked, skipped)
+    cum = list(itertools.accumulate(
+        3 if reduced else (len(w) + 1) * (len(w) + 2) // 2 for w in strings))
+    # Run k ends at the first string where the split count reaches k/jobs of all.
+    cuts = [0, *(bisect.bisect_left(cum, cum[-1] * k / jobs) + 1 for k in range(1, jobs)),
+            len(strings)]
+    runs = [(strings, vals, level, reduced, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    checked = skipped = 0
+    for witness, c, s, _ in _starmap(_assoc_scan, runs, jobs):
+        checked += c
+        skipped += s
+        if witness is not None:
+            break
+    return _finish(witness, checked, skipped)
 
 
 def check_associative_full(fn: BoundedFn, level: int, jobs: int = 1) -> CheckReport:
     """Verify F(xyz) = F(x F(y) z) over every split of every string in X^{<=level}.
 
     Instances where the inner value makes |x F(y) z| exceed the bound are
-    skipped and counted.
+    skipped and counted.  ``jobs`` sets the number of worker processes;
+    the report is the same for every ``jobs``.
     """
     return _run_assoc(fn, level, reduced=False, jobs=jobs)
 
@@ -336,6 +345,13 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
     - "ii":  any two decompositions of the same string agree
     - "iii": F(F(xy) z) = F(x F(yz))
     - "iv":  F(xy) = F(F(x) F(y))
+
+    (ii) is read off (i)'s scan.  It compares every split of w with the
+    first one not skipped.  As F(empty) = empty, that is x = y = empty,
+    with value F(w), so each comparison is the one (i) makes at that split.
+    Hence (ii) fails at (i)'s instance with the same sides (bindings
+    x = y = empty, z = w, and (i)'s x, y, z as x2, y2, z2), skips the same
+    instances and checks one fewer per string entered.
     """
     dom = fn.domain(level)
     _require_string_valued(fn, "equivalent-definitions check")
@@ -345,43 +361,20 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
             "equivalent-definitions check requires F(empty) = empty"
         )
 
+    witness, checked, skipped, entered = _assoc_scan(
+        strings, vals, level, False, 0, len(strings)
+    )
+    split = None
+    if witness is not None:
+        x, y, z = (v for _, v in witness.bindings)
+        split = Witness((("x", ""), ("y", ""), ("z", x + y + z), ("x2", x), ("y2", y),
+                         ("z2", z)), witness.lhs, witness.rhs)
     return {
-        "i": _run_assoc(fn, level, reduced=False, jobs=1),
-        "ii": _decompositions_agree(strings, vals, level),
+        "i": _finish(witness, checked, skipped),
+        "ii": _finish(split, checked - entered, skipped),
         "iii": _assoc_iii(strings, vals, level),
         "iv": _assoc_iv(strings, vals, level),
     }
-
-
-def _decompositions_agree(strings, vals, level) -> CheckReport:
-    """(ii): all decompositions of a string produce the same inner evaluation."""
-    checked = skipped = 0
-    for w in strings:
-        n = len(w)
-        first = None
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                v = vals[w[i:j]]
-                if i + len(v) + (n - j) > level:
-                    skipped += 1
-                    continue
-                out = vals[w[:i] + v + w[j:]]
-                if first is None:
-                    first = ((w[:i], w[i:j], w[j:]), out)
-                    continue
-                checked += 1
-                if out != first[1]:
-                    (x1, y1, z1) = first[0]
-                    witness = Witness(
-                        (
-                            ("x", x1), ("y", y1), ("z", z1),
-                            ("x2", w[:i]), ("y2", w[i:j]), ("z2", w[j:]),
-                        ),
-                        first[1],
-                        out,
-                    )
-                    return _finish(witness, checked, skipped)
-    return _finish(None, checked, skipped)
 
 
 def _assoc_iii(strings, vals, level) -> CheckReport:

@@ -46,7 +46,7 @@ from .lengthbased import (
     classify_alpha,
     minimal_period,
 )
-from .quotient import ThetaSpec, preceq, theta_class, theta_rep_fn
+from .quotient import EQUIVALENT, ThetaSpec, preceq, theta_class, theta_rep_fn
 from .specio import (
     _is_count,
     _is_int,
@@ -301,11 +301,20 @@ def _run_theta(args: argparse.Namespace) -> int:
         _emit(function_to_json(theta_rep_fn(alphabet, args.bound, spec)), args,
               f"representative table up to bound {args.bound}")
         return 0
+    alphabet.validate(args.x0)
+    alphabet.validate(args.x1)
+    # From the least m* with a block longer than the bound, no swap stays in
+    # the domain and F^m is the identity, so F^m is built only for m <= m*.
+    identity_from = (args.bound // max(len(args.x0), len(args.x1))).bit_length()
     rows = []
-    # Each F^m is built once; only the pair being compared is kept alive.
-    hi = theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, 1))
+    hi = None
     for m in range(1, max(args.m_exp, 2)):
-        lo, hi = hi, theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, m + 1))
+        if m >= identity_from:
+            rows.append({"m": m, "relation": EQUIVALENT, "separating": None})
+            continue
+        # Each F^m is built once; only the pair being compared is kept alive.
+        lo = hi or theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, m))
+        hi = theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, m + 1))
         cmp = preceq(lo, hi, args.bound)
         rows.append({
             "m": m,

@@ -235,6 +235,8 @@ def check_determination(
     failure is raised as PreconditionError carrying the reports.  When
     the low-arity parts differ the claim does not apply: VACUOUS.
     """
+    if fn.alphabet != other.alphabet:
+        raise PreconditionError("determination check requires a common alphabet")
     f_vals = fn.domain(level).vals
     g_vals = other.domain(level).vals
     gates = {

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .checkers import FAILS, CheckReport, Witness, _finish, _require_string_valued
+from .checkers import FAILS, CheckReport, Witness, _finish, _require_string_valued, _starmap
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Token, Value
 from .errors import (
     InsufficientHorizonError,
@@ -505,15 +504,11 @@ def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSwee
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    prefixes = range(max_value + 1)
-    if jobs <= 1:
-        chunks = [_sweep_chunk(p, horizon, max_value) for p in prefixes]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(
-                pool.map(_sweep_chunk, prefixes, itertools.repeat(horizon),
-                         itertools.repeat(max_value))
-            )
+    if max_value < 0:
+        raise ValueError("max_value must be nonnegative")
+    chunks = _starmap(
+        _sweep_chunk, [(p, horizon, max_value) for p in range(max_value + 1)], jobs
+    )
     total = AlphaSweep()
     for chunk in chunks:
         total.total += chunk.total

@@ -7,7 +7,7 @@ behind the same bug in the tests.
 
 from __future__ import annotations
 
-from strfn import BoundedFn, enumerate_strings
+from strfn import FAILS, HOLDS, VACUOUS, BoundedFn, CheckReport, Witness, enumerate_strings
 
 
 def oracle_associative(fn: BoundedFn, level: int) -> tuple[bool, int]:
@@ -63,6 +63,42 @@ def oracle_preassociative(fn: BoundedFn, level: int) -> tuple[bool, int]:
                     if fn.eval(x + y + z) != fn.eval(x + y2 + z):
                         ok = False
     return ok, skipped
+
+
+def oracle_decompositions_agree(fn: BoundedFn, level: int) -> CheckReport:
+    """Definition (ii): every decomposition of a string gives the same value.
+
+    Per string, the first split whose inner evaluation stays within the
+    bound is the reference; every later such split is compared with it.
+    Returns the report ``check_equivalent_definitions`` gives for "ii".
+    """
+    checked = skipped = 0
+    for w in enumerate_strings(fn.alphabet, level):
+        n = len(w)
+        first = None
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                v = fn.eval(w[i:j])
+                if i + len(v) + (n - j) > level:
+                    skipped += 1
+                    continue
+                out = fn.eval(w[:i] + v + w[j:])
+                if first is None:
+                    first = ((w[:i], w[i:j], w[j:]), out)
+                    continue
+                checked += 1
+                if out != first[1]:
+                    (x1, y1, z1) = first[0]
+                    witness = Witness(
+                        (
+                            ("x", x1), ("y", y1), ("z", z1),
+                            ("x2", w[:i]), ("y2", w[i:j]), ("z2", w[j:]),
+                        ),
+                        first[1],
+                        out,
+                    )
+                    return CheckReport(FAILS, witness, checked, skipped)
+    return CheckReport(HOLDS if checked else VACUOUS, None, checked, skipped)
 
 
 def oracle_standard(fn: BoundedFn, level: int) -> bool:

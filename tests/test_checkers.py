@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     oracle_associative,
+    oracle_decompositions_agree,
     oracle_associative_reduced,
     oracle_preassociative,
     oracle_standard,
@@ -147,11 +148,34 @@ def test_level_cannot_exceed_bound(ab):
         check_associative_full(identity_fn(ab, 3), 4)
 
 
-def test_jobs_do_not_change_the_report(ab3):
+def late_failing_ofo(alphabet, bound, string):
+    """ofo with the entry of one late string changed to its first letter."""
+    entries = dict(ofo_fn(alphabet, bound).value_map(bound))
+    entries[string] = string[0]
+    return table_fn(alphabet, bound, entries)
+
+
+def test_jobs_do_not_change_the_report(ab, ab3):
     fn = ofo_fn(ab3, 5)
     assert check_associative_full(fn, 5, jobs=2) == check_associative_full(fn, 5)
     flip = sort_fn(ab3, 5, order=("|", "b", "a"))
     assert check_associative_full(flip, 5, jobs=3) == check_associative_full(flip, 5)
+    late = late_failing_ofo(ab, 5, "abaab")
+    for check in (check_associative_full, check_associative_reduced):
+        serial = check(late, 5)
+        assert serial.verdict == FAILS
+        for jobs in (2, 3):
+            assert check(late, 5, jobs=jobs) == serial
+    assert check_associative_full(late, 5).checked == 544
+
+    rng = random.Random(6)
+    strings = list(enumerate_strings(ab, 4))
+    for _ in range(8):
+        fn = late_failing_ofo(ab, 4, rng.choice(strings[len(strings) // 2:]))
+        for check in (check_associative_full, check_associative_reduced):
+            assert check(fn, 4, jobs=2) == check(fn, 4)
+        fn = random_string_table(ab, 4, rng, out_max=2)
+        assert check_associative_full(fn, 4, jobs=3) == check_associative_full(fn, 4)
 
 
 # -------------------------------------------------------------- preassociativity
@@ -327,6 +351,31 @@ def test_equivalent_definitions_all_hold_for_identity(ab):
 def test_equivalent_definitions_all_fail_together(bit_flip):
     reports = check_equivalent_definitions(bit_flip, 4)
     assert all(r.verdict == FAILS for r in reports.values())
+
+
+def test_definition_ii_matches_the_oracle(ab):
+    rng = random.Random(11)
+    seen = set()
+    for case in range(60):
+        level = 3 + case % 3
+        strings = list(enumerate_strings(ab, level))
+        kind = case % 3
+        if kind == 0:
+            entries = {s: rng.choice(strings[:7]) for s in strings}
+        elif kind == 1:
+            entries = dict(ofo_fn(ab, level).value_map(level))
+        else:
+            # A two-letter constant lengthens every letter, so instances
+            # near the bound are skipped, and it is associative.
+            entries = dict.fromkeys(strings, rng.choice(strings[3:7]))
+        if kind and rng.random() < 0.7:
+            entries[rng.choice(strings[-8:])] = rng.choice(strings[1:7])
+        entries[""] = ""
+        fn = table_fn(ab, level, entries)
+        report = check_equivalent_definitions(fn, level)["ii"]
+        assert report == oracle_decompositions_agree(fn, level)
+        seen.add((report.verdict, report.incomplete))
+    assert seen == {(v, skips) for v in (HOLDS, FAILS) for skips in (False, True)}
 
 
 def test_equivalent_definitions_need_empty_fixed(ab):

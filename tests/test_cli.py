@@ -24,7 +24,10 @@ from strfn import (
     ofo_fn,
     partial_spec,
     sort_fn,
+    table_fn,
+    theta_rep_fn,
 )
+from strfn import cli
 from strfn.cli import main
 from strfn.specio import function_to_json, partial_to_json, to_text
 
@@ -301,6 +304,27 @@ def test_theta_chain(capsys):
     assert "strictly-below" in err
 
 
+def test_theta_chain_builds_no_identities(capsys, monkeypatch):
+    built = []
+
+    def counting(alphabet, bound, spec):
+        built.append(spec.m)
+        return theta_rep_fn(alphabet, bound, spec)
+
+    monkeypatch.setattr(cli, "theta_rep_fn", counting)
+    code, out, err = run(capsys, "theta", "chain", "--alphabet", "ab",
+                         "--x0", "a", "--x1", "b", "--bound", "3",
+                         "--m-exp", "20000")
+    assert code == 0
+    assert built == [1, 2]
+    rows = json.loads(out)["chain"]
+    assert len(rows) == 19999
+    assert rows[0] == {"m": 1, "relation": "strictly-below", "separating": ["aa", "bb"]}
+    assert all(r == {"m": r["m"], "relation": "equivalent", "separating": None}
+               for r in rows[1:])
+    assert err.startswith("F^1 strictly-below F^2; F^2 equivalent F^3; ")
+
+
 def test_compare(capsys, tmp_path, ab, length_file):
     sort_path = write(tmp_path, "sort.json", function_to_json(sort_fn(ab, 4)))
     code, out, _ = run(capsys, "compare", "--input", length_file,
@@ -327,12 +351,22 @@ def test_stdout_is_deterministic(capsys, ofo_file):
     assert first == second
 
 
-def test_jobs_do_not_change_output(capsys, ofo_file):
+def test_jobs_do_not_change_output(capsys, tmp_path, ab, ofo_file):
     _, serial, _ = run(capsys, "check", "assoc", "--input", ofo_file,
                        "--jobs", "1")
     _, parallel, _ = run(capsys, "check", "assoc", "--input", ofo_file,
                          "--jobs", "2")
     assert serial == parallel
+
+    entries = dict(ofo_fn(ab, 5).value_map(5))
+    entries["abaab"] = "a"
+    late = write(tmp_path, "late.json", function_to_json(table_fn(ab, 5, entries)))
+    outputs = [run(capsys, "check", prop, "--input", late, "--bound", "5",
+                   "--jobs", jobs)
+               for prop in ("assoc", "assoc-reduced") for jobs in ("1", "2")]
+    assert all(code == 1 for code, _, _ in outputs)
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    assert json.loads(outputs[0][1])["checked"] == 544
 
 
 def test_output_file_matches_stdout(capsys, tmp_path, ofo_file):

@@ -182,6 +182,13 @@ def test_determination_gates_on_preconditions(ab):
     assert bad == ["first m-bounded", "second m-bounded"]
 
 
+def test_determination_requires_one_alphabet(ab):
+    ac = Alphabet(("a", "c"))
+    f, g = (table_fn(x, 3, {s: s[:1] for s in enumerate_strings(x, 3)}) for x in (ab, ac))
+    with pytest.raises(PreconditionError, match="common alphabet"):
+        check_determination(f, g, 1, 3)
+
+
 def test_identity_patch(ab):
     fn = constant_fn(ab, 5, "a")
     patched = identity_patch(fn, 1, 1, 5)

@@ -347,5 +347,12 @@ def test_sweep_small_horizon():
     assert sweep.mismatches == []
 
 
+def test_sweep_rejects_negative_arguments():
+    with pytest.raises(ValueError, match="horizon"):
+        sweep_alpha_tables(-1, 2)
+    with pytest.raises(ValueError, match="max_value"):
+        sweep_alpha_tables(2, -1)
+
+
 def test_sweep_parallel_matches_serial():
     assert sweep_alpha_tables(3, 3, jobs=2) == sweep_alpha_tables(3, 3)
