@@ -19,9 +19,9 @@ On failure the counters cover the instances examined before the scan
 terminated, which is likewise deterministic.  The associativity checks
 return the same report for every ``jobs``, since their pooled runs add
 up to the serial scan.  The preassociativity check is the one exception:
-its counters come from its scan over kernel-class pairs, while its
-witness comes from a separate canonical enumeration run once that scan
-has found a failure.
+its counters come from its scan over kernel-class pairs up to the first
+failure it meets, while its witness is the least failing instance over
+the same pairs, found by walking the total length |x y y2 z| upward.
 
 Every checker reads its values from ``fn.domain(level)``, which also
 enforces ``0 <= level <= fn.bound``.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -94,10 +95,15 @@ def _require_string_valued(fn: BoundedFn, op: str) -> None:
 
 
 def _starmap(func, arg_tuples, jobs):
-    """Each ``func(*args)`` in order, on ``jobs`` worker processes when jobs > 1."""
-    if jobs <= 1:
+    """Each ``func(*args)`` in order, on up to ``jobs`` worker processes.
+
+    The pool gets no more workers than tasks or CPUs (all of them start at
+    once); with one worker the calls run in-process.
+    """
+    workers = min(jobs, len(arg_tuples), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, *zip(*arg_tuples)))
 
 
@@ -183,40 +189,42 @@ def check_associative_reduced(fn: BoundedFn, level: int, jobs: int = 1) -> Check
 # preassociativity
 
 
-def _preassoc_first_witness(alphabet, vals, level):
-    """Locate the canonical first witness by direct enumeration.
+def _preassoc_witness(dom):
+    """The least failing preassociativity instance, found by total length.
 
-    Tuples (x, y, y2, z) are ordered by length-lex on x+y+y2+z, then by
-    split position.  Only called once a failure is known to exist, so the
-    scan terminates early.
+    Instances (x, y, y2, z) are ordered by length-lex on w = x+y+y2+z, then
+    by the split positions |x|, |x|+|y|, |x|+|y|+|y2|.  A failing instance
+    pairs y != y2 of one kernel class with a context of total length c that
+    both sides fit, c + max(|y|, |y2|) <= L, so it is exactly one tuple
+    (w, i, j, k) of that order, with |w| = n = |y| + |y2| + c.  Shorter w
+    come first, so the least failing tuple lies at the least n that has a
+    failing instance; within that n it is the least by (w letter by letter,
+    |x|, |y|, |y2|).  Class members are grouped into runs of one length, so
+    a big class is expanded only into the length pairs that reach n, never
+    into all its pairs at once.
     """
-    letters = alphabet.letters
+    vals, level = dom.vals, dom.level
+    contexts, cum = dom.contexts
+    runs = [[(p, list(ys)) for p, ys in itertools.groupby(members, len)]
+            for members in dom.classes.values() if len(members) > 1]
     for n in range(2 * level + 1):
-        for combo in itertools.product(letters, repeat=n):
-            w = "".join(combo)
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    y = w[i:j]
-                    if n - (j - i) > level:
-                        # |x y2 z| too long regardless of k; larger j only shrinks it
-                        continue
-                    for k in range(j, n + 1):
-                        if n - (k - j) > level:
-                            continue
-                        y2 = w[j:k]
-                        if y == y2:
-                            continue
-                        if vals[y] != vals[y2]:
-                            continue
-                        left = vals[w[:i] + y + w[k:]]
-                        right = vals[w[:i] + y2 + w[k:]]
-                        if left != right:
-                            return Witness(
-                                (("y", y), ("y2", y2), ("x", w[:i]), ("z", w[k:])),
-                                left,
-                                right,
-                            )
-    return None
+        failing = []
+        for groups in runs:
+            for (p, ys), (q, y2s) in itertools.product(groups, repeat=2):
+                c = n - p - q
+                if c < 0 or c + max(p, q) > level:
+                    continue
+                for x, z in contexts[cum[c - 1] if c else 0:cum[c]]:
+                    for y in ys:
+                        left = vals[x + y + z]
+                        failing.extend((x, y, y2, z) for y2 in y2s
+                                       if y2 != y and vals[x + y2 + z] != left)
+        if failing:
+            key = dom.alphabet.sort_key
+            x, y, y2, z = min(failing, key=lambda t: (
+                key("".join(t)), len(t[0]), len(t[1]), len(t[2])))
+            return Witness((("y", y), ("y2", y2), ("x", x), ("z", z)),
+                           vals[x + y + z], vals[x + y2 + z])
 
 
 def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
@@ -229,8 +237,9 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
 
     On failure, ``checked`` and ``skipped`` count the pair scan up to the
     first failing instance it meets, while the witness is the canonical
-    first failure in length-lex order on x+y+y2+z, found by a second,
-    separate enumeration.  The two need not be the same instance.
+    first failure in length-lex order on x+y+y2+z: the least failing
+    instance over the same kernel-class pairs, found by walking the total
+    length |x y y2 z| upward.  The two need not be the same instance.
     """
     dom = fn.domain(level)
     vals = dom.vals
@@ -246,7 +255,7 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
             for x, z in contexts[:both]:
                 checked += 1
                 if vals[x + y + z] != vals[x + y2 + z]:
-                    witness = _preassoc_first_witness(fn.alphabet, vals, level)
+                    witness = _preassoc_witness(dom)
                     return CheckReport(FAILS, witness, checked, skipped)
     return _finish(None, checked, skipped)
 

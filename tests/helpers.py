@@ -7,6 +7,8 @@ behind the same bug in the tests.
 
 from __future__ import annotations
 
+import itertools
+
 from strfn import FAILS, HOLDS, VACUOUS, BoundedFn, CheckReport, Witness, enumerate_strings
 
 
@@ -63,6 +65,42 @@ def oracle_preassociative(fn: BoundedFn, level: int) -> tuple[bool, int]:
                     if fn.eval(x + y + z) != fn.eval(x + y2 + z):
                         ok = False
     return ok, skipped
+
+
+def oracle_preassoc_first_witness(alphabet, vals, level):
+    """Locate the canonical first witness by direct enumeration.
+
+    Tuples (x, y, y2, z) are ordered by length-lex on x+y+y2+z, then by
+    split position.  Only called once a failure is known to exist, so the
+    scan terminates early.
+    """
+    letters = alphabet.letters
+    for n in range(2 * level + 1):
+        for combo in itertools.product(letters, repeat=n):
+            w = "".join(combo)
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    y = w[i:j]
+                    if n - (j - i) > level:
+                        # |x y2 z| too long regardless of k; larger j only shrinks it
+                        continue
+                    for k in range(j, n + 1):
+                        if n - (k - j) > level:
+                            continue
+                        y2 = w[j:k]
+                        if y == y2:
+                            continue
+                        if vals[y] != vals[y2]:
+                            continue
+                        left = vals[w[:i] + y + w[k:]]
+                        right = vals[w[:i] + y2 + w[k:]]
+                        if left != right:
+                            return Witness(
+                                (("y", y), ("y2", y2), ("x", w[:i]), ("z", w[k:])),
+                                left,
+                                right,
+                            )
+    return None
 
 
 def oracle_decompositions_agree(fn: BoundedFn, level: int) -> CheckReport:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,15 +12,18 @@ from helpers import (
     oracle_associative,
     oracle_decompositions_agree,
     oracle_associative_reduced,
+    oracle_preassoc_first_witness,
     oracle_preassociative,
     oracle_standard,
     random_string_table,
+    random_token_table,
 )
 from strfn import (
     FAILS,
     HOLDS,
     VACUOUS,
     Alphabet,
+    CheckReport,
     NotApplicableError,
     PreconditionError,
     Token,
@@ -41,6 +47,7 @@ from strfn import (
     ofo_fn,
     separator_insert_fn,
     sort_fn,
+    sweep_alpha_tables,
     table_fn,
 )
 
@@ -178,6 +185,36 @@ def test_jobs_do_not_change_the_report(ab, ab3):
         assert check_associative_full(fn, 4, jobs=3) == check_associative_full(fn, 4)
 
 
+def test_pool_never_outnumbers_tasks_or_cpus(ab, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in-process; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, *iterables):
+            return map(func, *iterables)
+
+    monkeypatch.setattr("strfn.checkers.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    late = late_failing_ofo(ab, 4, "abaa")
+    assert check_associative_full(late, 4, jobs=500) == check_associative_full(late, 4)
+    assert sweep_alpha_tables(3, 3, jobs=500) == sweep_alpha_tables(3, 3)
+    assert check_associative_reduced(late, 4, jobs=3) == check_associative_reduced(late, 4)
+    assert sizes == [8, 4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert check_associative_full(late, 4, jobs=500) == check_associative_full(late, 4)
+    assert sizes == [8, 4, 3]
+
+
 # -------------------------------------------------------------- preassociativity
 
 
@@ -241,6 +278,71 @@ def test_preassociative_witness_reevaluates(ab):
         assert fn.eval(x + y + z) == w.lhs
         assert fn.eval(x + y2 + z) == w.rhs
         assert w.lhs != w.rhs
+
+
+def preassoc_corpus(rng):
+    """Seeded tables of four kinds, in turn, without end.
+
+    Random string and token tables over 1-3 letters; builtins with one
+    entry set to another's value; and injective token tables over two
+    letters in which two strings of length L - 1 share a token, whose
+    witnesses need contexts of one letter, as in the benchmark's input.
+    """
+    alphabets = [Alphabet(tuple(s)) for s in ("a", "ab", "ba", "abc", "cab")]
+    builtins = [ofo_fn, sort_fn, identity_fn, length_fn,
+                lambda alphabet, level: length_of_fn(ofo_fn(alphabet, level))]
+    while True:
+        alphabet = rng.choice(alphabets)
+        level = rng.randint(1, {1: 6, 2: 4, 3: 3}[len(alphabet)])
+        yield "string", random_string_table(alphabet, level, rng, rng.randint(1, 2))
+        pool = [Token(i) for i in range(rng.randint(2, 5))]
+        yield "token", random_token_table(alphabet, level, rng, pool)
+        fn = rng.choice(builtins)(alphabet, level)
+        entries = dict(fn.value_map())
+        s, t = rng.sample(list(entries), 2)
+        entries[s] = entries[t]
+        yield "perturbed", table_fn(alphabet, level, entries, codomain=fn.codomain)
+        alphabet = rng.choice(alphabets[1:3])
+        level = rng.randint(2, 4)
+        token = {s: Token(i) for i, s in enumerate(enumerate_strings(alphabet, level))}
+        u, v = rng.sample(list(enumerate_strings(alphabet, level - 1, level - 1)), 2)
+        token[v] = token[u]
+        yield "merged", table_fn(alphabet, level, token, codomain="token")
+
+
+def test_preassociative_witness_matches_the_oracle():
+    # The witness is the oracle's; the counters come from the class-pair
+    # scan, and their digest pins them, since the witness search must
+    # leave them alone.
+    rng = random.Random(2024)
+    failing = Counter()
+    counters = []
+    for kind, fn in preassoc_corpus(rng):
+        if min(failing[k] for k in ("string", "token", "perturbed", "merged")) >= 80:
+            break
+        if failing[kind] >= 80:
+            continue
+        report = check_preassociative(fn, fn.bound)
+        if report.verdict != FAILS:
+            continue
+        failing[kind] += 1
+        witness = oracle_preassoc_first_witness(fn.alphabet, fn.value_map(), fn.bound)
+        assert report == CheckReport(FAILS, witness, report.checked, report.skipped)
+        counters.append((report.checked, report.skipped))
+    digest = hashlib.sha256(repr(counters).encode()).hexdigest()
+    assert digest == "4d6a9ca5ddb58ced3c6d327954490149187ecc4e3220a4f119bfa973dde32a5b"
+
+
+def test_preassociative_witness_breaks_ties_by_split(ab):
+    # Injective but for b ~ aaa and aa ~ ab.  Both pairs first fail at
+    # w = aaaab with x = a; the class of b is met first, but y = aa is the
+    # earlier split.
+    token = {s: Token(s) for s in enumerate_strings(ab, 4)}
+    token["aaa"], token["ab"] = token["b"], token["aa"]
+    fn = table_fn(ab, 4, token, codomain="token")
+    report = check_preassociative(fn, 4)
+    assert report.witness.bindings == (("y", "aa"), ("y2", "ab"), ("x", "a"), ("z", ""))
+    assert report.witness == oracle_preassoc_first_witness(ab, fn.value_map(), 4)
 
 
 def test_preassociative_counts_skips(ab):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from strfn import (
+    FAILS,
     Alphabet,
     AlphabetError,
     BoundedFn,
@@ -16,11 +17,13 @@ from strfn import (
     Token,
     check_bounded_retraction,
     check_equivalent_definitions,
+    check_preassociative,
     check_quasi_inverse_conditions,
     concat,
     count_strings,
     enumerate_strings,
     factorize,
+    length_of_fn,
     ofo_fn,
     power,
     table_fn,
@@ -191,15 +194,21 @@ class CountingDef:
         return self.inner.apply(s)
 
 
-@pytest.mark.parametrize("run", [
-    lambda fn, level: factorize(fn, level),
-    lambda fn, level: check_bounded_retraction(fn, 2, level),
-    lambda fn, level: check_quasi_inverse_conditions(fn, 2, level),
-    lambda fn, level: check_equivalent_definitions(fn, level),
+def failing_preassociative(fn, level):
+    """The witness search must read the domain too, not evaluate again."""
+    assert check_preassociative(fn, level).verdict == FAILS
+
+
+@pytest.mark.parametrize("run, wrapped", [
+    (lambda fn, level: factorize(fn, level), ofo_fn),
+    (lambda fn, level: check_bounded_retraction(fn, 2, level), ofo_fn),
+    (lambda fn, level: check_quasi_inverse_conditions(fn, 2, level), ofo_fn),
+    (lambda fn, level: check_equivalent_definitions(fn, level), ofo_fn),
+    (failing_preassociative, lambda alphabet, bound: length_of_fn(ofo_fn(alphabet, bound))),
 ], ids=["factorize", "bounded-retraction", "quasi-inverse-conditions",
-        "equivalent-definitions"])
-def test_domain_evaluates_each_string_once(ab, run):
-    counting = CountingDef(ofo_fn(ab, 4).definition)
+        "equivalent-definitions", "failing-preassociative"])
+def test_domain_evaluates_each_string_once(ab, run, wrapped):
+    counting = CountingDef(wrapped(ab, 4).definition)
     run(BoundedFn(ab, 4, counting), 4)
     assert counting.calls == Counter(enumerate_strings(ab, 4))
 

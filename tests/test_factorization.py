@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from helpers import random_string_table
 from strfn import (
     FAILS,
     HOLDS,
@@ -163,6 +166,17 @@ def test_quasi_inverse_conditions_digit_sums():
     assert reports["a"].verdict == HOLDS
     assert reports["b"].verdict == HOLDS
     assert reports["c"].verdict == HOLDS
+
+
+def test_quasi_inverse_condition_a_always_holds():
+    # H(empty) is empty, so appending it to a letter changes nothing.
+    rng = random.Random(11)
+    for _ in range(60):
+        alphabet = Alphabet(tuple(rng.sample("abc", rng.randint(1, 3))))
+        level = rng.randint(1, 3)
+        fn = random_string_table(alphabet, level, rng, out_max=2)
+        report = check_quasi_inverse_conditions(fn, rng.randint(0, level - 1), level)["a"]
+        assert (report.verdict, report.checked, report.skipped) == (HOLDS, len(alphabet), 0)
 
 
 def test_bounded_retraction(first_letter, ab):
