@@ -16,12 +16,19 @@ Witness determinism: the reported counterexample is the first failure in
 the enumeration order of the quantified tuple -- length-lex order on the
 concatenation of the tuple's components, ties broken by split position.
 On failure the counters cover the instances examined before the scan
-terminated, which is likewise deterministic.  The associativity checks
-return the same report for every ``jobs``, since their pooled runs add
-up to the serial scan.  The preassociativity check is the one exception:
-its counters come from its scan over kernel-class pairs up to the first
-failure it meets, while its witness is the least failing instance over
-the same pairs, found by walking the total length |x y y2 z| upward.
+terminated, which is likewise deterministic.  :func:`_scan` is the one
+statement of that counting rule; the checkers here and the conditions of
+``extension``, ``factorization`` and ``lengthbased`` report through it.
+The hot kernels count by hand with the same rule and end in
+:func:`_finish`: ``_assoc_scan``, the pair scan of
+``check_preassociative``, ``_assoc_iii``, ``_assoc_iv`` and
+``lengthbased.check_alpha_equations`` (``_preassoc_witness`` only
+searches).  The associativity checks return the same report for every
+``jobs``, since their pooled runs add up to the serial scan.  The
+preassociativity check is the one exception: its counters come from its
+scan over kernel-class pairs up to the first failure it meets, while its
+witness is the least failing instance over the same pairs, found by
+walking the total length |x y y2 z| upward.
 
 Every checker reads its values from ``fn.domain(level)``, which also
 enforces ``0 <= level <= fn.bound``.
@@ -33,7 +40,8 @@ import bisect
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .core import BoundedFn, Value, count_strings
 from .errors import NotApplicableError, PreconditionError
@@ -83,6 +91,31 @@ def _finish(witness: Witness | None, checked: int, skipped: int,
     if checked == 0:
         return CheckReport(VACUOUS, None, checked, skipped, detail)
     return CheckReport(HOLDS, None, checked, skipped, detail)
+
+
+# An outcome of _scan: the instance leaves the bound and is not evaluated.
+SKIPPED = object()
+
+
+def _scan(outcomes: Iterable[Witness | object | None],
+          detail: str | None = None) -> CheckReport:
+    """The report of a scan that stops at its first failing instance.
+
+    ``outcomes`` yields one item per instance, in enumeration order: None
+    when the instance holds, ``SKIPPED`` when it leaves the bound, or the
+    failure's :class:`Witness`.  The scan stops at the first witness;
+    ``checked`` counts the instances evaluated, that failure included, and
+    ``skipped`` the skips before it.  The verdict is ``fails`` with the
+    witness and ``detail``, else ``vacuous`` when nothing was checked, else
+    ``holds``; ``detail`` is attached only on failure.
+    """
+    seen = skipped = 0
+    for seen, outcome in enumerate(outcomes, 1):
+        if outcome is SKIPPED:
+            skipped += 1
+        elif outcome is not None:
+            return CheckReport(FAILS, outcome, seen - skipped, skipped, detail)
+    return _finish(None, seen - skipped, skipped)
 
 
 def _require_string_valued(fn: BoundedFn, op: str) -> None:
@@ -143,11 +176,13 @@ def _assoc_scan(strings, vals, level, reduced, lo, hi):
 
 
 def _run_assoc(fn: BoundedFn, level: int, reduced: bool, jobs: int) -> CheckReport:
-    """Scan ``jobs`` contiguous runs of about equal split count; add them up in order.
+    """Scan contiguous runs of about equal split count; add them up in order.
 
-    Each run before the first failing one was scanned in full, so the sums
-    up to that run are the serial counters; later runs are dropped.
+    There are ``jobs`` runs, but never more than CPUs.  Each run before the
+    first failing one was scanned in full, so the sums up to that run are
+    the serial counters; later runs are dropped.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
     strings, vals = dom.strings, dom.vals
@@ -269,32 +304,20 @@ def check_standard(fn: BoundedFn, level: int) -> CheckReport:
     dom = fn.domain(level)
     vals = dom.vals
     base = vals[""]
-    checked = 0
-    for s in dom.strings[1:]:
-        checked += 1
-        if vals[s] == base:
-            return CheckReport(
-                FAILS, Witness((("x", s),), vals[s], base), checked, 0
-            )
-    return _finish(None, checked, 0)
+    return _scan(None if vals[s] != base else Witness((("x", s),), vals[s], base)
+                 for s in dom.strings[1:])
 
 
 def check_idempotent(fn: BoundedFn, level: int) -> CheckReport:
     """Verify F(F(x)) = F(x); skips x whose value is longer than the bound."""
     vals = fn.domain(level).vals
     _require_string_valued(fn, "idempotence check")
-    checked = 0
-    skipped = 0
-    for s, v in vals.items():
-        if len(v) > level:
-            skipped += 1
-            continue
-        checked += 1
-        if vals[v] != v:
-            return CheckReport(
-                FAILS, Witness((("x", s),), vals[v], v), checked, skipped
-            )
-    return _finish(None, checked, skipped)
+    return _scan(
+        SKIPPED if len(v) > level
+        else None if vals[v] == v
+        else Witness((("x", s),), vals[v], v)
+        for s, v in vals.items()
+    )
 
 
 def check_m_bounded(fn: BoundedFn, m: int, level: int) -> CheckReport:
@@ -303,18 +326,11 @@ def check_m_bounded(fn: BoundedFn, m: int, level: int) -> CheckReport:
         raise ValueError(f"m must be nonnegative, got {m}")
     vals = fn.domain(level).vals
     _require_string_valued(fn, "boundedness check")
-    checked = 0
-    for s, v in vals.items():
-        checked += 1
-        if len(v) > m:
-            return CheckReport(
-                FAILS,
-                Witness((("x", s),), v, None),
-                checked,
-                0,
-                detail=f"|F(x)| = {len(v)} exceeds m = {m}",
-            )
-    return _finish(None, checked, 0)
+    report = _scan(None if len(v) <= m else Witness((("x", s),), v, None)
+                   for s, v in vals.items())
+    if report.ok:
+        return report
+    return replace(report, detail=f"|F(x)| = {len(report.witness.lhs)} exceeds m = {m}")
 
 
 def check_m_determined_range(fn: BoundedFn, m: int, level: int) -> CheckReport:
@@ -327,18 +343,9 @@ def check_m_determined_range(fn: BoundedFn, m: int, level: int) -> CheckReport:
     vals = dom.vals
     cut = count_strings(fn.alphabet, m)
     low = {vals[s] for s in dom.strings[:cut]}
-    checked = 0
-    for s in dom.strings[cut:]:
-        checked += 1
-        if vals[s] not in low:
-            return CheckReport(
-                FAILS,
-                Witness((("x", s),), vals[s], None),
-                checked,
-                0,
-                detail=f"value not attained at arity <= {m}",
-            )
-    return _finish(None, checked, 0)
+    return _scan((None if vals[s] in low else Witness((("x", s),), vals[s], None)
+                  for s in dom.strings[cut:]),
+                 detail=f"value not attained at arity <= {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +467,8 @@ def check_injective_rigidity(fn: BoundedFn, level: int) -> CheckReport:
         return CheckReport(VACUOUS, idempotent.witness, 0, skipped,
                            detail="not idempotent on the domain")
 
-    checked = 0
-    for s, v in vals.items():
-        checked += 1
-        if v != s:
-            return CheckReport(
-                FAILS, Witness((("x", s),), v, s), checked, skipped
-            )
-    return _finish(None, checked, skipped)
+    report = _scan(None if v == s else Witness((("x", s),), v, s) for s, v in vals.items())
+    return replace(report, skipped=skipped)
 
 
 def find_absorbed_string(fn: BoundedFn, level: int) -> str | None:

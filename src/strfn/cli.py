@@ -10,7 +10,6 @@ JSON; a one-line human summary goes to standard error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping, NoReturn
@@ -85,7 +84,7 @@ def _jobs(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return min(value, os.cpu_count() or 1)
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -163,9 +162,9 @@ def _reports_exit(reports: Mapping[str, CheckReport]) -> int:
 
 def _emit(obj: Any, args: argparse.Namespace, summary: str) -> None:
     text = to_text(obj)
-    sys.stdout.write(text)
     if getattr(args, "output", None):
         Path(args.output).write_text(text)
+    sys.stdout.write(text)
     sys.stderr.write(summary + "\n")
 
 
@@ -364,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(to_text({"error": str(exc)}))
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 3
-    except (StrfnError, FileNotFoundError) as exc:
+    except (StrfnError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

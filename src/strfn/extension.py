@@ -19,11 +19,13 @@ from .checkers import (
     VACUOUS,
     CheckReport,
     Witness,
-    _finish,
+    _scan,
     check_associative_full,
     check_m_bounded,
 )
-from .core import STRING, Alphabet, BoundedFn, TableDef, Value, enumerate_strings, table_fn
+from .core import (
+    STRING, Alphabet, BoundedFn, TableDef, Value, count_strings, enumerate_strings, table_fn,
+)
 from .errors import ConditionsFailedError, MalformedSpecError, PreconditionError
 
 Part = tuple[tuple[str, Value], ...]
@@ -140,49 +142,25 @@ def verify_conditions(spec: PartialSpec) -> dict[str, CheckReport]:
     at most m letters.
     """
     low = spec.value_at
-
     reports: dict[str, CheckReport] = {}
-
-    witness = None
-    checked = 0
-    for k in range(spec.m + 2):
-        for x, v in spec.parts[k]:
-            checked += 1
-            if low(v) != v:
-                witness = Witness((("k", str(k)), ("x", x)), low(v), v)
-                break
-        if witness:
-            break
-    reports["a"] = _finish(
-        witness, checked, 0, detail="stored output is not a fixed point" if witness else None
+    reports["a"] = _scan(
+        (None if low(v) == v else Witness((("k", str(k)), ("x", x)), low(v), v)
+         for k in range(spec.m + 2) for x, v in spec.parts[k]),
+        "stored output is not a fixed point",
     )
-
-    witness = None
-    checked = 0
-    empty_val = low("")
-    for x in spec.alphabet.letters:
-        checked += 1
-        if low(x) != low(x + empty_val):
-            witness = Witness((("x", x),), low(x), low(x + empty_val))
-            break
-    reports["b"] = _finish(
-        witness, checked, 0,
-        detail="appending the empty-string value changes a letter" if witness else None,
+    empty = low("")
+    reports["b"] = _scan(
+        (None if low(x) == low(x + empty) else Witness((("x", x),), low(x), low(x + empty))
+         for x in spec.alphabet.letters),
+        "appending the empty-string value changes a letter",
     )
-
-    witness = None
-    checked = 0
     sides = ("",) + spec.alphabet.letters
-    for y, x, z in itertools.product(enumerate_strings(spec.alphabet, spec.m), sides, sides):
-        checked += 1
-        lhs = low(low(x + y) + z)
-        rhs = low(x + low(y + z))
-        if lhs != rhs:
-            witness = Witness((("x", x), ("y", y), ("z", z)), lhs, rhs)
-            break
-    reports["c"] = _finish(
-        witness, checked, 0,
-        detail="one-step folds disagree" if witness else None,
+    folds = ((x, y, z, low(low(x + y) + z), low(x + low(y + z))) for y, x, z in
+             itertools.product(enumerate_strings(spec.alphabet, spec.m), sides, sides))
+    reports["c"] = _scan(
+        (None if lhs == rhs else Witness((("x", x), ("y", y), ("z", z)), lhs, rhs)
+         for x, y, z, lhs, rhs in folds),
+        "one-step folds disagree",
     )
     return reports
 
@@ -251,25 +229,21 @@ def check_determination(
             "determination preconditions failed: " + ", ".join(sorted(bad)), bad
         )
 
-    # Length-lex order puts every low-arity string before the rest, so one
-    # pass first compares the parts of arity <= m + 1, then everything else.
-    checked = 0
-    for s, a in f_vals.items():
-        b = g_vals[s]
-        if len(s) <= m + 1:
-            if a != b:
-                return CheckReport(
-                    VACUOUS, Witness((("x", s),), a, b), 0, 0,
-                    detail="low-arity parts differ; determination does not apply",
-                )
-            continue
-        checked += 1
-        if a != b:
+    # Length-lex order puts every low-arity string first: the parts of
+    # arity <= m + 1 are compared, then everything else is counted.
+    strings = fn.domain(level).strings
+    cut = count_strings(fn.alphabet, min(m + 1, level))
+    for s in strings[:cut]:
+        if f_vals[s] != g_vals[s]:
             return CheckReport(
-                FAILS, Witness((("x", s),), a, b), checked, 0,
-                detail="functions agree at low arity but split here",
+                VACUOUS, Witness((("x", s),), f_vals[s], g_vals[s]), 0, 0,
+                detail="low-arity parts differ; determination does not apply",
             )
-    return _finish(None, checked, 0)
+    return _scan(
+        (None if f_vals[s] == g_vals[s] else Witness((("x", s),), f_vals[s], g_vals[s])
+         for s in strings[cut:]),
+        "functions agree at low arity but split here",
+    )
 
 
 def identity_patch(fn: BoundedFn, k: int, m: int, level: int) -> BoundedFn:

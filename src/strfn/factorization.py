@@ -12,13 +12,16 @@ data determines the whole function.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .checkers import (
+    SKIPPED,
     CheckReport,
     Witness,
     _finish,
+    _scan,
     check_associative_full,
     check_m_determined_range,
     check_preassociative,
@@ -97,14 +100,16 @@ def factorize(fn: BoundedFn, level: int) -> Factorization:
     Never raises on a non-preassociative input — the attached checks
     record that the core fails associativity instead, which is exactly
     the diagnostic the equivalence predicts.
+
+    H sends each string to its class leader and f sends the leader to the
+    class value.  Each leader is a member of its class, so F(leader) is
+    that value: f . H = F and H . H = H by construction.  The empty string
+    is the length-lex least string, so it leads its own class and
+    H(empty) = g(F(empty)) = empty: a standard F has a standard core.
     """
     vals = fn.domain(level).vals
     g = quasi_inverse(fn, level)
-    # H sends each string to its class leader and f sends the leader to the
-    # class value: f . H = F and H . H = H hold iff F(leader) is that value.
     f = tuple((leader, v) for v, leader in g.entries)
-    if any(vals[leader] != v for leader, v in f):
-        raise QuasiInverseError("outer . inner must reproduce the source")
     inner = table_fn(fn.alphabet, level, {s: g.apply(v) for s, v in vals.items()})
 
     checks = {
@@ -113,8 +118,6 @@ def factorize(fn: BoundedFn, level: int) -> Factorization:
         "source-standard": check_standard(fn, level),
         "inner-standard": check_standard(inner, level),
     }
-    if checks["source-standard"].ok and g.apply(vals[""]) != "":
-        raise QuasiInverseError("standardness must transfer to the core")
     return Factorization(fn, g, inner, f, checks)
 
 
@@ -148,47 +151,26 @@ def check_quasi_inverse_conditions(
     reports: dict[str, CheckReport] = {}
 
     low = {vals[s] for s in enumerate_strings(fn.alphabet, m)}
-    witness = None
-    checked = 0
-    for x in dom.of_length(m + 1):
-        checked += 1
-        if vals[x] not in low:
-            witness = Witness((("x", x),), vals[x], None)
-            break
-    reports["range"] = _finish(
-        witness, checked, 0,
-        detail="value not attained at arity <= m" if witness else None,
+    reports["range"] = _scan(
+        (None if vals[x] in low else Witness((("x", x),), vals[x], None)
+         for x in dom.of_length(m + 1)),
+        "value not attained at arity <= m",
     )
-
     reports["a"] = _finish(None, len(fn.alphabet), 0)
-
-    witness = None
-    checked = skipped = 0
     letters = fn.alphabet.letters
-    for y, x, z in itertools.product(enumerate_strings(fn.alphabet, m), letters, letters):
-        left = h(x + y) + z
-        right = x + h(y + z)
-        if len(left) > level or len(right) > level:
-            skipped += 1
-            continue
-        checked += 1
-        if vals[left] != vals[right]:
-            witness = Witness((("x", x), ("y", y), ("z", z)), vals[left], vals[right])
-            break
-    reports["b"] = _finish(witness, checked, skipped)
-
-    witness = None
-    checked = 0
-    for w, v in vals.items():
-        for i in range(len(w) + 1):
-            y, z = w[:i], w[i:]
-            checked += 1
-            if v != vals[h(y) + z]:
-                witness = Witness((("y", y), ("z", z)), v, vals[h(y) + z])
-                break
-        if witness:
-            break
-    reports["c"] = _finish(witness, checked, 0)
+    folds = ((x, y, z, h(x + y) + z, x + h(y + z)) for y, x, z in
+             itertools.product(enumerate_strings(fn.alphabet, m), letters, letters))
+    reports["b"] = _scan(
+        SKIPPED if len(left) > level or len(right) > level
+        else None if vals[left] == vals[right]
+        else Witness((("x", x), ("y", y), ("z", z)), vals[left], vals[right])
+        for x, y, z, left, right in folds
+    )
+    reports["c"] = _scan(
+        None if v == vals[h(w[:i]) + w[i:]]
+        else Witness((("y", w[:i]), ("z", w[i:])), v, vals[h(w[:i]) + w[i:]])
+        for w, v in vals.items() for i in range(len(w) + 1)
+    )
     return reports
 
 
@@ -200,8 +182,8 @@ def check_bounded_retraction(
     Reports: "range" always; when it holds, also "h-bounded" (|H(x)| <= m),
     "retraction" (F = F . H pointwise), and "partition" (on each block
     H^{-1}(X^k) the function coincides with its k-ary part after H).
-    The last two test the same equation at the same strings, so one pass
-    produces both.
+    The last two test the same equation at the same strings, so the
+    partition report is read off the retraction report.
     """
     reports = {"range": check_m_determined_range(fn, m, level)}
     if not reports["range"].ok:
@@ -211,36 +193,23 @@ def check_bounded_retraction(
     g = quasi_inverse(fn, level)
     h_map = {s: g.apply(v) for s, v in vals.items()}
 
-    witness = None
-    checked = 0
-    for s, hs in h_map.items():
-        checked += 1
-        if len(hs) > m:
-            witness = Witness((("x", s),), hs, None)
-            break
-    reports["h-bounded"] = _finish(
-        witness, checked, 0,
-        detail=f"|H(x)| exceeds m = {m}" if witness else None,
+    reports["h-bounded"] = _scan(
+        (None if len(hs) <= m else Witness((("x", s),), hs, None) for s, hs in h_map.items()),
+        f"|H(x)| exceeds m = {m}",
     )
-
-    retraction = partition = None
-    checked = 0
-    blocks: dict[int, int] = {}
-    for s, hs in h_map.items():
-        blocks[len(hs)] = blocks.get(len(hs), 0) + 1
-        checked += 1
-        if vals[s] != vals[hs]:
-            retraction = Witness((("x", s),), vals[s], vals[hs])
-            partition = Witness((("k", str(len(hs))), ("x", s)), vals[s], vals[hs])
-            break
-    reports["retraction"] = _finish(
-        retraction, checked, 0,
-        detail="F(H(x)) differs from F(x)" if retraction else None,
+    retraction = reports["retraction"] = _scan(
+        (None if vals[s] == vals[hs] else Witness((("x", s),), vals[s], vals[hs])
+         for s, hs in h_map.items()),
+        "F(H(x)) differs from F(x)",
     )
+    witness = retraction.witness
+    if witness is not None:
+        x = witness.binding("x")
+        witness = Witness((("k", str(len(h_map[x]))), ("x", x)), witness.lhs, witness.rhs)
+    blocks = Counter(len(hs) for hs in itertools.islice(h_map.values(), retraction.checked))
     sizes = ", ".join(f"{k}: {blocks[k]}" for k in sorted(blocks))
-    reports["partition"] = _finish(
-        partition, checked, 0, detail=f"block sizes {{{sizes}}}"
-    )
+    reports["partition"] = replace(retraction, witness=witness,
+                                   detail=f"block sizes {{{sizes}}}")
     return reports
 
 

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .checkers import FAILS, CheckReport, Witness, _finish, _require_string_valued, _starmap
+from .checkers import (
+    FAILS, CheckReport, Witness, _finish, _require_string_valued, _scan, _starmap,
+)
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Token, Value
 from .errors import (
     InsufficientHorizonError,
@@ -314,20 +316,15 @@ def _constant_per_length(
 ) -> CheckReport:
     """Verify key(F(x)) is the same for all x of each length in the domain."""
     vals = dom.vals
-    checked = 0
-    for k in range(dom.level + 1):
-        first, *rest = dom.of_length(k)
-        for s in rest:
-            checked += 1
-            if key(vals[s]) != key(vals[first]):
-                return CheckReport(
-                    FAILS,
-                    Witness((("x", first), ("y", s)), vals[first], vals[s]),
-                    checked,
-                    0,
-                    detail=detail,
-                )
-    return _finish(None, checked, 0)
+
+    def outcomes():
+        for k in range(dom.level + 1):
+            first, *rest = dom.of_length(k)
+            for s in rest:
+                same = key(vals[s]) == key(vals[first])
+                yield None if same else Witness((("x", first), ("y", s)), vals[first], vals[s])
+
+    return _scan(outcomes(), detail)
 
 
 def check_length_based(fn: BoundedFn, level: int) -> CheckReport:

@@ -342,8 +342,9 @@ def to_text(obj: Any) -> str:
 
 
 def _read(path: str | Path) -> Any:
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedSpecError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise MalformedSpecError(f"{path}: not valid JSON ({exc})") from None

@@ -187,9 +187,11 @@ def test_jobs_do_not_change_the_report(ab, ab3):
 
 def test_pool_never_outnumbers_tasks_or_cpus(ab, monkeypatch):
     sizes = []
+    tasks = []
 
     class InProcessPool:
-        """Records the pool size and maps in-process; starts no process."""
+        """Records the pool size and the number of tasks mapped, and maps
+        in-process; starts no process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -201,7 +203,9 @@ def test_pool_never_outnumbers_tasks_or_cpus(ab, monkeypatch):
             return False
 
         def map(self, func, *iterables):
-            return map(func, *iterables)
+            args = list(zip(*iterables))
+            tasks.append(len(args))
+            return itertools.starmap(func, args)
 
     monkeypatch.setattr("strfn.checkers.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -210,6 +214,7 @@ def test_pool_never_outnumbers_tasks_or_cpus(ab, monkeypatch):
     assert sweep_alpha_tables(3, 3, jobs=500) == sweep_alpha_tables(3, 3)
     assert check_associative_reduced(late, 4, jobs=3) == check_associative_reduced(late, 4)
     assert sizes == [8, 4, 3]
+    assert tasks == [8, 4, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert check_associative_full(late, 4, jobs=500) == check_associative_full(late, 4)
     assert sizes == [8, 4, 3]

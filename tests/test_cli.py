@@ -129,6 +129,27 @@ def test_missing_input_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_directory_as_input_file(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--input", str(tmp_path), "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_input_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"alphabet": ["\xe9"]}'.encode("latin-1"))
+    code, out, err = run(capsys, "eval", "--input", str(path), "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
+
+
+def test_directory_as_output_file(capsys, tmp_path, ofo_file):
+    code, out, err = run(capsys, "check", "assoc", "--input", ofo_file,
+                         "--bound", "3", "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_input_file(capsys, tmp_path):
     path = write(tmp_path, "bad.json", "{nope")
     code, _, err = run(capsys, "eval", "--input", path, "a")
