@@ -20,15 +20,26 @@ terminated, which is likewise deterministic.  :func:`_scan` is the one
 statement of that counting rule; the checkers here and the conditions of
 ``extension``, ``factorization`` and ``lengthbased`` report through it.
 The hot kernels count by hand with the same rule and end in
-:func:`_finish`: ``_assoc_scan``, the pair scan of
-``check_preassociative``, ``_assoc_iii``, ``_assoc_iv`` and
-``lengthbased.check_alpha_equations`` (``_preassoc_witness`` only
-searches).  The associativity checks return the same report for every
-``jobs``, since their pooled runs add up to the serial scan.  The
-preassociativity check is the one exception: its counters come from its
-scan over kernel-class pairs up to the first failure it meets, while its
-witness is the least failing instance over the same pairs, found by
-walking the total length |x y y2 z| upward.
+:func:`_finish`: ``_assoc_scan``, ``_preassoc_scan``, ``_assoc_iii``,
+``_assoc_iv`` and ``lengthbased.check_alpha_equations``
+(``_preassoc_witness`` only searches).  The associativity checks return
+the same report for every ``jobs``, since their pooled runs add up to
+the serial scan.  The preassociativity check is the one exception: its
+counters come from its scan over kernel-class pairs up to the first
+failure it meets, while its witness is the least failing instance over
+the same pairs, found by walking the total length |x y y2 z| upward.
+
+Associativity, preassociativity and the equivalent definitions take one
+of two paths.  The congruence decider runs first: it compares each
+kernel-class member with its class leader under one-letter contexts
+(:func:`_is_congruence`), in time linear in the domain.  When the law
+holds and the decider can count the scan's instances in closed form, it
+returns that report without scanning: preassociativity whenever the
+kernel is a congruence, and the associativity checks whenever F also
+never lengthens a string and is idempotent.  Every other input -- a
+failing law, or a function that lengthens some string, whose bounded
+skips have no closed form here -- takes the scan, which gives the
+counters and the witness.  Both paths give the same report.
 
 Every checker reads its values from ``fn.domain(level)``, which also
 enforces ``0 <= level <= fn.bound``.
@@ -124,6 +135,76 @@ def _require_string_valued(fn: BoundedFn, op: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# congruence deciders
+
+
+def _context_counts(alphabet, level) -> list[int]:
+    """``cum[b]``, the number of contexts (x, z) with |x| + |z| <= b.
+
+    A string of length t splits into x and z in t + 1 ways, so
+    cum[b] = sum over t <= b of (t + 1)·|X|^t.  ``cum[level]`` is also the
+    number of splits (x, y) over every string of the domain.
+    """
+    k = len(alphabet)
+    return list(itertools.accumulate((t + 1) * k**t for t in range(level + 1)))
+
+
+def _is_congruence(dom) -> bool:
+    """True when F's kernel is closed under one-letter contexts on X^{<=L}.
+
+    Each class member m with |m| < L is compared with its class leader
+    under every letter a: F(am) = F(a lead) and F(ma) = F(lead a).  The
+    leader is no longer than m, so both sides lie in the domain.  Stops at
+    the first mismatch.  This is exactly preassociativity on the bounded
+    domain; :func:`check_preassociative` has the proof.
+    """
+    vals, level, letters = dom.vals, dom.level, dom.alphabet.letters
+    for members in dom.classes.values():
+        if len(members) < 2 or len(members[1]) >= level:
+            continue
+        lead = members[0]
+        left = [vals[a + lead] for a in letters]
+        right = [vals[lead + a] for a in letters]
+        for m in members[1:]:
+            if len(m) >= level:
+                break  # members are in length-lex order
+            for a, u, v in zip(letters, left, right):
+                if vals[a + m] != u or vals[m + a] != v:
+                    return False
+    return True
+
+
+def _associative_by_congruence(dom) -> bool:
+    """True when F never lengthens a string, is idempotent and has a
+    congruence kernel on X^{<=L}; F is then associative with no skips.
+
+    Proof sketch.  |x F(y) z| <= |xyz| <= L, so no instance leaves the
+    bound.  F(F(y)) = F(y) puts y and F(y) in one kernel class, and the
+    kernel is a congruence, so F(xyz) = F(x F(y) z) is one congruence
+    step.  Conversely a non-lengthening associative F passes all three
+    tests: x = z = empty gives idempotence, and F(y) = F(y2) gives
+    F(xyz) = F(x F(y) z) = F(x y2 z).  So a failing F always takes the
+    scan, which finds the witness; a lengthening F takes it too, since its
+    bounded skips are not counted here.
+    """
+    vals = dom.vals
+    return (all(len(v) <= len(s) and vals[v] == v for s, v in vals.items())
+            and _is_congruence(dom))
+
+
+def _split_count(alphabet, level, reduced) -> int:
+    """The associativity instances over X^{<=L}, none of them skipped.
+
+    A string of length n has (n + 1)(n + 2)/2 splits (x, y, z), or, in the
+    reduced check, three when n > 0 and one when n = 0.
+    """
+    if reduced:
+        return 3 * count_strings(alphabet, level) - 2
+    k = len(alphabet)
+    return sum(k**n * (n + 1) * (n + 2) // 2 for n in range(level + 1))
+
+
+# ---------------------------------------------------------------------------
 # associativity
 
 
@@ -176,15 +257,19 @@ def _assoc_scan(strings, vals, level, reduced, lo, hi):
 
 
 def _run_assoc(fn: BoundedFn, level: int, reduced: bool, jobs: int) -> CheckReport:
-    """Scan contiguous runs of about equal split count; add them up in order.
+    """The congruence decider, else the scan of contiguous runs.
 
-    There are ``jobs`` runs, but never more than CPUs.  Each run before the
-    first failing one was scanned in full, so the sums up to that run are
-    the serial counters; later runs are dropped.
+    The decider (:func:`_associative_by_congruence`) runs first, so a
+    decided input starts no pool.  Otherwise there are ``jobs`` runs of
+    about equal split count, but never more than CPUs, added up in order.
+    Each run before the first failing one was scanned in full, so the sums
+    up to that run are the serial counters; later runs are dropped.
     """
-    jobs = min(jobs, os.cpu_count() or 1)
     dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
+    if _associative_by_congruence(dom):
+        return _finish(None, _split_count(fn.alphabet, level, reduced), 0)
+    jobs = min(jobs, os.cpu_count() or 1)
     strings, vals = dom.strings, dom.vals
     cum = list(itertools.accumulate(
         3 if reduced else (len(w) + 1) * (len(w) + 2) // 2 for w in strings))
@@ -262,22 +347,14 @@ def _preassoc_witness(dom):
                            vals[x + y + z], vals[x + y2 + z])
 
 
-def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
-    """Verify F(y) = F(y') implies F(xyz) = F(xy'z) on the bounded domain.
+def _preassoc_scan(dom) -> CheckReport:
+    """Each unordered pair within a kernel class against every context.
 
-    X^{<=level} is partitioned into kernel classes by value; each unordered
-    pair within a class is tested once against every context (x, z) for
-    which both sides stay within the bound.  Contexts where only the
-    shorter side fits are counted as skipped.  Any codomain is accepted.
-
-    On failure, ``checked`` and ``skipped`` count the pair scan up to the
-    first failing instance it meets, while the witness is the canonical
-    first failure in length-lex order on x+y+y2+z: the least failing
-    instance over the same kernel-class pairs, found by walking the total
-    length |x y y2 z| upward.  The two need not be the same instance.
+    Contexts where only the shorter side fits are counted as skipped.
+    Stops at the first failing instance and reports the least failing
+    instance as the witness.
     """
-    dom = fn.domain(level)
-    vals = dom.vals
+    vals, level = dom.vals, dom.level
     contexts, cum = dom.contexts
 
     checked = 0
@@ -292,6 +369,47 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
                 if vals[x + y + z] != vals[x + y2 + z]:
                     witness = _preassoc_witness(dom)
                     return CheckReport(FAILS, witness, checked, skipped)
+    return _finish(None, checked, skipped)
+
+
+def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
+    """Verify F(y) = F(y') implies F(xyz) = F(xy'z) on the bounded domain.
+
+    X^{<=level} is partitioned into kernel classes by value; each unordered
+    pair within a class is tested once against every context (x, z) for
+    which both sides stay within the bound.  Contexts where only the
+    shorter side fits are counted as skipped.  Any codomain is accepted.
+
+    When the kernel is a congruence (:func:`_is_congruence`) the law holds
+    and the counters are read off the classes.  Proof sketch: the
+    one-letter test is a set of instances of the law.  Conversely, take
+    y ~ y2 with |xyz|, |x y2 z| <= L and induct on |x| + |z|.  If x = x'a,
+    then |y|, |y2| < L, so ay ~ a lead ~ a y2 by the test, and
+    (x', ay, a y2, z) is an instance with a shorter context and the same
+    two sides (z = z'a likewise).  Every intermediate string a lead is no
+    longer than ay, so no step leaves the domain.  Counters: with members
+    m_0..m_{n-1} and c_p = cum[L - |m_p|], the pair (m_p, m_q), p < q, is
+    checked on c_q contexts and skipped on c_p - c_q, which sums to
+    checked = Σ p·c_p and skipped = Σ (n - 1 - 2p)·c_p per class.
+
+    Otherwise the pair scan runs.  On failure, ``checked`` and ``skipped``
+    count the pair scan up to the first failing instance it meets, while
+    the witness is the canonical first failure in length-lex order on
+    x+y+y2+z: the least failing instance over the same kernel-class pairs,
+    found by walking the total length |x y y2 z| upward.  The two need not
+    be the same instance.
+    """
+    dom = fn.domain(level)
+    if not _is_congruence(dom):
+        return _preassoc_scan(dom)
+    cum = _context_counts(fn.alphabet, level)
+    checked = skipped = 0
+    for members in dom.classes.values():
+        n = len(members)
+        for p, m in enumerate(members):
+            c = cum[level - len(m)]
+            checked += p * c
+            skipped += (n - 1 - 2 * p) * c
     return _finish(None, checked, skipped)
 
 
@@ -362,21 +480,39 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
     - "iii": F(F(xy) z) = F(x F(yz))
     - "iv":  F(xy) = F(F(x) F(y))
 
-    (ii) is read off (i)'s scan.  It compares every split of w with the
-    first one not skipped.  As F(empty) = empty, that is x = y = empty,
-    with value F(w), so each comparison is the one (i) makes at that split.
-    Hence (ii) fails at (i)'s instance with the same sides (bindings
-    x = y = empty, z = w, and (i)'s x, y, z as x2, y2, z2), skips the same
-    instances and checks one fewer per string entered.
+    When F is associative by congruence (:func:`_associative_by_congruence`)
+    every formulation holds with no skips: each is an instance of (i), or
+    two chained, on strings no longer than the one checked.  (i) and (iii)
+    check every split (x, y, z), (ii) every split but the reference one per
+    string, and (iv) every split (x, y).
+
+    Otherwise the scans run, and (ii) is read off (i)'s scan.  It compares
+    every split of w with the first one not skipped.  As F(empty) = empty,
+    that is x = y = empty, with value F(w), so each comparison is the one
+    (i) makes at that split.  Hence (ii) fails at (i)'s instance with the
+    same sides (bindings x = y = empty, z = w, and (i)'s x, y, z as x2, y2,
+    z2), skips the same instances and checks one fewer per string entered.
     """
     dom = fn.domain(level)
     _require_string_valued(fn, "equivalent-definitions check")
-    strings, vals = dom.strings, dom.vals
-    if vals[""] != "":
+    if dom.vals[""] != "":
         raise PreconditionError(
             "equivalent-definitions check requires F(empty) = empty"
         )
+    if not _associative_by_congruence(dom):
+        return _equiv_scan(dom)
+    full = _finish(None, _split_count(fn.alphabet, level, False), 0)
+    return {
+        "i": full,
+        "ii": _finish(None, full.checked - len(dom.vals), 0),
+        "iii": full,
+        "iv": _finish(None, _context_counts(fn.alphabet, level)[-1], 0),
+    }
 
+
+def _equiv_scan(dom) -> dict[str, CheckReport]:
+    """The four formulations by scanning; (ii) is read off (i)."""
+    strings, vals, level = dom.strings, dom.vals, dom.level
     witness, checked, skipped, entered = _assoc_scan(
         strings, vals, level, False, 0, len(strings)
     )

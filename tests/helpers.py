@@ -204,3 +204,25 @@ def oracle_block_classes(alphabet, level, block0, block1):
         members.setdefault(label[s], []).append(s)
     truncated = {label[s] for s in escaping}
     return {s: (tuple(members[label[s]]), label[s] in truncated) for s in strings}
+
+
+def transformation_table(alphabet, bound, rng, points, token=False):
+    """A table through a random monoid morphism into the maps of ``points``.
+
+    Each letter acts as a random map of range(points); a string acts as
+    the composite of its letters' maps, so equal actions form a congruence
+    and the table is preassociative.  String-valued, it sends each string
+    to the length-lex least string of the same action (never longer, and
+    idempotent), so it is also associative; token-valued, it sends it to
+    the action itself, whose classes mix lengths.
+    """
+    from strfn import Token, table_fn
+
+    maps = {a: [rng.randrange(points) for _ in range(points)] for a in alphabet.letters}
+    action = {"": tuple(range(points))}
+    least, entries = {}, {}
+    for s in enumerate_strings(alphabet, bound):
+        if s:
+            action[s] = tuple(maps[s[-1]][i] for i in action[s[:-1]])
+        entries[s] = Token(action[s]) if token else least.setdefault(action[s], s)
+    return table_fn(alphabet, bound, entries, codomain="token" if token else "string")

@@ -17,6 +17,7 @@ from helpers import (
     oracle_standard,
     random_string_table,
     random_token_table,
+    transformation_table,
 )
 from strfn import (
     FAILS,
@@ -50,6 +51,15 @@ from strfn import (
     sweep_alpha_tables,
     table_fn,
 )
+from strfn.checkers import (
+    _assoc_scan,
+    _associative_by_congruence,
+    _equiv_scan,
+    _finish,
+    _is_congruence,
+    _preassoc_scan,
+)
+from strfn.factorization import factorize
 
 
 def fixture_functions(ab3):
@@ -214,6 +224,9 @@ def test_pool_never_outnumbers_tasks_or_cpus(ab, monkeypatch):
     assert sweep_alpha_tables(3, 3, jobs=500) == sweep_alpha_tables(3, 3)
     assert check_associative_reduced(late, 4, jobs=3) == check_associative_reduced(late, 4)
     assert sizes == [8, 4, 3]
+    assert tasks == [8, 4, 3]
+    # A decided input is never cut into runs: it maps no task.
+    assert check_associative_full(ofo_fn(ab, 4), 4, jobs=500).verdict == HOLDS
     assert tasks == [8, 4, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert check_associative_full(late, 4, jobs=500) == check_associative_full(late, 4)
@@ -483,6 +496,107 @@ def test_definition_ii_matches_the_oracle(ab):
         assert report == oracle_decompositions_agree(fn, level)
         seen.add((report.verdict, report.incomplete))
     assert seen == {(v, skips) for v in (HOLDS, FAILS) for skips in (False, True)}
+
+
+def decider_corpus(rng):
+    """Seeded tables of four kinds, in turn, without end.
+
+    Random string and token tables over 1-3 letters (a string table fixes
+    the empty string half the time); transformation tables, string- and
+    token-valued, which hold and take the deciders; builtins and
+    transformation tables with one entry set to another's value; and
+    lengthening functions whose laws hold with bounded skips:
+    ``separator_insert`` and two-letter constants.
+    """
+    alphabets = [Alphabet(tuple(s)) for s in ("a", "ab", "ba", "abc", "cab")]
+    builtins = [ofo_fn, sort_fn, identity_fn,
+                lambda alphabet, level: letter_remove_fn(alphabet, level, alphabet.letters[0]),
+                lambda alphabet, level: letter_remove_g_fn(alphabet, level, alphabet.letters[0])]
+    ab3 = Alphabet(("a", "b", "|"))
+    while True:
+        alphabet = rng.choice(alphabets)
+        level = rng.randint(0, {1: 6, 2: 4, 3: 3}[len(alphabet)])
+        fn = random_string_table(alphabet, level, rng, rng.randint(1, 2))
+        if rng.random() < 0.5:
+            entries = dict(fn.value_map())
+            entries[""] = ""
+            fn = table_fn(alphabet, level, entries)
+        yield "random", fn
+        pool = [Token(i) for i in range(rng.randint(1, 4))]
+        yield "random", random_token_table(alphabet, level, rng, pool)
+        points = rng.randint(1, 3)
+        yield "transformation", transformation_table(alphabet, level, rng, points)
+        yield "transformation", transformation_table(alphabet, level, rng, points, token=True)
+        if rng.random() < 0.5:
+            fn = rng.choice(builtins)(alphabet, level)
+        else:
+            fn = transformation_table(alphabet, level, rng, rng.randint(2, 3))
+        entries = dict(fn.value_map())
+        if len(entries) > 1:
+            s, t = rng.sample(list(entries), 2)
+            entries[s] = entries[t]
+        yield "perturbed", table_fn(alphabet, level, entries)
+        if rng.random() < 0.5:
+            yield "lengthening", separator_insert_fn(ab3, rng.randint(0, 4), "|")
+        else:
+            value = "".join(rng.choices(alphabet.letters, k=2))
+            yield "lengthening", constant_fn(alphabet, level, value)
+
+
+def test_deciders_match_the_scans():
+    # Each decided report must equal the one the scan it replaces gives,
+    # and every other input must still be scanned: whole reports (verdict,
+    # witness, counters, detail) over full, reduced, equivalent
+    # definitions and preassociativity.
+    rng = random.Random(2026)
+    seen = Counter()
+    for kind, fn in itertools.islice(decider_corpus(rng), 1500):
+        level, dom = fn.bound, fn.domain(fn.bound)
+        report = check_preassociative(fn, level)
+        assert report == _preassoc_scan(dom), kind
+        seen["preassoc", _is_congruence(dom), report.verdict, report.incomplete] += 1
+        if not fn.string_valued:
+            continue
+        decided = _associative_by_congruence(dom)
+        for reduced, check in ((False, check_associative_full),
+                               (True, check_associative_reduced)):
+            witness, checked, skipped, _ = _assoc_scan(
+                dom.strings, dom.vals, level, reduced, 0, len(dom.strings))
+            report = check(fn, level)
+            assert report == _finish(witness, checked, skipped), kind
+            seen[check.__name__, decided, report.verdict, report.incomplete] += 1
+        if dom.vals[""] == "":
+            reports = check_equivalent_definitions(fn, level)
+            assert reports == _equiv_scan(dom), kind
+            seen["equiv", decided, reports["i"].verdict] += 1
+    assert seen["preassoc", True, HOLDS, True] >= 100
+    assert seen["preassoc", False, FAILS, True] >= 100
+    for name in ("check_associative_full", "check_associative_reduced"):
+        assert seen[name, True, HOLDS, False] >= 100
+        assert seen[name, False, HOLDS, True] >= 100
+        assert seen[name, False, FAILS, False] >= 100
+    assert seen["equiv", True, HOLDS] >= 100
+    assert seen["equiv", False, FAILS] >= 100
+
+
+def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
+    # A silent fallback to a scan would raise here.
+    def no_scan(*args):
+        raise AssertionError("a decided input was scanned")
+
+    monkeypatch.setattr("strfn.checkers._assoc_scan", no_scan)
+    monkeypatch.setattr("strfn.checkers._preassoc_scan", no_scan)
+    ofo = ofo_fn(ab3, 5)
+    assert check_associative_full(ofo, 5, jobs=2).verdict == HOLDS
+    assert check_associative_reduced(ofo, 5, jobs=2).verdict == HOLDS
+    reports = check_equivalent_definitions(ofo_fn(ab, 6), 6)
+    assert {r.verdict for r in reports.values()} == {HOLDS}
+    assert check_preassociative(length_fn(ab, 7), 7).verdict == HOLDS
+    report = check_preassociative(letter_remove_g_fn(ab, 7, "a"), 7)
+    assert report.verdict == HOLDS and report.incomplete
+    checks = factorize(letter_remove_g_fn(ab, 6, "b"), 6).checks
+    assert checks["inner-associative"].verdict == HOLDS
+    assert factorize(length_fn(ab, 6), 6).clean
 
 
 def test_equivalent_definitions_need_empty_fixed(ab):
