@@ -32,14 +32,20 @@ the same pairs, found by walking the total length |x y y2 z| upward.
 Associativity, preassociativity and the equivalent definitions take one
 of two paths.  The congruence decider runs first: it compares each
 kernel-class member with its class leader under one-letter contexts
-(:func:`_is_congruence`), in time linear in the domain.  When the law
-holds and the decider can count the scan's instances in closed form, it
-returns that report without scanning: preassociativity whenever the
-kernel is a congruence, and the associativity checks whenever F also
-never lengthens a string and is idempotent.  Every other input -- a
-failing law, or a function that lengthens some string, whose bounded
-skips have no closed form here -- takes the scan, which gives the
-counters and the witness.  Both paths give the same report.
+(:func:`_is_congruence`), in time linear in the domain.  When it proves
+the law, it returns the scan's report in closed form: preassociativity
+whenever the kernel is a congruence; the associativity checks when,
+besides, F(v) = v for every value v with |v| <= L, since a checked
+instance has |x F(y) z| <= L, so y ~ F(y) and F(xyz) = F(x F(y) z).
+Their count is one sum over the strings y: y is checked in
+cum[min(cap, L - max(|y|, |F(y)|))] of the cum[min(cap, L - |y|)]
+contexts it enters (none when |F(y)| > L), and skipped in the rest, with
+cap = L (full) or 1 (reduced) and cum = ``Domain.context_counts``.  The
+equivalent definitions need also that F never lengthens, since the skips
+of (iii) depend on two values together.  Every other input -- a failing
+law, or a lengthening function whose kernel is no congruence -- takes
+the scan, which gives the counters and the witness.  Both paths give the
+same report.
 
 Every checker reads its values from ``fn.domain(level)``, which also
 enforces ``0 <= level <= fn.bound``.
@@ -71,10 +77,7 @@ class Witness:
     rhs: Value | None = None
 
     def binding(self, name: str) -> str:
-        for key, val in self.bindings:
-            if key == name:
-                return val
-        raise KeyError(name)
+        return dict(self.bindings)[name]
 
 
 @dataclass(frozen=True)
@@ -138,17 +141,6 @@ def _require_string_valued(fn: BoundedFn, op: str) -> None:
 # congruence deciders
 
 
-def _context_counts(alphabet, level) -> list[int]:
-    """``cum[b]``, the number of contexts (x, z) with |x| + |z| <= b.
-
-    A string of length t splits into x and z in t + 1 ways, so
-    cum[b] = sum over t <= b of (t + 1)·|X|^t.  ``cum[level]`` is also the
-    number of splits (x, y) over every string of the domain.
-    """
-    k = len(alphabet)
-    return list(itertools.accumulate((t + 1) * k**t for t in range(level + 1)))
-
-
 def _is_congruence(dom) -> bool:
     """True when F's kernel is closed under one-letter contexts on X^{<=L}.
 
@@ -174,34 +166,37 @@ def _is_congruence(dom) -> bool:
     return True
 
 
-def _associative_by_congruence(dom) -> bool:
-    """True when F never lengthens a string, is idempotent and has a
-    congruence kernel on X^{<=L}; F is then associative with no skips.
+def _assoc_by_congruence(dom, cap: int) -> CheckReport | None:
+    """The associativity report in closed form, or None to scan.
 
-    Proof sketch.  |x F(y) z| <= |xyz| <= L, so no instance leaves the
-    bound.  F(F(y)) = F(y) puts y and F(y) in one kernel class, and the
-    kernel is a congruence, so F(xyz) = F(x F(y) z) is one congruence
-    step.  Conversely a non-lengthening associative F passes all three
-    tests: x = z = empty gives idempotence, and F(y) = F(y2) gives
-    F(xyz) = F(x F(y) z) = F(x y2 z).  So a failing F always takes the
-    scan, which finds the witness; a lengthening F takes it too, since its
-    bounded skips are not counted here.
+    Decides when F(v) = v for every value v with |v| <= L and the kernel
+    is a congruence (:func:`_is_congruence`); the full check has
+    ``cap`` = L, the reduced one ``cap`` = 1 (contexts with |xz| <= 1).
+
+    Proof sketch.  A checked instance (x, y, z) has |x F(y) z| <= L, so
+    v = F(y) fits, F(v) = v puts y and v in one kernel class, and bounded
+    preassociativity gives F(xyz) = F(x v z), both sides within L.  So a
+    failing F takes the scan, which finds the witness.  A non-lengthening
+    associative F passes both tests (x = z = empty gives F(v) = v); a
+    lengthening one may fail the congruence test, and is scanned.
+
+    Counters, per string y: the contexts with |x| + |z| <= b number
+    cum[b], so y enters cum[min(cap, L - |y|)] instances and is checked
+    in cum[min(cap, L - max(|y|, |F(y)|))] of them (none when
+    |F(y)| > L); the rest are skipped.
     """
-    vals = dom.vals
-    return (all(len(v) <= len(s) and vals[v] == v for s, v in vals.items())
-            and _is_congruence(dom))
-
-
-def _split_count(alphabet, level, reduced) -> int:
-    """The associativity instances over X^{<=L}, none of them skipped.
-
-    A string of length n has (n + 1)(n + 2)/2 splits (x, y, z), or, in the
-    reduced check, three when n > 0 and one when n = 0.
-    """
-    if reduced:
-        return 3 * count_strings(alphabet, level) - 2
-    k = len(alphabet)
-    return sum(k**n * (n + 1) * (n + 2) // 2 for n in range(level + 1))
+    vals, level = dom.vals, dom.level
+    if not (all(len(v) > level or vals[v] == v for v in vals.values())
+            and _is_congruence(dom)):
+        return None
+    cum = dom.context_counts
+    checked = entered = 0
+    for y, v in vals.items():
+        entered += cum[min(cap, level - len(y))]
+        budget = level - max(len(y), len(v))
+        if budget >= 0:
+            checked += cum[min(cap, budget)]
+    return _finish(None, checked, entered - checked)
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +254,17 @@ def _assoc_scan(strings, vals, level, reduced, lo, hi):
 def _run_assoc(fn: BoundedFn, level: int, reduced: bool, jobs: int) -> CheckReport:
     """The congruence decider, else the scan of contiguous runs.
 
-    The decider (:func:`_associative_by_congruence`) runs first, so a
-    decided input starts no pool.  Otherwise there are ``jobs`` runs of
-    about equal split count, but never more than CPUs, added up in order.
+    The decider (:func:`_assoc_by_congruence`) runs first, so a decided
+    input starts no pool.  Otherwise there are ``jobs`` runs of about
+    equal split count, but never more than CPUs, added up in order.
     Each run before the first failing one was scanned in full, so the sums
     up to that run are the serial counters; later runs are dropped.
     """
     dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
-    if _associative_by_congruence(dom):
-        return _finish(None, _split_count(fn.alphabet, level, reduced), 0)
+    decided = _assoc_by_congruence(dom, 1 if reduced else level)
+    if decided is not None:
+        return decided
     jobs = min(jobs, os.cpu_count() or 1)
     strings, vals = dom.strings, dom.vals
     cum = list(itertools.accumulate(
@@ -324,7 +320,7 @@ def _preassoc_witness(dom):
     into all its pairs at once.
     """
     vals, level = dom.vals, dom.level
-    contexts, cum = dom.contexts
+    contexts, cum = dom.contexts, dom.context_counts
     runs = [[(p, list(ys)) for p, ys in itertools.groupby(members, len)]
             for members in dom.classes.values() if len(members) > 1]
     for n in range(2 * level + 1):
@@ -355,7 +351,7 @@ def _preassoc_scan(dom) -> CheckReport:
     instance as the witness.
     """
     vals, level = dom.vals, dom.level
-    contexts, cum = dom.contexts
+    contexts, cum = dom.contexts, dom.context_counts
 
     checked = 0
     skipped = 0
@@ -402,7 +398,7 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
     dom = fn.domain(level)
     if not _is_congruence(dom):
         return _preassoc_scan(dom)
-    cum = _context_counts(fn.alphabet, level)
+    cum = dom.context_counts
     checked = skipped = 0
     for members in dom.classes.values():
         n = len(members)
@@ -480,11 +476,14 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
     - "iii": F(F(xy) z) = F(x F(yz))
     - "iv":  F(xy) = F(F(x) F(y))
 
-    When F is associative by congruence (:func:`_associative_by_congruence`)
-    every formulation holds with no skips: each is an instance of (i), or
-    two chained, on strings no longer than the one checked.  (i) and (iii)
-    check every split (x, y, z), (ii) every split but the reference one per
-    string, and (iv) every split (x, y).
+    When F never lengthens a string and the associativity decider holds
+    (:func:`_assoc_by_congruence`), every formulation holds with no skips:
+    each is an instance of (i), or two chained, on strings no longer than
+    the one checked.  (i) and (iii) check every split (x, y, z), (ii) every
+    split but the reference one per string, and (iv) every split (x, y).
+    The decider alone is not enough here: (iii) skips an instance when
+    F(xy) z or x F(yz) leaves the bound, two values together, so a
+    lengthening F has no per-string count of its skips.
 
     Otherwise the scans run, and (ii) is read off (i)'s scan.  It compares
     every split of w with the first one not skipped.  As F(empty) = empty,
@@ -499,14 +498,15 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
         raise PreconditionError(
             "equivalent-definitions check requires F(empty) = empty"
         )
-    if not _associative_by_congruence(dom):
+    full = (_assoc_by_congruence(dom, level)
+            if all(len(v) <= len(s) for s, v in dom.vals.items()) else None)
+    if full is None:
         return _equiv_scan(dom)
-    full = _finish(None, _split_count(fn.alphabet, level, False), 0)
     return {
         "i": full,
         "ii": _finish(None, full.checked - len(dom.vals), 0),
         "iii": full,
-        "iv": _finish(None, _context_counts(fn.alphabet, level)[-1], 0),
+        "iv": _finish(None, dom.context_counts[-1], 0),
     }
 
 
@@ -580,22 +580,19 @@ def check_injective_rigidity(fn: BoundedFn, level: int) -> CheckReport:
     """If F is injective and idempotent on the domain, verify F = id.
 
     Vacuous (with the disqualifying pair in the witness) when F is not
-    injective or not idempotent there.
+    injective or not idempotent there.  The pair is the first string, in
+    length-lex order, that shares its value with an earlier one, and the
+    leader of its kernel class.
     """
-    vals = fn.domain(level).vals
+    dom = fn.domain(level)
+    vals = dom.vals
     _require_string_valued(fn, "rigidity check")
 
-    seen: dict[Value, str] = {}
-    for s, v in vals.items():
-        if v in seen:
-            return CheckReport(
-                VACUOUS,
-                Witness((("x", seen[v]), ("y", s)), v, v),
-                0,
-                0,
-                detail="not injective on the domain",
-            )
-        seen[v] = s
+    shared = [members for members in dom.classes.values() if len(members) > 1]
+    if shared:
+        x, y = min(shared, key=lambda m: dom.alphabet.length_lex_key(m[1]))[:2]
+        return CheckReport(VACUOUS, Witness((("x", x), ("y", y)), vals[x], vals[x]),
+                           0, 0, detail="not injective on the domain")
 
     idempotent = check_idempotent(fn, level)
     skipped = idempotent.skipped
@@ -622,7 +619,7 @@ def find_absorbed_string(fn: BoundedFn, level: int) -> str | None:
         raise NotApplicableError(
             "function is standard on the bounded domain; nothing is absorbed"
         )
-    contexts, cum = dom.contexts
+    contexts, cum = dom.contexts, dom.context_counts
     for a in mates:
         if all(vals[x + z] == vals[x + a + z]
                for x, z in contexts[: cum[level - len(a)]]):

@@ -244,24 +244,26 @@ class Domain:
         return classes
 
     @cached_property
-    def contexts(self) -> tuple[list[tuple[str, str]], list[int]]:
-        """All context pairs (x, z) with |x|+|z| <= level, and their counts.
+    def context_counts(self) -> list[int]:
+        """``cum[b]``, the number of contexts (x, z) with |x| + |z| <= b.
 
-        Ordered by total length, then x in length-lex order, then z;
-        ``cum[b]`` counts the contexts of total length <= b, so a budget
-        maps to a prefix.
+        A string of length t splits into x and z in t + 1 ways, so cum[b] =
+        sum over t <= b of (t + 1)·|X|^t; ``cum[level]`` also counts the
+        splits (x, y) over every string of the domain.
         """
-        letters = self.alphabet.letters
-        contexts: list[tuple[str, str]] = []
-        cum = [0] * (self.level + 1)
-        for total in range(self.level + 1):
-            for i in range(total + 1):
-                for xs in itertools.product(letters, repeat=i):
-                    x = "".join(xs)
-                    for zs in itertools.product(letters, repeat=total - i):
-                        contexts.append((x, "".join(zs)))
-            cum[total] = len(contexts)
-        return contexts, cum
+        k = len(self.alphabet)
+        return list(itertools.accumulate((t + 1) * k**t for t in range(self.level + 1)))
+
+    @cached_property
+    def contexts(self) -> list[tuple[str, str]]:
+        """All context pairs (x, z) with |x|+|z| <= level.
+
+        Ordered by total length, then x in length-lex order, then z, so
+        the contexts within a budget b are the prefix ``context_counts[b]``.
+        """
+        words = [self.of_length(t) for t in range(self.level + 1)]
+        return [(x, z) for total in range(self.level + 1) for i in range(total + 1)
+                for x in words[i] for z in words[total - i]]
 
 
 def table_fn(

@@ -204,6 +204,15 @@ def extend(spec: PartialSpec, level: int) -> BoundedFn:
     return recursion_extension(spec, level)
 
 
+def _require_gates(what: str, gates: dict[str, CheckReport]) -> None:
+    """Raise PreconditionError naming the failing gates, with their reports."""
+    bad = {name: r for name, r in gates.items() if r.verdict == FAILS}
+    if bad:
+        raise PreconditionError(
+            f"{what} preconditions failed: " + ", ".join(sorted(bad)), bad
+        )
+
+
 def check_determination(
     fn: BoundedFn, other: BoundedFn, m: int, level: int
 ) -> CheckReport:
@@ -217,17 +226,12 @@ def check_determination(
         raise PreconditionError("determination check requires a common alphabet")
     f_vals = fn.domain(level).vals
     g_vals = other.domain(level).vals
-    gates = {
+    _require_gates("determination", {
         "first associative": check_associative_full(fn, level),
         "first m-bounded": check_m_bounded(fn, m, level),
         "second associative": check_associative_full(other, level),
         "second m-bounded": check_m_bounded(other, m, level),
-    }
-    bad = {name: r for name, r in gates.items() if r.verdict == FAILS}
-    if bad:
-        raise PreconditionError(
-            "determination preconditions failed: " + ", ".join(sorted(bad)), bad
-        )
+    })
 
     # Length-lex order puts every low-arity string first: the parts of
     # arity <= m + 1 are compared, then everything else is counted.
@@ -253,15 +257,10 @@ def identity_patch(fn: BoundedFn, k: int, m: int, level: int) -> BoundedFn:
     """
     if k > m:
         raise PreconditionError(f"patch arity {k} exceeds the bound m = {m}")
-    gates = {
+    _require_gates("patch", {
         "associative": check_associative_full(fn, level),
         "m-bounded": check_m_bounded(fn, m, level),
-    }
-    bad = {name: r for name, r in gates.items() if r.verdict == FAILS}
-    if bad:
-        raise PreconditionError(
-            "patch preconditions failed: " + ", ".join(sorted(bad)), bad
-        )
+    })
     entries = {
         s: (s if len(s) <= k else v) for s, v in fn.value_map(level).items()
     }

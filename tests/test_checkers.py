@@ -53,7 +53,7 @@ from strfn import (
 )
 from strfn.checkers import (
     _assoc_scan,
-    _associative_by_congruence,
+    _assoc_by_congruence,
     _equiv_scan,
     _finish,
     _is_congruence,
@@ -504,9 +504,12 @@ def decider_corpus(rng):
     Random string and token tables over 1-3 letters (a string table fixes
     the empty string half the time); transformation tables, string- and
     token-valued, which hold and take the deciders; builtins and
-    transformation tables with one entry set to another's value; and
-    lengthening functions whose laws hold with bounded skips:
-    ``separator_insert`` and two-letter constants.
+    transformation tables with one entry set to another's value;
+    lengthening functions whose laws hold with bounded skips and are
+    decided: ``separator_insert`` and two-letter constants; and tables
+    that send every string shorter than L to one string of L + 1 letters
+    and fix X^L, whose associativity holds with skips but whose kernel is
+    no congruence, so they are scanned.
     """
     alphabets = [Alphabet(tuple(s)) for s in ("a", "ab", "ba", "abc", "cab")]
     builtins = [ofo_fn, sort_fn, identity_fn,
@@ -541,6 +544,10 @@ def decider_corpus(rng):
         else:
             value = "".join(rng.choices(alphabet.letters, k=2))
             yield "lengthening", constant_fn(alphabet, level, value)
+        level = rng.randint(2, 4)
+        long = "".join(rng.choices(alphabet.letters, k=level + 1))
+        yield "undecided", table_fn(alphabet, level,
+                                    lambda s: s if len(s) == level else long)
 
 
 def test_deciders_match_the_scans():
@@ -557,7 +564,7 @@ def test_deciders_match_the_scans():
         seen["preassoc", _is_congruence(dom), report.verdict, report.incomplete] += 1
         if not fn.string_valued:
             continue
-        decided = _associative_by_congruence(dom)
+        decided = _assoc_by_congruence(dom, level) is not None
         for reduced, check in ((False, check_associative_full),
                                (True, check_associative_reduced)):
             witness, checked, skipped, _ = _assoc_scan(
@@ -568,11 +575,13 @@ def test_deciders_match_the_scans():
         if dom.vals[""] == "":
             reports = check_equivalent_definitions(fn, level)
             assert reports == _equiv_scan(dom), kind
-            seen["equiv", decided, reports["i"].verdict] += 1
+            shrinks = all(len(v) <= len(s) for s, v in dom.vals.items())
+            seen["equiv", decided and shrinks, reports["i"].verdict] += 1
     assert seen["preassoc", True, HOLDS, True] >= 100
     assert seen["preassoc", False, FAILS, True] >= 100
     for name in ("check_associative_full", "check_associative_reduced"):
         assert seen[name, True, HOLDS, False] >= 100
+        assert seen[name, True, HOLDS, True] >= 100
         assert seen[name, False, HOLDS, True] >= 100
         assert seen[name, False, FAILS, False] >= 100
     assert seen["equiv", True, HOLDS] >= 100
@@ -589,6 +598,10 @@ def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
     ofo = ofo_fn(ab3, 5)
     assert check_associative_full(ofo, 5, jobs=2).verdict == HOLDS
     assert check_associative_reduced(ofo, 5, jobs=2).verdict == HOLDS
+    for fn in (separator_insert_fn(ab3, 6, "|"), constant_fn(ab, 5, "ab")):
+        report = check_associative_full(fn, fn.bound)
+        assert report.verdict == HOLDS and report.incomplete
+        assert check_associative_reduced(fn, fn.bound).verdict == HOLDS
     reports = check_equivalent_definitions(ofo_fn(ab, 6), 6)
     assert {r.verdict for r in reports.values()} == {HOLDS}
     assert check_preassociative(length_fn(ab, 7), 7).verdict == HOLDS

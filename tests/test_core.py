@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
 import pickle
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +226,28 @@ def test_domain_is_memoized_for_the_latest_level(ab):
     assert fn.domain(3).classes["ab"] == ["ab", "aab", "aba", "abb"]
     with pytest.raises(OutOfDomainError):
         fn.domain(4)
+
+
+def test_context_counts_index_the_context_prefixes(ab):
+    dom = ofo_fn(ab, 3).domain(2)
+    assert dom.context_counts == [1, 5, 17]
+    assert [len(x) + len(z) for x, z in dom.contexts] == [0] + [1] * 4 + [2] * 12
+    assert dom.contexts[:5] == [("", ""), ("", "a"), ("", "b"), ("a", ""), ("b", "")]
+
+
+def test_package_imports_only_the_standard_library():
+    # Every import in the package is relative, of strfn itself, or of a
+    # standard-library module.
+    sources = sorted((Path(__file__).parent.parent / "src" / "strfn").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "strfn" or top in sys.stdlib_module_names, (path.name, name)
