@@ -22,12 +22,11 @@ statement of that counting rule; the checkers here and the conditions of
 The hot kernels count by hand with the same rule and end in
 :func:`_finish`: ``_assoc_scan``, ``_preassoc_scan``, ``_assoc_iii``,
 ``_assoc_iv`` and ``lengthbased.check_alpha_equations``
-(``_preassoc_witness`` only searches).  The associativity checks return
-the same report for every ``jobs``, since their pooled runs add up to
-the serial scan.  The preassociativity check is the one exception: its
-counters come from its scan over kernel-class pairs up to the first
-failure it meets, while its witness is the least failing instance over
-the same pairs, found by walking the total length |x y y2 z| upward.
+(``_preassoc_witness`` only searches).  The preassociativity check is
+the one exception: its counters come from its scan over kernel-class
+pairs up to the first failure it meets, while its witness is the least
+failing instance over the same pairs, found by walking the total length
+|x y y2 z| upward.
 
 Associativity, preassociativity and the equivalent definitions take one
 of two paths.  The congruence decider runs first: it compares each
@@ -53,10 +52,7 @@ enforces ``0 <= level <= fn.bound``.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -203,29 +199,16 @@ def _assoc_by_congruence(dom, cap: int) -> CheckReport | None:
 # associativity
 
 
-def _starmap(func, arg_tuples, jobs):
-    """Each ``func(*args)`` in order, on up to ``jobs`` worker processes.
+def _assoc_scan(strings, vals, level, reduced):
+    """Scan the splits of each string in ``strings``, in order.
 
-    The pool gets no more workers than tasks or CPUs (all of them start at
-    once); with one worker the calls run in-process.
-    """
-    workers = min(jobs, len(arg_tuples), os.cpu_count() or 1)
-    if workers <= 1:
-        return [func(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, *zip(*arg_tuples)))
-
-
-def _assoc_scan(strings, vals, level, reduced, lo, hi):
-    """Scan the splits of each string of the run ``strings[lo:hi]``, in order.
-
-    Returns the first failure (or None), the counters up to it and the
-    number of strings entered, the failing one included.
+    Every split (x, y, z) of w, or with ``reduced`` only those with
+    |xz| <= 1.  Returns the first failure (or None), the counters up to it
+    and the number of strings entered, the failing one included.
     """
     checked = 0
     skipped = 0
-    for wi in range(lo, hi):
-        w = strings[wi]
+    for entered, w in enumerate(strings, 1):
         n = len(w)
         lhs = vals[w]
         if reduced:
@@ -247,58 +230,37 @@ def _assoc_scan(strings, vals, level, reduced, lo, hi):
                 witness = Witness(
                     (("x", w[:i]), ("y", y), ("z", w[j:])), lhs, rhs
                 )
-                return witness, checked, skipped, wi + 1 - lo
-    return None, checked, skipped, hi - lo
+                return witness, checked, skipped, entered
+    return None, checked, skipped, len(strings)
 
 
-def _run_assoc(fn: BoundedFn, level: int, reduced: bool, jobs: int) -> CheckReport:
-    """The congruence decider, else the scan of contiguous runs.
-
-    The decider (:func:`_assoc_by_congruence`) runs first, so a decided
-    input starts no pool.  Otherwise there are ``jobs`` runs of about
-    equal split count, but never more than CPUs, added up in order.
-    Each run before the first failing one was scanned in full, so the sums
-    up to that run are the serial counters; later runs are dropped.
-    """
+def _run_assoc(fn: BoundedFn, level: int, reduced: bool) -> CheckReport:
+    """The congruence decider (:func:`_assoc_by_congruence`), else the scan."""
     dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
     decided = _assoc_by_congruence(dom, 1 if reduced else level)
     if decided is not None:
         return decided
-    jobs = min(jobs, os.cpu_count() or 1)
-    strings, vals = dom.strings, dom.vals
-    cum = list(itertools.accumulate(
-        3 if reduced else (len(w) + 1) * (len(w) + 2) // 2 for w in strings))
-    # Run k ends at the first string where the split count reaches k/jobs of all.
-    cuts = [0, *(bisect.bisect_left(cum, cum[-1] * k / jobs) + 1 for k in range(1, jobs)),
-            len(strings)]
-    runs = [(strings, vals, level, reduced, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    checked = skipped = 0
-    for witness, c, s, _ in _starmap(_assoc_scan, runs, jobs):
-        checked += c
-        skipped += s
-        if witness is not None:
-            break
+    witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, reduced)
     return _finish(witness, checked, skipped)
 
 
-def check_associative_full(fn: BoundedFn, level: int, jobs: int = 1) -> CheckReport:
+def check_associative_full(fn: BoundedFn, level: int) -> CheckReport:
     """Verify F(xyz) = F(x F(y) z) over every split of every string in X^{<=level}.
 
     Instances where the inner value makes |x F(y) z| exceed the bound are
-    skipped and counted.  ``jobs`` sets the number of worker processes;
-    the report is the same for every ``jobs``.
+    skipped and counted.
     """
-    return _run_assoc(fn, level, reduced=False, jobs=jobs)
+    return _run_assoc(fn, level, reduced=False)
 
 
-def check_associative_reduced(fn: BoundedFn, level: int, jobs: int = 1) -> CheckReport:
+def check_associative_reduced(fn: BoundedFn, level: int) -> CheckReport:
     """Like the full check but restricted to contexts with |xz| <= 1.
 
     For m-bounded functions this restriction is decisive; for anything
     else a ``holds`` verdict with skips is advisory only.
     """
-    return _run_assoc(fn, level, reduced=True, jobs=jobs)
+    return _run_assoc(fn, level, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +475,7 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
 def _equiv_scan(dom) -> dict[str, CheckReport]:
     """The four formulations by scanning; (ii) is read off (i)."""
     strings, vals, level = dom.strings, dom.vals, dom.level
-    witness, checked, skipped, entered = _assoc_scan(
-        strings, vals, level, False, 0, len(strings)
-    )
+    witness, checked, skipped, entered = _assoc_scan(strings, vals, level, False)
     split = None
     if witness is not None:
         x, y, z = (v for _, v in witness.bindings)

@@ -109,7 +109,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("property", choices=list(_CHECKS))
     p.add_argument("--m", type=_nonnegative, help="output-length bound for bounded/range")
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes (max: CPU count)")
+    p.add_argument("--jobs", type=_jobs, default=1, help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("extend", help="grow a low-arity package to X^<=L")
     common(p)
@@ -191,8 +191,8 @@ def _required_m(args: argparse.Namespace) -> int:
 # The checker behind each property.  The lambdas look the checkers up
 # when called, so a checker rebound on this module is the one that runs.
 _CHECKS: dict[str, Callable[[BoundedFn, argparse.Namespace], Any]] = {
-    "assoc": lambda fn, a: check_associative_full(fn, a.bound, jobs=a.jobs),
-    "assoc-reduced": lambda fn, a: check_associative_reduced(fn, a.bound, jobs=a.jobs),
+    "assoc": lambda fn, a: check_associative_full(fn, a.bound),
+    "assoc-reduced": lambda fn, a: check_associative_reduced(fn, a.bound),
     "preassoc": lambda fn, a: check_preassociative(fn, a.bound),
     "standard": lambda fn, a: check_standard(fn, a.bound),
     "idempotent": lambda fn, a: check_idempotent(fn, a.bound),

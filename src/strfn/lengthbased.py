@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .checkers import (
-    FAILS, CheckReport, Witness, _finish, _require_string_valued, _scan, _starmap,
+    FAILS, CheckReport, Witness, _finish, _require_string_valued, _scan,
 )
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Token, Value
 from .errors import (
@@ -453,6 +454,22 @@ def compose_preassoc_length_based(
 
 # ---------------------------------------------------------------------------
 # exhaustive sweep: equations vs classification
+
+
+def _starmap(func, arg_tuples, jobs):
+    """Each ``func(*args)`` in order, on up to ``jobs`` worker processes.
+
+    The pool gets no more workers than tasks or CPUs (all of them start at
+    once); with one worker the calls run in-process.  The pool module is
+    imported only when a pool starts, so importing ``strfn`` loads none.
+    """
+    workers = min(jobs, len(arg_tuples), os.cpu_count() or 1)
+    if workers <= 1:
+        return [func(*args) for args in arg_tuples]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(func, *zip(*arg_tuples)))
 
 
 @dataclass

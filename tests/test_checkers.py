@@ -4,7 +4,10 @@ import hashlib
 import itertools
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -172,30 +175,28 @@ def late_failing_ofo(alphabet, bound, string):
     return table_fn(alphabet, bound, entries)
 
 
-def test_jobs_do_not_change_the_report(ab, ab3):
-    fn = ofo_fn(ab3, 5)
-    assert check_associative_full(fn, 5, jobs=2) == check_associative_full(fn, 5)
+def test_late_failures_and_seeded_tables(ab, ab3):
+    assert check_associative_full(ofo_fn(ab3, 5), 5).verdict == HOLDS
     flip = sort_fn(ab3, 5, order=("|", "b", "a"))
-    assert check_associative_full(flip, 5, jobs=3) == check_associative_full(flip, 5)
+    assert check_associative_full(flip, 5).verdict == HOLDS
     late = late_failing_ofo(ab, 5, "abaab")
     for check in (check_associative_full, check_associative_reduced):
-        serial = check(late, 5)
-        assert serial.verdict == FAILS
-        for jobs in (2, 3):
-            assert check(late, 5, jobs=jobs) == serial
+        report = check(late, 5)
+        assert report.verdict == FAILS
+        assert report.witness.lhs != report.witness.rhs
     assert check_associative_full(late, 5).checked == 544
 
     rng = random.Random(6)
     strings = list(enumerate_strings(ab, 4))
     for _ in range(8):
         fn = late_failing_ofo(ab, 4, rng.choice(strings[len(strings) // 2:]))
-        for check in (check_associative_full, check_associative_reduced):
-            assert check(fn, 4, jobs=2) == check(fn, 4)
+        assert check_associative_full(fn, 4).verdict == FAILS
+        assert check_associative_reduced(fn, 4).verdict == FAILS
         fn = random_string_table(ab, 4, rng, out_max=2)
-        assert check_associative_full(fn, 4, jobs=3) == check_associative_full(fn, 4)
+        assert check_associative_full(fn, 4).ok == oracle_associative(fn, 4)[0]
 
 
-def test_pool_never_outnumbers_tasks_or_cpus(ab, monkeypatch):
+def test_pool_never_outnumbers_tasks_or_cpus(monkeypatch):
     sizes = []
     tasks = []
 
@@ -217,20 +218,25 @@ def test_pool_never_outnumbers_tasks_or_cpus(ab, monkeypatch):
             tasks.append(len(args))
             return itertools.starmap(func, args)
 
-    monkeypatch.setattr("strfn.checkers.ProcessPoolExecutor", InProcessPool)
+    # _starmap imports the pool when it starts one, so it reads this patch.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    late = late_failing_ofo(ab, 4, "abaa")
-    assert check_associative_full(late, 4, jobs=500) == check_associative_full(late, 4)
-    assert sweep_alpha_tables(3, 3, jobs=500) == sweep_alpha_tables(3, 3)
-    assert check_associative_reduced(late, 4, jobs=3) == check_associative_reduced(late, 4)
-    assert sizes == [8, 4, 3]
-    assert tasks == [8, 4, 3]
-    # A decided input is never cut into runs: it maps no task.
-    assert check_associative_full(ofo_fn(ab, 4), 4, jobs=500).verdict == HOLDS
-    assert tasks == [8, 4, 3]
+    serial = sweep_alpha_tables(3, 3)
+    assert sweep_alpha_tables(3, 3, jobs=500) == serial
+    assert sweep_alpha_tables(3, 3, jobs=3) == serial
+    assert sizes == [4, 3]
+    assert tasks == [4, 4]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert check_associative_full(late, 4, jobs=500) == check_associative_full(late, 4)
-    assert sizes == [8, 4, 3]
+    assert sweep_alpha_tables(3, 3, jobs=500) == serial
+    assert sizes == [4, 3]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = ("import strfn.cli, sys; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -------------------------------------------------------------- preassociativity
@@ -567,8 +573,7 @@ def test_deciders_match_the_scans():
         decided = _assoc_by_congruence(dom, level) is not None
         for reduced, check in ((False, check_associative_full),
                                (True, check_associative_reduced)):
-            witness, checked, skipped, _ = _assoc_scan(
-                dom.strings, dom.vals, level, reduced, 0, len(dom.strings))
+            witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, reduced)
             report = check(fn, level)
             assert report == _finish(witness, checked, skipped), kind
             seen[check.__name__, decided, report.verdict, report.incomplete] += 1
@@ -596,8 +601,8 @@ def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
     monkeypatch.setattr("strfn.checkers._assoc_scan", no_scan)
     monkeypatch.setattr("strfn.checkers._preassoc_scan", no_scan)
     ofo = ofo_fn(ab3, 5)
-    assert check_associative_full(ofo, 5, jobs=2).verdict == HOLDS
-    assert check_associative_reduced(ofo, 5, jobs=2).verdict == HOLDS
+    assert check_associative_full(ofo, 5).verdict == HOLDS
+    assert check_associative_reduced(ofo, 5).verdict == HOLDS
     for fn in (separator_insert_fn(ab3, 6, "|"), constant_fn(ab, 5, "ab")):
         report = check_associative_full(fn, fn.bound)
         assert report.verdict == HOLDS and report.incomplete
