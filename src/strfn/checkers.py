@@ -29,22 +29,31 @@ failing instance over the same pairs, found by walking the total length
 |x y y2 z| upward.
 
 Associativity, preassociativity and the equivalent definitions take one
-of two paths.  The congruence decider runs first: it compares each
-kernel-class member with its class leader under one-letter contexts
-(:func:`_is_congruence`), in time linear in the domain.  When it proves
-the law, it returns the scan's report in closed form: preassociativity
-whenever the kernel is a congruence; the associativity checks when,
-besides, F(v) = v for every value v with |v| <= L, since a checked
-instance has |x F(y) z| <= L, so y ~ F(y) and F(xyz) = F(x F(y) z).
-Their count is one sum over the strings y: y is checked in
+of three paths: the congruence decider, the fails decider and the scan.
+The congruence decider runs first: it compares each kernel-class member
+with its class leader under one-letter contexts (:func:`_is_congruence`),
+in time linear in the domain.  When it proves the law, it returns the
+scan's report in closed form: preassociativity whenever the kernel is a
+congruence; the associativity checks when, besides, F(v) = v for every
+value v with |v| <= L, since a checked instance has |x F(y) z| <= L, so
+y ~ F(y) and F(xyz) = F(x F(y) z).  Their count is one sum over the
+strings y: y is checked in
 cum[min(cap, L - max(|y|, |F(y)|))] of the cum[min(cap, L - |y|)]
 contexts it enters (none when |F(y)| > L), and skipped in the rest, with
 cap = L (full) or 1 (reduced) and cum = ``Domain.context_counts``.  The
 equivalent definitions need also that F never lengthens, since the skips
-of (iii) depend on two values together.  Every other input -- a failing
-law, or a lengthening function whose kernel is no congruence -- takes
-the scan, which gives the counters and the witness.  Both paths give the
-same report.
+of (iii) depend on two values together.
+
+The fails decider serves the full associativity check when the first
+returns None and F never lengthens a string, so the law fails
+(:func:`_assoc_by_one_letter_splits`): one pass finds the first length
+at which a string fails a one-letter split, the failing strings of that
+length lead to the least failing string, and only that string's splits
+are scanned for the witness.  Everything else takes the scan, which
+gives the counters and the witness: the associativity checks of a
+lengthening function that the first decider leaves, the reduced check
+of a failing law (already linear), and the equivalent definitions when
+the first decider does not hold.  Every path gives the same report.
 
 Every checker reads its values from ``fn.domain(level)``, which also
 enforces ``0 <= level <= fn.bound``.
@@ -133,6 +142,10 @@ def _require_string_valued(fn: BoundedFn, op: str) -> None:
         raise PreconditionError(f"{op} applies to string-valued functions only")
 
 
+def _never_lengthens(vals) -> bool:
+    return all(len(v) <= len(s) for s, v in vals.items())
+
+
 # ---------------------------------------------------------------------------
 # congruence deciders
 
@@ -140,30 +153,28 @@ def _require_string_valued(fn: BoundedFn, op: str) -> None:
 def _is_congruence(dom) -> bool:
     """True when F's kernel is closed under one-letter contexts on X^{<=L}.
 
-    Each class member m with |m| < L is compared with its class leader
-    under every letter a: F(am) = F(a lead) and F(ma) = F(lead a).  The
-    leader is no longer than m, so both sides lie in the domain.  Stops at
-    the first mismatch.  This is exactly preassociativity on the bounded
-    domain; :func:`check_preassociative` has the proof.
+    Each string m with |m| < L is compared with its class leader, the
+    first string of its value, under every letter a: F(am) = F(a lead)
+    and F(ma) = F(lead a).  The leader is no longer than m, so both sides
+    lie in the domain.  Stops at the first mismatch.  This is exactly
+    preassociativity on the bounded domain; :func:`check_preassociative`
+    has the proof.
     """
     vals, level, letters = dom.vals, dom.level, dom.alphabet.letters
-    for members in dom.classes.values():
-        if len(members) < 2 or len(members[1]) >= level:
-            continue
-        lead = members[0]
-        left = [vals[a + lead] for a in letters]
-        right = [vals[lead + a] for a in letters]
-        for m in members[1:]:
-            if len(m) >= level:
-                break  # members are in length-lex order
-            for a, u, v in zip(letters, left, right):
-                if vals[a + m] != u or vals[m + a] != v:
+    leaders: dict[Value, str] = {}
+    for m, v in vals.items():
+        if len(m) >= level:
+            break  # strings are in length-lex order
+        lead = leaders.setdefault(v, m)
+        if lead != m:
+            for a in letters:
+                if vals[a + m] != vals[a + lead] or vals[m + a] != vals[lead + a]:
                     return False
     return True
 
 
 def _assoc_by_congruence(dom, cap: int) -> CheckReport | None:
-    """The associativity report in closed form, or None to scan.
+    """The associativity report in closed form, or None when it cannot decide.
 
     Decides when F(v) = v for every value v with |v| <= L and the kernel
     is a congruence (:func:`_is_congruence`); the full check has
@@ -172,9 +183,10 @@ def _assoc_by_congruence(dom, cap: int) -> CheckReport | None:
     Proof sketch.  A checked instance (x, y, z) has |x F(y) z| <= L, so
     v = F(y) fits, F(v) = v puts y and v in one kernel class, and bounded
     preassociativity gives F(xyz) = F(x v z), both sides within L.  So a
-    failing F takes the scan, which finds the witness.  A non-lengthening
-    associative F passes both tests (x = z = empty gives F(v) = v); a
-    lengthening one may fail the congruence test, and is scanned.
+    failing F is left to the fails decider or the scan, which find the
+    witness.  A non-lengthening associative F passes both tests (x = z =
+    empty gives F(v) = v); a lengthening one may fail the congruence
+    test, and is scanned.
 
     Counters, per string y: the contexts with |x| + |z| <= b number
     cum[b], so y enters cum[min(cap, L - |y|)] instances and is checked
@@ -204,7 +216,8 @@ def _assoc_scan(strings, vals, level, reduced):
 
     Every split (x, y, z) of w, or with ``reduced`` only those with
     |xz| <= 1.  Returns the first failure (or None), the counters up to it
-    and the number of strings entered, the failing one included.
+    and the number of strings entered, the failing one included.  The
+    checks pass the whole domain; the fails decider passes one string.
     """
     checked = 0
     skipped = 0
@@ -234,13 +247,88 @@ def _assoc_scan(strings, vals, level, reduced):
     return None, checked, skipped, len(strings)
 
 
+def _assoc_by_one_letter_splits(dom) -> CheckReport:
+    """The full associativity report of an F that never lengthens a string.
+
+    Proof sketch.  No instance leaves the bound, so none is skipped, and
+    F(empty) = empty passes the one split of the empty string.  Let every
+    string shorter than n pass every split, and let w, |w| = n, pass its
+    one-letter splits (0, n-1), (0, n) and (1, n).  Take a split (x, y, z)
+    of w with x = a x', and u = x F(y) z, so |u| <= n.  The shorter x'yz
+    passes (x', y, z), so F(w) = F(a F(x'yz)) = F(a F(x' F(y) z)).  If
+    |u| < n, u passes its split (a, x' F(y) z, empty), which says F(u) is
+    that same value; if |u| = n, that split is u's (1, n).  So w passes
+    (x, y, z) unless |F(y)| = |y| and u fails (1, n).  With x = empty and
+    z = z'b the same holds with (0, n-1) in place of (1, n).  By induction
+    on n:
+
+    - the first failing length n is that of the first string that fails a
+      one-letter split, found in one pass; with none, the law holds and
+      every split is checked;
+    - at length n, w fails exactly when it fails a one-letter split, or
+      some split with |F(y)| = |y| sends it to a u that fails (1, n) when
+      x is not empty, (0, n-1) when it is.
+
+    So each failing w is a failing u whose substring s = F(y), |s| < n, is
+    put back as y.  Only the least same-length preimage y != s of each s
+    is needed: y = s gives u itself, and a larger y gives a larger w.  The
+    witness is the first failing split of the least such string, scanned
+    alone.  ``checked`` adds the (|w'|+1)(|w'|+2)/2 splits of each string
+    w' before it to the splits scanned in it.
+    """
+    vals, alphabet, level = dom.vals, dom.alphabet, dom.level
+    n, first = level, None  # the first string failing a one-letter split
+    left, right = [], []  # the strings of length n failing (1, n), (0, n-1)
+    preimage: dict[str, str] = {}  # s -> the least y != s, |y| = |s|, F(y) = s
+    for w, v in itertools.islice(vals.items(), 1, None):
+        if len(w) > n:
+            break
+        if first is None and len(v) == len(w) and v != w:
+            preimage.setdefault(v, w)
+        fails_left = vals[w[0] + vals[w[1:]]] != v
+        fails_right = vals[vals[w[:-1]] + w[-1]] != v
+        if fails_left or fails_right or vals[v] != v:
+            if first is None:
+                n, first = len(w), w
+            if fails_left:
+                left.append(w)
+            if fails_right:
+                right.append(w)
+    k = len(alphabet)
+    splits = [(t + 1) * (t + 2) // 2 for t in range(level + 1)]  # per string of length t
+    if first is None:
+        return _finish(None, sum(k**t * c for t, c in enumerate(splits)), 0)
+    spans = itertools.chain(
+        ((u, i, j) for u in left for i in range(1, n) for j in range(i + 1, n + 1)),
+        ((u, 0, j) for u in right for j in range(1, n)),
+    )
+    w = min(itertools.chain((first,), (u[:i] + preimage[u[i:j]] + u[j:]
+                                       for u, i, j in spans if u[i:j] in preimage)),
+            key=alphabet.sort_key)
+    rank = 0  # of w among the strings of length n
+    for d in alphabet.sort_key(w):
+        rank = rank * k + d
+    before = sum(k**t * splits[t] for t in range(n)) + rank * splits[n]
+    witness, checked, skipped, _ = _assoc_scan([w], vals, level, False)
+    return _finish(witness, before + checked, skipped)
+
+
 def _run_assoc(fn: BoundedFn, level: int, reduced: bool) -> CheckReport:
-    """The congruence decider (:func:`_assoc_by_congruence`), else the scan."""
+    """The congruence decider, else the fails decider, else the scan.
+
+    The congruence decider (:func:`_assoc_by_congruence`) proves the law
+    or returns None.  The full check of an F that never lengthens a string
+    then takes :func:`_assoc_by_one_letter_splits`, which finds the
+    failure; the reduced check, already linear, and lengthening functions
+    take the scan.
+    """
     dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
     decided = _assoc_by_congruence(dom, 1 if reduced else level)
     if decided is not None:
         return decided
+    if not reduced and _never_lengthens(dom.vals):
+        return _assoc_by_one_letter_splits(dom)
     witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, reduced)
     return _finish(witness, checked, skipped)
 
@@ -348,7 +436,10 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
     longer than ay, so no step leaves the domain.  Counters: with members
     m_0..m_{n-1} and c_p = cum[L - |m_p|], the pair (m_p, m_q), p < q, is
     checked on c_q contexts and skipped on c_p - c_q, which sums to
-    checked = Σ p·c_p and skipped = Σ (n - 1 - 2p)·c_p per class.
+    checked = Σ p·c_p and skipped = Σ (n - 1 - 2p)·c_p per class.  One
+    pass over the domain counts both from two counters per class: when
+    m_q arrives, its pairs with m_0..m_{q-1} add q·c_q checked and
+    Σ_{p<q} c_p - q·c_q skipped.
 
     Otherwise the pair scan runs.  On failure, ``checked`` and ``skipped``
     count the pair scan up to the first failing instance it meets, while
@@ -361,13 +452,15 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
     if not _is_congruence(dom):
         return _preassoc_scan(dom)
     cum = dom.context_counts
+    seen: dict[Value, list[int]] = {}  # per class: members so far, their Σ c_p
     checked = skipped = 0
-    for members in dom.classes.values():
-        n = len(members)
-        for p, m in enumerate(members):
-            c = cum[level - len(m)]
-            checked += p * c
-            skipped += (n - 1 - 2 * p) * c
+    for m, v in dom.vals.items():
+        c = cum[level - len(m)]
+        counts = seen.setdefault(v, [0, 0])
+        q, total = counts
+        checked += q * c
+        skipped += total - q * c
+        counts[0], counts[1] = q + 1, total + c
     return _finish(None, checked, skipped)
 
 
@@ -460,8 +553,7 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
         raise PreconditionError(
             "equivalent-definitions check requires F(empty) = empty"
         )
-    full = (_assoc_by_congruence(dom, level)
-            if all(len(v) <= len(s) for s, v in dom.vals.items()) else None)
+    full = _assoc_by_congruence(dom, level) if _never_lengthens(dom.vals) else None
     if full is None:
         return _equiv_scan(dom)
     return {

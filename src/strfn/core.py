@@ -203,12 +203,15 @@ class Domain:
     """The values of one function on X^{<=level}, each evaluated once.
 
     ``vals`` is the only thing built eagerly; its keys are in length-lex
-    order.  The string list, the kernel classes and the context pool are
-    derived from it on first use.  Everything here is shared by every
-    caller of :meth:`BoundedFn.domain`, so callers must not mutate it.
+    order.  It is given as ``vals`` when the caller already holds it (a
+    total table at its bound), else evaluated.  The string list, the
+    kernel classes and the context pool are derived from it on first use.
+    Everything here is shared by every caller of :meth:`BoundedFn.domain`,
+    so callers must not mutate it.
     """
 
-    def __init__(self, fn: BoundedFn, level: int) -> None:
+    def __init__(self, fn: BoundedFn, level: int,
+                 vals: dict[str, Value] | None = None) -> None:
         if level < 0:
             raise ValueError(f"check bound must be nonnegative, got {level}")
         if level > fn.bound:
@@ -217,10 +220,10 @@ class Domain:
             )
         self.alphabet = fn.alphabet
         self.level = level
-        apply = fn.definition.apply
-        self.vals: dict[str, Value] = {
-            s: apply(s) for s in enumerate_strings(fn.alphabet, level)
-        }
+        if vals is None:
+            apply = fn.definition.apply
+            vals = {s: apply(s) for s in enumerate_strings(fn.alphabet, level)}
+        self.vals: dict[str, Value] = vals
 
     @cached_property
     def strings(self) -> list[str]:
@@ -297,4 +300,16 @@ def table_fn(
     if not callable(source) and len(source) > len(entries):
         extra = next(s for s in source if s not in entries)
         raise MalformedSpecError(f"table has an entry for {extra!r} outside X^<={bound}")
-    return BoundedFn(alphabet, bound, TableDef(codomain, entries))
+    return _total_table(alphabet, bound, codomain, entries)
+
+
+def _total_table(alphabet: Alphabet, bound: int, codomain: str,
+                 entries: dict[str, Value]) -> BoundedFn:
+    """The table of ``entries``, which holds X^{<=bound} in length-lex order.
+
+    The dict also serves as the function's domain at its bound, so the
+    table is neither evaluated nor copied a second time.
+    """
+    fn = BoundedFn(alphabet, bound, TableDef(codomain, entries))
+    object.__setattr__(fn, "_domain", Domain(fn, bound, entries))
+    return fn

@@ -24,7 +24,8 @@ from .checkers import (
     check_m_bounded,
 )
 from .core import (
-    STRING, Alphabet, BoundedFn, TableDef, Value, count_strings, enumerate_strings, table_fn,
+    STRING, Alphabet, BoundedFn, Value, _total_table, count_strings, enumerate_strings,
+    table_fn,
 )
 from .errors import ConditionsFailedError, MalformedSpecError, PreconditionError
 
@@ -190,7 +191,7 @@ def recursion_extension(spec: PartialSpec, level: int) -> BoundedFn:
                 f"outputs must have at most m = {spec.m} letters"
             )
         entries[s] = entries[folded]
-    return BoundedFn(spec.alphabet, level, TableDef(STRING, entries))
+    return _total_table(spec.alphabet, level, STRING, entries)
 
 
 def extend(spec: PartialSpec, level: int) -> BoundedFn:

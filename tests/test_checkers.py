@@ -55,11 +55,13 @@ from strfn import (
     table_fn,
 )
 from strfn.checkers import (
-    _assoc_scan,
     _assoc_by_congruence,
+    _assoc_by_one_letter_splits,
+    _assoc_scan,
     _equiv_scan,
     _finish,
     _is_congruence,
+    _never_lengthens,
     _preassoc_scan,
 )
 from strfn.factorization import factorize
@@ -512,10 +514,15 @@ def decider_corpus(rng):
     token-valued, which hold and take the deciders; builtins and
     transformation tables with one entry set to another's value;
     lengthening functions whose laws hold with bounded skips and are
-    decided: ``separator_insert`` and two-letter constants; and tables
+    decided: ``separator_insert`` and two-letter constants; tables
     that send every string shorter than L to one string of L + 1 letters
     and fix X^L, whose associativity holds with skips but whose kernel is
-    no congruence, so they are scanned.
+    no congruence, so they are scanned; and late failures that never
+    lengthen: ``ofo``, ``sort`` in reverse letter order and transformation
+    tables built in reverse letter order, with one string among the last
+    half of X^L sent to a shorter string.  Reversed, a length-preserving
+    value can be greater than its preimage, so the first failing string
+    need not be the first to fail a one-letter split.
     """
     alphabets = [Alphabet(tuple(s)) for s in ("a", "ab", "ba", "abc", "cab")]
     builtins = [ofo_fn, sort_fn, identity_fn,
@@ -554,16 +561,26 @@ def decider_corpus(rng):
         long = "".join(rng.choices(alphabet.letters, k=level + 1))
         yield "undecided", table_fn(alphabet, level,
                                     lambda s: s if len(s) == level else long)
+        reverse = alphabet.letters[::-1]
+        fn = rng.choice([
+            lambda: ofo_fn(alphabet, level),
+            lambda: sort_fn(alphabet, level, reverse),
+            lambda: transformation_table(Alphabet(reverse), level, rng, rng.randint(2, 3)),
+        ])()
+        entries = dict(fn.value_map())
+        top = list(entries)[-len(alphabet) ** level:]
+        entries[rng.choice(top[len(top) // 2:])] = rng.choice(list(entries)[:-len(top)])
+        yield "late", table_fn(alphabet, level, entries)
 
 
 def test_deciders_match_the_scans():
     # Each decided report must equal the one the scan it replaces gives,
     # and every other input must still be scanned: whole reports (verdict,
     # witness, counters, detail) over full, reduced, equivalent
-    # definitions and preassociativity.
+    # definitions and preassociativity, counted by the path that ran.
     rng = random.Random(2026)
     seen = Counter()
-    for kind, fn in itertools.islice(decider_corpus(rng), 1500):
+    for kind, fn in itertools.islice(decider_corpus(rng), 2500):
         level, dom = fn.bound, fn.domain(fn.bound)
         report = check_preassociative(fn, level)
         assert report == _preassoc_scan(dom), kind
@@ -571,24 +588,42 @@ def test_deciders_match_the_scans():
         if not fn.string_valued:
             continue
         decided = _assoc_by_congruence(dom, level) is not None
+        shrinks = _never_lengthens(dom.vals)
+        strings = {}
         for reduced, check in ((False, check_associative_full),
                                (True, check_associative_reduced)):
             witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, reduced)
             report = check(fn, level)
             assert report == _finish(witness, checked, skipped), kind
-            seen[check.__name__, decided, report.verdict, report.incomplete] += 1
+            path = ("congruence" if decided
+                    else "one-letter" if shrinks and not reduced else "scan")
+            seen[check.__name__, path, report.verdict, report.incomplete] += 1
+            if witness is not None:
+                strings[reduced] = "".join(v for _, v in witness.bindings)
+        if shrinks:
+            # The fails decider also gives the report of a law that holds.
+            full = check_associative_full(fn, level)
+            assert _assoc_by_one_letter_splits(dom) == full, kind
+            # With no skips, the reduced witness is the first string to
+            # fail a one-letter split; a full witness before it came from
+            # another failing string.
+            if strings and strings[False] != strings[True]:
+                seen["witness before the first one-letter failure"] += 1
         if dom.vals[""] == "":
             reports = check_equivalent_definitions(fn, level)
             assert reports == _equiv_scan(dom), kind
-            shrinks = all(len(v) <= len(s) for s, v in dom.vals.items())
             seen["equiv", decided and shrinks, reports["i"].verdict] += 1
     assert seen["preassoc", True, HOLDS, True] >= 100
     assert seen["preassoc", False, FAILS, True] >= 100
     for name in ("check_associative_full", "check_associative_reduced"):
-        assert seen[name, True, HOLDS, False] >= 100
-        assert seen[name, True, HOLDS, True] >= 100
-        assert seen[name, False, HOLDS, True] >= 100
-        assert seen[name, False, FAILS, False] >= 100
+        assert seen[name, "congruence", HOLDS, False] >= 100
+        assert seen[name, "congruence", HOLDS, True] >= 100
+        assert seen[name, "scan", HOLDS, True] >= 100
+    assert seen["check_associative_full", "one-letter", FAILS, False] >= 100
+    assert seen["check_associative_full", "one-letter", HOLDS, False] == 0
+    assert seen["check_associative_full", "scan", FAILS, False] >= 100
+    assert seen["check_associative_reduced", "scan", FAILS, False] >= 100
+    assert seen["witness before the first one-letter failure"] >= 10
     assert seen["equiv", True, HOLDS] >= 100
     assert seen["equiv", False, FAILS] >= 100
 
@@ -615,6 +650,34 @@ def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
     checks = factorize(letter_remove_g_fn(ab, 6, "b"), 6).checks
     assert checks["inner-associative"].verdict == HOLDS
     assert factorize(length_fn(ab, 6), 6).clean
+
+    # A failing function that never lengthens: only the witness string is
+    # scanned.
+    def witness_only(strings, *args):
+        if len(strings) != 1:
+            raise AssertionError("a failing input that never lengthens was scanned")
+        return _assoc_scan(strings, *args)
+
+    monkeypatch.setattr("strfn.checkers._assoc_scan", witness_only)
+    ofo = dict(ofo_fn(ab, 9).value_map())
+    ofo["bbbbbbbba"] = "b"
+    transformation = dict(transformation_table(ab3, 5, random.Random(3), 3).value_map())
+    transformation["||||a"] = "a"
+    reversed_sort = dict(sort_fn(ab, 6, ("b", "a")).value_map())
+    reversed_sort["bbbabb"] = "a"
+    for alphabet, level, entries, failing in ((ab, 9, ofo, "bbbbbbbba"),
+                                              (ab3, 5, transformation, "||||a"),
+                                              (ab, 6, reversed_sort, "abbbbb")):
+        fn = table_fn(alphabet, level, entries)
+        dom = fn.domain(level)
+        witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, False)
+        report = check_associative_full(fn, level)
+        assert report == _finish(witness, checked, skipped)
+        assert "".join(v for _, v in report.witness.bindings) == failing
+    # "abbbbb" fails no one-letter split: F(abbb) = bbba puts it on the
+    # string "bbbabb", which does.
+    assert report.witness.bindings == (("x", ""), ("y", "abbb"), ("z", "bb"))
+    assert report.checked == 1896
 
 
 def test_equivalent_definitions_need_empty_fixed(ab):

@@ -156,6 +156,7 @@ def test_value_map_round_trip(ab):
     entries = {s: s[:1] for s in enumerate_strings(ab, 3)}
     fn = table_fn(ab, 3, entries)
     assert fn.value_map() == entries
+    assert fn.value_map() is fn.definition.entries  # the table is its own domain
     assert fn.value_map(max_len=1) == {"": "", "a": "a", "b": "b"}
 
 
