@@ -9,6 +9,11 @@ by :func:`check_alpha_equations`:
 - alpha(alpha(n)) = alpha(n)
 - alpha(n) = alpha(n') implies alpha(n+k) = alpha(n'+k)
 
+The shift equation is checked per value class: each later occurrence
+of a value is compared, in one slice, with the value's first occurrence.
+A failing table is reported as the pairwise scan would: idempotence by
+n, then pairs n < n2 of equal entries, then shifts k.
+
 Such profiles have a rigid shape, captured by :class:`AlphaFn`: either
 the identity, or an initial identity segment of length ``n1`` followed
 by an eventually periodic tail of period ``ell`` whose first window
@@ -25,15 +30,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .checkers import (
-    FAILS, CheckReport, Witness, _finish, _require_string_valued, _scan,
-)
+from .checkers import CheckReport, Witness, _finish, _require_string_valued, _scan
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Token, Value
 from .errors import (
-    InsufficientHorizonError,
-    MissingEntryError,
-    PreconditionError,
-    UnevaluableError,
+    InsufficientHorizonError, MissingEntryError, PreconditionError, UnevaluableError,
     WitnessError,
 )
 
@@ -87,54 +87,69 @@ def _validate_table(values: Sequence[int]) -> None:
     if not values:
         raise ValueError("profile table must have at least one entry")
     for n, v in enumerate(values):
-        if not isinstance(v, int) or v < 0:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValueError(f"profile table entry {n} must be a nonnegative int")
+
+
+def _equations_hold(values: Sequence[int]) -> bool:
+    """Both profile equations, on a table with no entry above its horizon.
+
+    The shift equation is tested per value class: each later member m of
+    a class with first member f must have ``values[f+1 : f+size-m] ==
+    values[m+1:]``.  That suffices: for members f <= n < n2, the compares
+    (f, n) and (f, n2) cover every shift k < size - n2, so alpha(n+k) =
+    alpha(f+k) = alpha(n2+k).  The converse is the equation at (f, m).
+    """
+    size = len(values)
+    first: dict[int, int] = {}
+    for m, v in enumerate(values):
+        if values[v] != v:
+            return False
+        f = first.setdefault(v, m)
+        if f != m and values[f + 1 : f + size - m] != values[m + 1 :]:
+            return False
+    return True
 
 
 def check_alpha_equations(values: Sequence[int]) -> CheckReport:
     """Check the two profile equations on the table's horizon.
 
+    ``checked`` counts as the pairwise scan: one per entry for idempotence,
+    then size-1-n2 shifts per pair n < n2 of equal entries.  A holding
+    table (:func:`_equations_hold`) is counted in closed form.  A failing
+    one is walked in the scan's order (n, then n2, then k) with one slice
+    compare per pair, and only the first mismatching pair shift by shift.
+
     Raises UnevaluableError when some entry exceeds the horizon, since
     alpha(alpha(n)) would then be unreadable.
     """
     _validate_table(values)
-    horizon = len(values) - 1
+    size = len(values)
+    members: dict[int, list[int]] = {}
+    checked = size
     for n, v in enumerate(values):
-        if v > horizon:
-            raise UnevaluableError(
-                f"entry alpha({n}) = {v} exceeds horizon {horizon}"
-            )
-
-    checked = 0
+        if v >= size:
+            raise UnevaluableError(f"entry alpha({n}) = {v} exceeds horizon {size - 1}")
+        earlier = members.setdefault(v, [])
+        checked += len(earlier) * (size - 1 - n)
+        earlier.append(n)
+    if _equations_hold(values):
+        return _finish(None, checked, 0)
     for n, v in enumerate(values):
-        checked += 1
         if values[v] != v:
-            return CheckReport(
-                FAILS,
-                Witness((("n", str(n)),), Token(values[v]), Token(v)),
-                checked,
-                0,
-                detail="alpha(alpha(n)) != alpha(n)",
-            )
-
-    for n in range(len(values)):
-        for n2 in range(n + 1, len(values)):
-            if values[n] != values[n2]:
+            witness = Witness((("n", str(n)),), Token(values[v]), Token(v))
+            return _finish(witness, n + 1, 0, "alpha(alpha(n)) != alpha(n)")
+    checked = size
+    for n, v in enumerate(values):
+        cls = members[v]
+        for n2 in cls[cls.index(n) + 1 :]:
+            if values[n + 1 : n + size - n2] == values[n2 + 1 :]:
+                checked += size - 1 - n2
                 continue
-            for k in range(1, len(values) - n2):
-                checked += 1
-                if values[n + k] != values[n2 + k]:
-                    return CheckReport(
-                        FAILS,
-                        Witness(
-                            (("n", str(n)), ("n2", str(n2)), ("k", str(k))),
-                            Token(values[n + k]),
-                            Token(values[n2 + k]),
-                        ),
-                        checked,
-                        0,
-                        detail="equal values fail to shift together",
-                    )
+            k = next(k for k in range(1, size - n2) if values[n + k] != values[n2 + k])
+            witness = Witness((("n", str(n)), ("n2", str(n2)), ("k", str(k))),
+                              Token(values[n + k]), Token(values[n2 + k]))
+            return _finish(witness, checked + k, 0, "equal values fail to shift together")
     return _finish(None, checked, 0)
 
 
@@ -143,14 +158,10 @@ def _window_rejection(values: Sequence[int], n1: int, ell: int) -> AlphaRejectio
     for n in range(n1, n1 + ell):
         v = values[n]
         if v < n:
-            return AlphaRejection(
-                "window-growth", f"alpha({n}) = {v} < {n} inside the window"
-            )
+            return AlphaRejection("window-growth", f"alpha({n}) = {v} < {n} inside the window")
         if (v - n) % ell != 0:
-            return AlphaRejection(
-                "window-residue",
-                f"alpha({n}) = {v} is not congruent to {n} mod {ell}",
-            )
+            return AlphaRejection("window-residue",
+                                  f"alpha({n}) = {v} is not congruent to {n} mod {ell}")
     return None
 
 
@@ -202,9 +213,7 @@ def synthesize_alpha(n1: int, ell: int, window: Sequence[int]) -> AlphaFn | Alph
     if ell < 1:
         raise ValueError(f"period must be positive, got {ell}")
     if len(window) != n1 + ell:
-        raise ValueError(
-            f"window must have {n1 + ell} entries, got {len(window)}"
-        )
+        raise ValueError(f"window must have {n1 + ell} entries, got {len(window)}")
     _validate_table(window)
     for n in range(n1):
         if window[n] != n:
@@ -423,9 +432,7 @@ def compose_preassoc_length_based(
         table.append(len(mu[n]))
     shape = classify_alpha(table)
     if isinstance(shape, AlphaRejection):
-        raise PreconditionError(
-            f"|mu(n)| is not a valid profile: {shape.message}"
-        )
+        raise PreconditionError(f"|mu(n)| is not a valid profile: {shape.message}")
 
     reachable = {mu[n] for n in range(bound + 1)}
     seen: dict[Value, str] = {}
@@ -436,10 +443,8 @@ def compose_preassoc_length_based(
         v = relabel[s]
         kinds.add(STRING if isinstance(v, str) else TOKEN)
         if v in seen and seen[v] != s:
-            raise PreconditionError(
-                f"relabeling is not injective: {seen[v]!r} and {s!r} "
-                f"both map to {v!r}"
-            )
+            raise PreconditionError(f"relabeling is not injective: {seen[v]!r} and {s!r} "
+                                    f"both map to {v!r}")
         seen[v] = s
     if len(kinds) > 1:
         raise PreconditionError("relabeling mixes string and token values")
@@ -447,9 +452,7 @@ def compose_preassoc_length_based(
 
     mu_entries = tuple((n, mu[n]) for n in range(bound + 1))
     relabel_entries = tuple((s, relabel[s]) for s in sorted(reachable))
-    return BoundedFn(
-        alphabet, bound, RelabeledLengthDef(mu_entries, relabel_entries, codomain)
-    )
+    return BoundedFn(alphabet, bound, RelabeledLengthDef(mu_entries, relabel_entries, codomain))
 
 
 # ---------------------------------------------------------------------------
@@ -492,29 +495,29 @@ def _sweep_chunk(prefix: int, horizon: int, max_value: int) -> AlphaSweep:
         values = (prefix, *rest)
         out.total += 1
         try:
-            shape = classify_alpha(values)
-            holds = check_alpha_equations(values).ok
-        except (InsufficientHorizonError, UnevaluableError):
+            accepted = isinstance(classify_alpha(values), AlphaFn)
+        except InsufficientHorizonError:
+            accepted = None
+        if accepted is None or max(values) > horizon:
             out.insufficient += 1
             continue
-        accepted = isinstance(shape, AlphaFn)
-        if holds:
-            out.equations_hold += 1
-        if accepted:
-            out.accepted += 1
-        else:
-            out.rejected += 1
+        holds = _equations_hold(values)
+        out.equations_hold += holds
+        out.accepted += accepted
+        out.rejected += not accepted
         if accepted != holds:
             out.mismatches.append(values)
     return out
 
 
 def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSweep:
-    """Compare check_alpha_equations with classify_alpha over all tables.
+    """Compare the profile equations with classify_alpha over all tables.
 
-    Enumerates every table of length horizon+1 with entries 0..max_value;
-    tables rejected as InsufficientHorizon are excluded from the
-    comparison but counted.  Deterministic for any worker count.
+    Enumerates every table of length horizon+1 with entries 0..max_value.
+    A table is counted under ``insufficient``, and left out of the
+    comparison, when classify_alpha raises InsufficientHorizonError or an
+    entry exceeds the horizon (possible when max_value > horizon), where
+    the equations cannot be evaluated.  Deterministic for any worker count.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -525,10 +528,7 @@ def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSwee
     )
     total = AlphaSweep()
     for chunk in chunks:
-        total.total += chunk.total
-        total.equations_hold += chunk.equations_hold
-        total.accepted += chunk.accepted
-        total.rejected += chunk.rejected
-        total.insufficient += chunk.insufficient
-        total.mismatches.extend(chunk.mismatches)
+        for name in ("total", "equations_hold", "accepted", "rejected", "insufficient"):
+            setattr(total, name, getattr(total, name) + getattr(chunk, name))
+        total.mismatches += chunk.mismatches
     return total

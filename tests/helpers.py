@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import itertools
 
-from strfn import FAILS, HOLDS, VACUOUS, BoundedFn, CheckReport, Witness, enumerate_strings
+from strfn import (
+    FAILS, HOLDS, VACUOUS, BoundedFn, CheckReport, Token, UnevaluableError, Witness,
+    enumerate_strings,
+)
 
 
 def oracle_associative(fn: BoundedFn, level: int) -> tuple[bool, int]:
@@ -137,6 +140,52 @@ def oracle_decompositions_agree(fn: BoundedFn, level: int) -> CheckReport:
                     )
                     return CheckReport(FAILS, witness, checked, skipped)
     return CheckReport(HOLDS if checked else VACUOUS, None, checked, skipped)
+
+
+def oracle_alpha_equations(values) -> CheckReport:
+    """The report of ``check_alpha_equations`` by the pairwise scan.
+
+    Idempotence entry by entry, then every pair n < n2 of equal entries at
+    every shift k, in that order.  O(h^3).
+    """
+    horizon = len(values) - 1
+    for n, v in enumerate(values):
+        if v > horizon:
+            raise UnevaluableError(
+                f"entry alpha({n}) = {v} exceeds horizon {horizon}"
+            )
+
+    checked = 0
+    for n, v in enumerate(values):
+        checked += 1
+        if values[v] != v:
+            return CheckReport(
+                FAILS,
+                Witness((("n", str(n)),), Token(values[v]), Token(v)),
+                checked,
+                0,
+                detail="alpha(alpha(n)) != alpha(n)",
+            )
+
+    for n in range(len(values)):
+        for n2 in range(n + 1, len(values)):
+            if values[n] != values[n2]:
+                continue
+            for k in range(1, len(values) - n2):
+                checked += 1
+                if values[n + k] != values[n2 + k]:
+                    return CheckReport(
+                        FAILS,
+                        Witness(
+                            (("n", str(n)), ("n2", str(n2)), ("k", str(k))),
+                            Token(values[n + k]),
+                            Token(values[n2 + k]),
+                        ),
+                        checked,
+                        0,
+                        detail="equal values fail to shift together",
+                    )
+    return CheckReport(HOLDS if checked else VACUOUS, None, checked, 0)
 
 
 def oracle_standard(fn: BoundedFn, level: int) -> bool:

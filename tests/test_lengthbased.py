@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import json
 import random
 
 import pytest
 
+from helpers import oracle_alpha_equations
 from strfn import (
     FAILS,
     HOLDS,
@@ -37,6 +40,8 @@ from strfn import (
     synthesize_alpha,
     table_fn,
 )
+from strfn.lengthbased import _equations_hold
+from strfn.specio import report_to_json
 
 
 def window_alpha():
@@ -92,6 +97,61 @@ def test_equations_shift_failure():
 def test_equations_cannot_follow_large_values():
     with pytest.raises(UnevaluableError):
         check_alpha_equations([0, 9])
+
+
+def alpha_corpus():
+    """Every table of horizon 5 with entries 0..5, random small tables
+    (every fifth one with entries up to one past its horizon), and
+    synthesized profiles up to horizon ~160, each also with one entry
+    copied over another."""
+    yield from itertools.product(range(6), repeat=6)
+    rng = random.Random(13)
+    for i in range(20000):
+        horizon = rng.randint(0, 12)
+        top = horizon + (i % 5 == 0)
+        yield tuple(rng.randint(0, top) for _ in range(horizon + 1))
+    for _ in range(300):
+        n1, ell = rng.randint(0, 40), rng.randint(1, 12)
+        window = [*range(n1), *(n + ell * rng.randint(0, 4) for n in range(n1, n1 + ell))]
+        alpha = synthesize_alpha(n1, ell, window)
+        values = [eval_alpha(alpha, n) for n in range(max(window) + rng.randint(1, 4 * ell) + 1)]
+        yield tuple(values)
+        j, k = rng.sample(range(len(values)), 2)
+        values[j] = values[k]
+        yield tuple(values)
+
+
+def test_equations_match_the_pairwise_oracle():
+    """The per-class check gives the pairwise scan's report byte for byte,
+    and the sweep's boolean test gives its verdict."""
+    paths = {"holds": 0, "fixed-point": 0, "shift": 0, "late-shift": 0, "unevaluable": 0}
+    for values in alpha_corpus():
+        try:
+            expected = oracle_alpha_equations(values)
+        except UnevaluableError as exc:
+            with pytest.raises(UnevaluableError) as info:
+                check_alpha_equations(values)
+            assert str(info.value) == str(exc)
+            paths["unevaluable"] += 1
+            continue
+        # Compact JSON: the same bytes as the CLI's indented text, faster.
+        report = json.dumps(report_to_json(check_alpha_equations(values)))
+        assert report == json.dumps(report_to_json(expected)), values
+        assert _equations_hold(values) == expected.ok, values
+        if expected.ok:
+            paths["holds"] += 1
+        elif len(expected.witness.bindings) == 1:
+            paths["fixed-point"] += 1
+        else:
+            paths["shift"] += 1
+            # Past the horizon of every random table: a synthesized profile.
+            paths["late-shift"] += int(expected.witness.binding("n2")) > 12
+    # Each path is reached often enough that a wrong count or witness shows.
+    assert paths["holds"] >= 2000
+    assert paths["fixed-point"] >= 20000
+    assert paths["shift"] >= 1000
+    assert paths["late-shift"] >= 100
+    assert paths["unevaluable"] >= 1000
 
 
 # ------------------------------------------------------------ classification
@@ -356,3 +416,26 @@ def test_sweep_rejects_negative_arguments():
 
 def test_sweep_parallel_matches_serial():
     assert sweep_alpha_tables(3, 3, jobs=2) == sweep_alpha_tables(3, 3)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_counts_entries_above_the_horizon_as_insufficient(jobs):
+    # With max_value > horizon, tables with an entry above the horizon
+    # cannot be evaluated; they join the InsufficientHorizon ones.
+    sweep = sweep_alpha_tables(2, 4, jobs=jobs)
+    assert (sweep.total, sweep.equations_hold, sweep.accepted, sweep.rejected,
+            sweep.insufficient, sweep.mismatches) == (125, 4, 4, 17, 104, [])
+
+
+# --------------------------------------------------------------- bool entries
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_alpha_equations([False, True]),
+    lambda: classify_alpha([False, True, 2]),
+    lambda: synthesize_alpha(1, 1, (0, True)),
+    lambda: minimal_period([0, 1, True, 1], [(1, 2)]),
+])
+def test_profile_entries_must_not_be_bools(call):
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        call()

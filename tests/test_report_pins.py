@@ -3,7 +3,8 @@
 Every report these checkers return (verdict, witness, ``checked``,
 ``skipped`` and detail) over a seeded corpus is hashed, so any change to
 the counting rule of ``checkers._scan`` or to a checker's enumeration
-order shows up as a changed digest.
+order shows up as a changed digest.  The length-profile equations are
+pinned the same way over a corpus of profile tables.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from strfn import (
     Alphabet,
     StrfnError,
     Token,
+    check_alpha_equations,
     check_bounded_retraction,
     check_determination,
     check_idempotent,
@@ -34,6 +36,7 @@ from strfn import (
     decompose_length_based,
     enumerate_partial_specs,
     enumerate_strings,
+    eval_alpha,
     extend,
     identity_fn,
     length_fn,
@@ -42,6 +45,7 @@ from strfn import (
     ofo_fn,
     partial_spec,
     sort_fn,
+    synthesize_alpha,
     table_fn,
     verify_conditions,
 )
@@ -176,3 +180,34 @@ def test_extension_reports_are_pinned(ab):
     kinds = {getattr(p, "verdict", "error") for p in pairs}
     assert kinds == {HOLDS, VACUOUS, "error"}
     assert digest((conditions, pairs)) == "1b2cad4b04213bc5e1767ec714f168952555c1fa41fc7c6936d2903d7ebb7d59"
+
+
+def alpha_tables():
+    """Every table of horizon 3 with entries 0..4, random short tables, and
+    synthesized profiles past their window, every other one with one entry
+    copied over another."""
+    rng = random.Random(13)
+    tables = [list(t) for t in itertools.product(range(5), repeat=4)]
+    for _ in range(1500):
+        horizon = rng.randint(0, 9)
+        tables.append([rng.randint(0, horizon) for _ in range(horizon + 1)])
+    for i in range(400):
+        n1, ell = rng.randint(0, 10), rng.randint(1, 6)
+        window = [*range(n1), *(n + ell * rng.randint(0, 3) for n in range(n1, n1 + ell))]
+        alpha = synthesize_alpha(n1, ell, window)
+        values = [eval_alpha(alpha, n) for n in range(max(window) + rng.randint(1, 3 * ell) + 1)]
+        if i % 2:
+            j, k = rng.sample(range(len(values)), 2)
+            values[j] = values[k]
+        tables.append(values)
+    return tables
+
+
+def test_alpha_equation_reports_are_pinned():
+    outcomes = [outcome(lambda: check_alpha_equations(t)) for t in alpha_tables()]
+    kinds = {getattr(o, "verdict", None) or o[0] for o in outcomes}
+    assert kinds == {HOLDS, FAILS, "UnevaluableError"}
+    shift_failures = [o for o in outcomes if getattr(o, "witness", None)
+                      and len(o.witness.bindings) == 3]
+    assert len(shift_failures) >= 100
+    assert digest(outcomes) == "a85464fc6551e87830e1fbab4980dfd05c01bd39532a98ff1f88542c293958e8"
