@@ -1,8 +1,10 @@
 """Closed-form example functions: the toolkit's standard fixtures.
 
-Each builtin is a small frozen definition object (picklable, hashable)
-wrapped in a :class:`~strfn.core.BoundedFn` by its factory.  ``BUILTINS``
-registers each one under the name spec files use for it.
+Each builtin is a small frozen definition object wrapped in a
+:class:`~strfn.core.BoundedFn` by its factory.  Definitions pickle; they
+hash only when their params do, so ``length_of`` over a table, whose
+entries are a dict, does not.  ``BUILTINS`` registers each one under the
+name spec files use for it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable, Mapping
 
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Token, Value
 from .errors import MalformedSpecError, PreconditionError
-from .lengthbased import AlphaFn, LengthBasedDef, PsiTable, compose_length_based
+from .lengthbased import LengthBasedDef, compose_length_based
 
 
 @dataclass(frozen=True)
@@ -175,12 +177,6 @@ def constant_fn(alphabet: Alphabet, bound: int, value: Value) -> BoundedFn:
     return BoundedFn(alphabet, bound, ConstantDef(value))
 
 
-def length_based_fn(
-    alphabet: Alphabet, bound: int, alpha: AlphaFn, psi: PsiTable
-) -> BoundedFn:
-    return compose_length_based(alphabet, bound, alpha, psi)
-
-
 # Param kinds; specio keeps one JSON codec per kind.
 LETTER, ORDER, VALUE, PROFILE, PSI, FUNCTION = (
     "letter", "order", "value", "profile", "psi", "function")
@@ -210,7 +206,7 @@ BUILTINS: dict[str, Builtin] = {
     "length_of": Builtin(LengthOfDef, lambda alphabet, bound, inner: length_of_fn(inner),
                          {"inner": FUNCTION}),
     "constant": Builtin(ConstantDef, constant_fn, {"value": VALUE}),
-    "length_based": Builtin(LengthBasedDef, length_based_fn,
+    "length_based": Builtin(LengthBasedDef, compose_length_based,
                             {"alpha": PROFILE, "psi": PSI}),
 }
 

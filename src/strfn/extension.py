@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .checkers import (
@@ -25,16 +24,18 @@ from .checkers import (
 )
 from .core import (
     STRING, Alphabet, BoundedFn, Value, _total_table, count_strings, enumerate_strings,
-    table_fn,
 )
 from .errors import ConditionsFailedError, MalformedSpecError, PreconditionError
 
-Part = tuple[tuple[str, Value], ...]
+Part = dict[str, Value]
 
 
 @dataclass(frozen=True)
 class VariadicParts:
-    """Low-arity tables F_0..F_{m+1}, any codomain, total per arity; m is derived."""
+    """Low-arity tables F_0..F_{m+1}, any codomain, total per arity; m is derived.
+
+    ``parts[k]`` maps each string of length k to its value.
+    """
 
     alphabet: Alphabet
     parts: tuple[Part, ...]
@@ -43,9 +44,8 @@ class VariadicParts:
         if len(self.parts) < 2:
             raise MalformedSpecError("need tables for arities 0 and 1 at least")
         for k, part in enumerate(self.parts):
-            keys = [s for s, _ in part]
-            expected = list(enumerate_strings(self.alphabet, k, min_len=k))
-            if sorted(keys) != sorted(expected):
+            expected = set(enumerate_strings(self.alphabet, k, min_len=k))
+            if part.keys() != expected:
                 raise MalformedSpecError(
                     f"arity-{k} table must cover exactly the {len(expected)} "
                     f"strings of length {k}"
@@ -55,10 +55,6 @@ class VariadicParts:
     def m(self) -> int:
         return len(self.parts) - 2
 
-    @cached_property
-    def _maps(self) -> tuple[dict[str, Value], ...]:
-        return tuple(dict(part) for part in self.parts)
-
     def value_at(self, s: str) -> Value:
         """Evaluate via the stored parts; arity must be at most m + 1."""
         if len(s) >= len(self.parts):
@@ -66,7 +62,7 @@ class VariadicParts:
                 f"arity {len(s)} exceeds the stored tables (max {self.m + 1})"
             )
         try:
-            return self._maps[len(s)][s]
+            return self.parts[len(s)][s]
         except KeyError:
             raise MalformedSpecError(f"no entry for {s!r}")
 
@@ -78,7 +74,7 @@ class PartialSpec(VariadicParts):
     def __post_init__(self) -> None:
         super().__post_init__()
         for k, part in enumerate(self.parts):
-            for _, out in part:
+            for out in part.values():
                 if not isinstance(out, str):
                     raise MalformedSpecError(
                         f"output {out!r} at arity {k} is not a string"
@@ -91,7 +87,7 @@ class PartialSpec(VariadicParts):
 
 
 def _pack(parts: Sequence[Mapping[str, Value] | Value]) -> tuple[Part, ...]:
-    """Sorted pairs per arity; the arity-0 part may be given as a bare value."""
+    """One dict per arity, keys sorted; the arity-0 part may be a bare value."""
     packed = []
     for k, part in enumerate(parts):
         if not isinstance(part, Mapping):
@@ -100,7 +96,7 @@ def _pack(parts: Sequence[Mapping[str, Value] | Value]) -> tuple[Part, ...]:
                     f"bare value only allowed for arity 0, not {k}"
                 )
             part = {"": part}
-        packed.append(tuple(sorted(part.items())))
+        packed.append(dict(sorted(part.items())))
     return tuple(packed)
 
 
@@ -146,7 +142,7 @@ def verify_conditions(spec: PartialSpec) -> dict[str, CheckReport]:
     reports: dict[str, CheckReport] = {}
     reports["a"] = _scan(
         (None if low(v) == v else Witness((("k", str(k)), ("x", x)), low(v), v)
-         for k in range(spec.m + 2) for x, v in spec.parts[k]),
+         for k in range(spec.m + 2) for x, v in spec.parts[k].items()),
         "stored output is not a fixed point",
     )
     empty = low("")
@@ -254,7 +250,9 @@ def check_determination(
 def identity_patch(fn: BoundedFn, k: int, m: int, level: int) -> BoundedFn:
     """Replace the parts of arity <= k with the identity; stays associative.
 
-    Requires k <= m and an associative, m-bounded input up to level.
+    Requires k <= m and an associative, m-bounded input up to level.  The
+    patched entries are read off the checked domain in length-lex order, so
+    the result is its own domain at ``level``.
     """
     if k > m:
         raise PreconditionError(f"patch arity {k} exceeds the bound m = {m}")
@@ -265,7 +263,7 @@ def identity_patch(fn: BoundedFn, k: int, m: int, level: int) -> BoundedFn:
     entries = {
         s: (s if len(s) <= k else v) for s, v in fn.value_map(level).items()
     }
-    return table_fn(fn.alphabet, level, entries)
+    return _total_table(fn.alphabet, level, STRING, entries)
 
 
 def enumerate_partial_specs(alphabet: Alphabet, m: int) -> Iterator[PartialSpec]:
@@ -281,7 +279,7 @@ def enumerate_partial_specs(alphabet: Alphabet, m: int) -> Iterator[PartialSpec]
         start += len(level_keys)
     for assignment in itertools.product(outputs, repeat=len(keys)):
         parts = tuple(
-            tuple(zip(keys[lo:hi], assignment[lo:hi]))
+            dict(zip(keys[lo:hi], assignment[lo:hi]))
             for lo, hi in arity_of
         )
         yield PartialSpec(alphabet, parts)

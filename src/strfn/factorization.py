@@ -27,7 +27,7 @@ from .checkers import (
     check_preassociative,
     check_standard,
 )
-from .core import BoundedFn, Value, enumerate_strings, table_fn
+from .core import STRING, BoundedFn, Value, _total_table, enumerate_strings
 from .errors import PreconditionError, QuasiInverseError
 from .extension import VariadicParts
 
@@ -41,31 +41,29 @@ def kernel_classes(fn: BoundedFn, level: int) -> list[list[str]]:
 class QuasiInverse:
     """One chosen preimage per attained value: the length-lex smallest.
 
-    The choice is length-optimized — |g(y)| is the least length at which
-    y is attained on the bounded domain (an over-estimate only if the
-    true minimal preimage lies beyond the bound).
+    ``entries`` maps each attained value to that preimage, in the order
+    of the kernel classes (first seen in length-lex order).  The choice
+    is length-optimized — |g(y)| is the least length at which y is
+    attained on the bounded domain (an over-estimate only if the true
+    minimal preimage lies beyond the bound).
     """
 
-    entries: tuple[tuple[Value, str], ...]
-
-    @cached_property
-    def _preimage(self) -> dict[Value, str]:
-        return dict(self.entries)
+    entries: dict[Value, str]
 
     def apply(self, y: Value) -> str:
         try:
-            return self._preimage[y]
+            return self.entries[y]
         except KeyError:
             raise QuasiInverseError(f"value {y!r} is not attained on the bounded domain")
 
     def __contains__(self, y: Value) -> bool:
-        return y in self._preimage
+        return y in self.entries
 
 
 def quasi_inverse(fn: BoundedFn, level: int) -> QuasiInverse:
     """The kernel-class leaders of fn on X^<=level, keyed by value."""
     classes = fn.domain(level).classes
-    return QuasiInverse(tuple((v, members[0]) for v, members in classes.items()))
+    return QuasiInverse({v: members[0] for v, members in classes.items()})
 
 
 @dataclass
@@ -109,12 +107,14 @@ def factorize(fn: BoundedFn, level: int) -> Factorization:
     H never lengthens a string (a leader is no longer than any member of
     its class) and its kernel is F's, so "inner-associative" is decided
     from the kernel classes whenever F is preassociative; only a failing
-    core runs the associativity scan, for its witness.
+    core runs the associativity scan, for its witness.  H is read off the
+    evaluated domain in length-lex order, so its table is its own domain.
     """
     vals = fn.domain(level).vals
     g = quasi_inverse(fn, level)
-    f = tuple((leader, v) for v, leader in g.entries)
-    inner = table_fn(fn.alphabet, level, {s: g.apply(v) for s, v in vals.items()})
+    leader = g.entries
+    f = tuple((s, v) for v, s in leader.items())
+    inner = _total_table(fn.alphabet, level, STRING, {s: leader[v] for s, v in vals.items()})
 
     checks = {
         "source-preassociative": check_preassociative(fn, level),

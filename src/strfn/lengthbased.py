@@ -208,10 +208,10 @@ def classify_alpha(values: Sequence[int]) -> AlphaFn | AlphaRejection:
 
 def synthesize_alpha(n1: int, ell: int, window: Sequence[int]) -> AlphaFn | AlphaRejection:
     """Build a structured profile from its window, validating the shape."""
-    if n1 < 0:
-        raise ValueError(f"threshold must be nonnegative, got {n1}")
-    if ell < 1:
-        raise ValueError(f"period must be positive, got {ell}")
+    if isinstance(n1, bool) or n1 < 0:
+        raise ValueError(f"threshold must be a nonnegative int, got {n1!r}")
+    if isinstance(ell, bool) or ell < 1:
+        raise ValueError(f"period must be a positive int, got {ell!r}")
     if len(window) != n1 + ell:
         raise ValueError(f"window must have {n1 + ell} entries, got {len(window)}")
     _validate_table(window)
@@ -239,7 +239,7 @@ def minimal_period(
     if not witnesses:
         raise ValueError("at least one periodicity witness is required")
     for start, period in witnesses:
-        if start < 0 or period < 1:
+        if isinstance(start, bool) or isinstance(period, bool) or start < 0 or period < 1:
             raise WitnessError(f"malformed witness ({start}, {period})")
         broke = _verify_period(values, start, period)
         if broke is not None:
@@ -271,6 +271,8 @@ class PsiTable:
     def __post_init__(self) -> None:
         seen: set[int] = set()
         for n, s in self.entries:
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"psi argument {n!r} must be an int")
             if len(s) != n:
                 raise ValueError(f"psi({n}) = {s!r} must have length {n}")
             if n in seen:
@@ -395,16 +397,12 @@ def decompose_length_based(
 class RelabeledLengthDef:
     """Closed form f(mu(|x|)) with f injective on the reachable strings."""
 
-    mu: tuple[tuple[int, str], ...]
-    relabel: tuple[tuple[str, Value], ...]
+    mu: dict[int, str]
+    relabel: dict[str, Value]
     codomain: str
 
-    @cached_property
-    def _maps(self) -> tuple[dict[int, str], dict[str, Value]]:
-        return dict(self.mu), dict(self.relabel)
-
     def apply(self, s: str) -> Value:
-        mu, relabel = self._maps
+        mu, relabel = self.mu, self.relabel
         if len(s) not in mu:
             raise MissingEntryError(f"mu has no entry for length {len(s)}")
         out = mu[len(s)]
@@ -450,8 +448,8 @@ def compose_preassoc_length_based(
         raise PreconditionError("relabeling mixes string and token values")
     codomain = kinds.pop() if kinds else TOKEN
 
-    mu_entries = tuple((n, mu[n]) for n in range(bound + 1))
-    relabel_entries = tuple((s, relabel[s]) for s in sorted(reachable))
+    mu_entries = {n: mu[n] for n in range(bound + 1)}
+    relabel_entries = {s: relabel[s] for s in sorted(reachable)}
     return BoundedFn(alphabet, bound, RelabeledLengthDef(mu_entries, relabel_entries, codomain))
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import STRING, Alphabet, BoundedFn, Value, enumerate_strings
+from .core import STRING, Alphabet, BoundedFn, Value, _total_table, enumerate_strings
 from .errors import OutOfDomainError, PreconditionError
 
 
@@ -111,40 +110,24 @@ def canonical_rep(x: str, spec: ThetaSpec, level: int, alphabet: Alphabet) -> st
     return theta_class(x, spec, level, alphabet).rep
 
 
-@dataclass(frozen=True)
-class ThetaRepDef:
-    """Definition object for the representative function F^m."""
-
-    spec: ThetaSpec
-    level: int
-    alphabet: Alphabet
-    codomain: str = STRING
-
-    @cached_property
-    def reps(self) -> dict[str, str]:
-        """Each string of X^{<=level} mapped to the least member of its class.
-
-        One length-lex pass runs the BFS only from unlabelled strings and
-        labels the whole class with that string.  Swaps are reversible, so
-        the bounded classes partition the domain, and a string is still
-        unlabelled when reached iff no earlier string shares its class.
-        """
-        reps: dict[str, str] = {}
-        for s in enumerate_strings(self.alphabet, self.level):
-            if s not in reps:
-                members, _ = _closure(s, self.spec, self.level)
-                reps.update(dict.fromkeys(members, s))
-        return reps
-
-    def apply(self, s: str) -> str:
-        return self.reps[s]
-
-
 def theta_rep_fn(alphabet: Alphabet, bound: int, spec: ThetaSpec) -> BoundedFn:
-    """The canonical-representative function as a bounded function."""
+    """The canonical-representative function F^m, as a table on X^{<=bound}.
+
+    One length-lex pass runs the BFS only from unlabelled strings and
+    labels the whole class with that string.  Swaps are reversible, so
+    the bounded classes partition the domain, and a string is still
+    unlabelled when reached iff no earlier string shares its class.  The
+    labels fill a dict keyed in length-lex order, which is the table and
+    its domain at the bound.
+    """
     alphabet.validate(spec.x0)
     alphabet.validate(spec.x1)
-    return BoundedFn(alphabet, bound, ThetaRepDef(spec, bound, alphabet))
+    entries = dict.fromkeys(enumerate_strings(alphabet, bound))
+    for s, rep in entries.items():  # only values change, so the loop is safe
+        if rep is None:
+            members, _ = _closure(s, spec, bound)
+            entries.update(dict.fromkeys(members, s))
+    return _total_table(alphabet, bound, STRING, entries)
 
 
 EQUIVALENT = "equivalent"

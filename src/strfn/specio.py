@@ -257,9 +257,9 @@ def partial_to_json(spec: PartialSpec) -> dict[str, Any]:
     parts: dict[str, Any] = {}
     for k, part in enumerate(spec.parts):
         if k == 0:
-            parts["0"] = part[0][1]
+            parts["0"] = part[""]
         else:
-            parts[str(k)] = [[s, out] for s, out in part]
+            parts[str(k)] = [[s, out] for s, out in part.items()]
     return {
         "alphabet": alphabet_to_json(spec.alphabet),
         "m": spec.m,
@@ -326,7 +326,7 @@ def reports_to_json(reports: Mapping[str, CheckReport]) -> dict[str, Any]:
 
 def factorization_to_json(fact: Factorization) -> dict[str, Any]:
     return {
-        "g": [[value_to_json(v), s] for v, s in fact.g.entries],
+        "g": [[value_to_json(v), s] for v, s in fact.g.entries.items()],
         "H": function_to_json(fact.h),
         "f": [[s, value_to_json(v)] for s, v in fact.f],
         "checks": reports_to_json(fact.checks),

@@ -17,6 +17,7 @@ from strfn import (
     MissingEntryError,
     OutOfDomainError,
     TableDef,
+    ThetaSpec,
     Token,
     check_bounded_retraction,
     check_equivalent_definitions,
@@ -25,11 +26,15 @@ from strfn import (
     concat,
     count_strings,
     enumerate_strings,
+    extend,
     factorize,
+    identity_patch,
     length_of_fn,
     ofo_fn,
+    partial_spec,
     power,
     table_fn,
+    theta_rep_fn,
 )
 
 
@@ -156,8 +161,22 @@ def test_value_map_round_trip(ab):
     entries = {s: s[:1] for s in enumerate_strings(ab, 3)}
     fn = table_fn(ab, 3, entries)
     assert fn.value_map() == entries
-    assert fn.value_map() is fn.definition.entries  # the table is its own domain
     assert fn.value_map(max_len=1) == {"": "", "a": "a", "b": "b"}
+
+
+@pytest.mark.parametrize("build", [
+    lambda ab: table_fn(ab, 3, {s: s[:1] for s in enumerate_strings(ab, 3)}),
+    lambda ab: extend(partial_spec(ab, 1, ["", {"a": "a", "b": "b"},
+                                          {s: s[0] for s in ("aa", "ab", "ba", "bb")}]), 4),
+    lambda ab: theta_rep_fn(ab, 4, ThetaSpec("a", "b", 1)),
+    lambda ab: factorize(ofo_fn(ab, 4), 4).h,
+    lambda ab: identity_patch(ofo_fn(ab, 4), 1, 2, 4),
+], ids=["table_fn", "extend", "theta_rep_fn", "factorize", "identity_patch"])
+def test_table_constructions_are_their_own_domain(ab, build):
+    # The entries dict, keyed in length-lex order, is the domain at the bound.
+    fn = build(ab)
+    assert fn.value_map() is fn.definition.entries
+    assert list(fn.definition.entries) == list(enumerate_strings(ab, fn.bound))
 
 
 def test_bounded_fn_is_picklable(ab):

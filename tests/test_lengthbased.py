@@ -241,6 +241,10 @@ def test_synthesize_malformed_arguments():
         synthesize_alpha(1, 0, (0,))
     with pytest.raises(ValueError):
         synthesize_alpha(1, 2, (0, 1))  # needs n1 + ell entries
+    with pytest.raises(ValueError):
+        synthesize_alpha(True, 1, (0, 2))  # a bool is not a threshold
+    with pytest.raises(ValueError):
+        synthesize_alpha(0, True, (0,))  # nor a period
 
 
 # -------------------------------------------------------------------- periods
@@ -263,6 +267,9 @@ def test_minimal_period_single_witness():
 def test_minimal_period_rejects_false_witness():
     with pytest.raises(WitnessError):
         minimal_period([0, 1, 0, 1, 0], [(0, 3)])
+    for witness in ((False, 2), (0, True)):  # bools are not witnesses
+        with pytest.raises(WitnessError, match="malformed witness"):
+            minimal_period([0, 1, 0, 1, 0, 1], [witness])
 
 
 def test_minimal_period_gcd_needs_enough_horizon():
@@ -282,6 +289,8 @@ def test_psi_table_validation():
         psi.apply(1)
     with pytest.raises(ValueError):
         psi_table({2: "a"})  # |psi(n)| must equal n
+    with pytest.raises(ValueError):
+        psi_table({True: "a"})  # a bool is not a length
 
 
 def test_compose_length_based(ab):

@@ -11,12 +11,12 @@ from strfn import (
     Token,
     check_preassociative,
     check_standard,
+    compose_length_based,
     constant_fn,
     enumerate_strings,
     factorize,
     identity_alpha,
     identity_fn,
-    length_based_fn,
     length_fn,
     length_of_fn,
     letter_remove_fn,
@@ -81,7 +81,7 @@ _ROUND_TRIP_BUILDERS = {
     "length": lambda ab: length_fn(ab, 3),
     "length_of": lambda ab: length_of_fn(sort_fn(ab, 3)),
     "constant": lambda ab: constant_fn(ab, 3, Token("k")),
-    "length_based": lambda ab: length_based_fn(
+    "length_based": lambda ab: compose_length_based(
         ab, 3, synthesize_alpha(2, 2, (0, 1, 4, 5)),
         psi_table({0: "", 1: "a", 4: "aaaa", 5: "aaaaa"})),
     "table": lambda ab: table_fn(ab, 1, {"": Token(0), "a": Token(1), "b": Token(1)},
@@ -121,9 +121,7 @@ def test_unrecognized_definitions_become_tables(ab):
 def test_length_based_round_trip(ab):
     alpha = synthesize_alpha(2, 2, (0, 1, 4, 5))
     psi = psi_table({0: "", 1: "a", 4: "aaaa", 5: "aaaaa"})
-    from strfn import length_based_fn
-
-    fn = length_based_fn(ab, 6, alpha, psi)
+    fn = compose_length_based(ab, 6, alpha, psi)
     obj = function_to_json(fn)
     assert obj["function"]["name"] == "length_based"
     clone = function_from_json(obj)
