@@ -10,11 +10,13 @@ name spec files use for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Token, Value
 from .errors import MalformedSpecError, PreconditionError
-from .lengthbased import LengthBasedDef, compose_length_based
+
+if TYPE_CHECKING:
+    from .lengthbased import AlphaFn, PsiTable
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,16 @@ def length_of_fn(inner: BoundedFn) -> BoundedFn:
 def constant_fn(alphabet: Alphabet, bound: int, value: Value) -> BoundedFn:
     if isinstance(value, str):
         alphabet.validate(value)
+    elif not isinstance(value, Token):
+        raise MalformedSpecError(f"constant value {value!r} is not a string or Token")
     return BoundedFn(alphabet, bound, ConstantDef(value))
+
+
+def _length_based(alphabet: Alphabet, bound: int, alpha: AlphaFn, psi: PsiTable) -> BoundedFn:
+    """``compose_length_based``; its layer loads when one is built."""
+    from .lengthbased import compose_length_based
+
+    return compose_length_based(alphabet, bound, alpha, psi)
 
 
 # Param kinds; specio keeps one JSON codec per kind.
@@ -186,9 +197,11 @@ LETTER, ORDER, VALUE, PROFILE, PSI, FUNCTION = (
 class Builtin:
     """A spec name's definition class and factory.  ``params`` maps each
     param, which the definition stores under the same attribute name, to
-    its kind, in serialized order; the factory defaults the ``optional``."""
+    its kind, in serialized order; the factory defaults the ``optional``.
+    A class of another layer is given as ``"module.Class"``, so that the
+    registry does not load that layer."""
 
-    definition: type
+    definition: type | str
     factory: Callable[..., BoundedFn]
     params: Mapping[str, str] = field(default_factory=dict)
     optional: tuple[str, ...] = ()
@@ -206,7 +219,7 @@ BUILTINS: dict[str, Builtin] = {
     "length_of": Builtin(LengthOfDef, lambda alphabet, bound, inner: length_of_fn(inner),
                          {"inner": FUNCTION}),
     "constant": Builtin(ConstantDef, constant_fn, {"value": VALUE}),
-    "length_based": Builtin(LengthBasedDef, compose_length_based,
+    "length_based": Builtin("strfn.lengthbased.LengthBasedDef", _length_based,
                             {"alpha": PROFILE, "psi": PSI}),
 }
 

@@ -10,42 +10,21 @@ JSON; a one-line human summary goes to standard error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from pathlib import Path
-from typing import Any, Callable, Mapping, NoReturn
+from typing import Any, Mapping, NoReturn
 
-from .checkers import (
-    FAILS,
-    VACUOUS,
-    CheckReport,
-    check_associative_full,
-    check_associative_reduced,
-    check_equivalent_definitions,
-    check_idempotent,
-    check_injective_rigidity,
-    check_m_bounded,
-    check_m_determined_range,
-    check_preassociative,
-    check_standard,
-)
-from .core import Alphabet, BoundedFn, count_strings
+# checkers, the largest module every command loads, comes first: compiled
+# while the heap is smallest, it leaves memory that the later imports
+# reuse, so a check run peaks lower than when checkers is imported last.
+from .checkers import FAILS, VACUOUS, CheckReport
+from .core import Alphabet, count_strings
 from .errors import (
     ConditionsFailedError,
     InsufficientHorizonError,
     StrfnError,
     UnevaluableError,
 )
-from .extension import extend
-from .factorization import factorize
-from .lengthbased import (
-    AlphaFn,
-    check_alpha_equations,
-    check_length_based,
-    check_weakly_length_based,
-    classify_alpha,
-    minimal_period,
-)
-from .quotient import EQUIVALENT, ThetaSpec, preceq, theta_class, theta_rep_fn
 from .specio import (
     _is_count,
     _is_int,
@@ -61,6 +40,7 @@ from .specio import (
     theta_class_to_json,
     to_text,
     value_to_json,
+    write_to_json,
 )
 
 DEFAULT_BOUND = 6
@@ -161,10 +141,11 @@ def _reports_exit(reports: Mapping[str, CheckReport]) -> int:
 
 
 def _emit(obj: Any, args: argparse.Namespace, summary: str) -> None:
-    text = to_text(obj)
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    sys.stdout.write(text)
+        with open(args.output, "w") as out:
+            write_to_json(obj, out, sys.stdout)
+    else:
+        write_to_json(obj, sys.stdout)
     sys.stderr.write(summary + "\n")
 
 
@@ -175,6 +156,9 @@ def _summarize(name: str, report: CheckReport) -> str:
     return line
 
 
+# Each handler imports the layers it uses, and calls them through the
+# module, so a run loads only its command's layers and a function
+# rebound on a layer is the one that runs.
 def _run_eval(args: argparse.Namespace) -> int:
     fn = load_function(_one_input(args))
     value = fn.eval(args.string)
@@ -188,25 +172,31 @@ def _required_m(args: argparse.Namespace) -> int:
     return args.m
 
 
-# The checker behind each property.  The lambdas look the checkers up
-# when called, so a checker rebound on this module is the one that runs.
-_CHECKS: dict[str, Callable[[BoundedFn, argparse.Namespace], Any]] = {
-    "assoc": lambda fn, a: check_associative_full(fn, a.bound),
-    "assoc-reduced": lambda fn, a: check_associative_reduced(fn, a.bound),
-    "preassoc": lambda fn, a: check_preassociative(fn, a.bound),
-    "standard": lambda fn, a: check_standard(fn, a.bound),
-    "idempotent": lambda fn, a: check_idempotent(fn, a.bound),
-    "bounded": lambda fn, a: check_m_bounded(fn, _required_m(a), a.bound),
-    "range": lambda fn, a: check_m_determined_range(fn, _required_m(a), a.bound),
-    "equiv-defs": lambda fn, a: check_equivalent_definitions(fn, a.bound),
-    "rigidity": lambda fn, a: check_injective_rigidity(fn, a.bound),
-    "weakly-length": lambda fn, a: check_weakly_length_based(fn, a.bound),
-    "length": lambda fn, a: check_length_based(fn, a.bound),
+# The checker behind each property, by layer and name.  "bounded" and
+# "range" take --m.
+_CHECKS: dict[str, tuple[str, str]] = {
+    "assoc": ("checkers", "check_associative_full"),
+    "assoc-reduced": ("checkers", "check_associative_reduced"),
+    "preassoc": ("checkers", "check_preassociative"),
+    "standard": ("checkers", "check_standard"),
+    "idempotent": ("checkers", "check_idempotent"),
+    "bounded": ("checkers", "check_m_bounded"),
+    "range": ("checkers", "check_m_determined_range"),
+    "equiv-defs": ("checkers", "check_equivalent_definitions"),
+    "rigidity": ("checkers", "check_injective_rigidity"),
+    "weakly-length": ("lengthbased", "check_weakly_length_based"),
+    "length": ("lengthbased", "check_length_based"),
 }
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    result = _CHECKS[args.property](load_function(_one_input(args)), args)
+    layer, name = _CHECKS[args.property]
+    fn = load_function(_one_input(args))
+    check = getattr(importlib.import_module(f".{layer}", __package__), name)
+    if args.property in ("bounded", "range"):
+        result = check(fn, _required_m(args), args.bound)
+    else:
+        result = check(fn, args.bound)
     if isinstance(result, CheckReport):
         _emit(report_to_json(result), args, _summarize(args.property, result))
         return _report_exit(result)
@@ -216,17 +206,21 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_extend(args: argparse.Namespace) -> int:
+    from . import extension
+
     spec = load_partial(_one_input(args))
     # No name holds the grown table, so it is freed before serializing.
-    _emit(function_to_json(extend(spec, args.bound)), args,
+    _emit(function_to_json(extension.extend(spec, args.bound)), args,
           f"extended to bound {args.bound} "
           f"({count_strings(spec.alphabet, args.bound)} entries)")
     return 0
 
 
 def _run_factorize(args: argparse.Namespace) -> int:
+    from . import factorization
+
     fn = load_function(_one_input(args))
-    fact = factorize(fn, args.bound)
+    fact = factorization.factorize(fn, args.bound)
     _emit(factorization_to_json(fact), args,
           "; ".join(_summarize(k, r) for k, r in fact.checks.items()))
     return _reports_exit({
@@ -244,15 +238,17 @@ def _alpha_values(obj: Any) -> list[int]:
 
 
 def _run_alpha(args: argparse.Namespace) -> int:
+    from . import lengthbased
+
     data = _read(_one_input(args))
     fields = data if isinstance(data, Mapping) else {}
     if args.action == "check":
-        report = check_alpha_equations(_alpha_values(data))
+        report = lengthbased.check_alpha_equations(_alpha_values(data))
         _emit(report_to_json(report), args, _summarize("alpha equations", report))
         return _report_exit(report)
     if args.action == "classify":
-        shape = classify_alpha(_alpha_values(data))
-        if isinstance(shape, AlphaFn):
+        shape = lengthbased.classify_alpha(_alpha_values(data))
+        if isinstance(shape, lengthbased.AlphaFn):
             _emit(alpha_to_json(shape), args, f"classified: {shape.kind}")
             return 0
         _emit({"rejected": shape.condition, "message": shape.message},
@@ -261,7 +257,7 @@ def _run_alpha(args: argparse.Namespace) -> int:
     if args.action == "synth":
         made = structured_alpha_from_json(
             fields.get("n1"), fields.get("ell"), fields.get("window"))
-        if isinstance(made, AlphaFn):
+        if isinstance(made, lengthbased.AlphaFn):
             _emit(alpha_to_json(made), args, "synthesized")
             return 0
         _emit({"rejected": made.condition, "message": made.message},
@@ -273,7 +269,7 @@ def _run_alpha(args: argparse.Namespace) -> int:
             for w in witnesses)):
         raise StrfnError("minimize input must be {values, witnesses}, with "
                          "witnesses a nonempty array of [start, period] pairs")
-    start, period = minimal_period(
+    start, period = lengthbased.minimal_period(
         _alpha_values(data), [tuple(w) for w in witnesses]
     )
     _emit({"start": start, "period": period}, args,
@@ -282,14 +278,16 @@ def _run_alpha(args: argparse.Namespace) -> int:
 
 
 def _run_theta(args: argparse.Namespace) -> int:
+    from . import quotient
+
     alphabet = Alphabet(tuple(args.alphabet))
     if not args.x0 or not args.x1 or args.x0 == args.x1:
         raise StrfnError("--x0 and --x1 must be distinct nonempty strings")
-    spec = ThetaSpec(args.x0, args.x1, args.m_exp)
+    spec = quotient.ThetaSpec(args.x0, args.x1, args.m_exp)
     if args.action == "class":
         if args.string is None:
             raise StrfnError("theta class needs a string argument")
-        cls = theta_class(args.string, spec, args.bound, alphabet)
+        cls = quotient.theta_class(args.string, spec, args.bound, alphabet)
         _emit(theta_class_to_json(cls), args,
               f"class of {args.string!r}: {len(cls)} members"
               + (" (truncated)" if cls.truncated else ""))
@@ -297,8 +295,8 @@ def _run_theta(args: argparse.Namespace) -> int:
     if args.action == "rep":
         # No name holds the function, so its evaluated domain is freed
         # before the table is serialized.
-        _emit(function_to_json(theta_rep_fn(alphabet, args.bound, spec)), args,
-              f"representative table up to bound {args.bound}")
+        _emit(function_to_json(quotient.theta_rep_fn(alphabet, args.bound, spec)),
+              args, f"representative table up to bound {args.bound}")
         return 0
     alphabet.validate(args.x0)
     alphabet.validate(args.x1)
@@ -309,12 +307,14 @@ def _run_theta(args: argparse.Namespace) -> int:
     hi = None
     for m in range(1, max(args.m_exp, 2)):
         if m >= identity_from:
-            rows.append({"m": m, "relation": EQUIVALENT, "separating": None})
+            rows.append({"m": m, "relation": quotient.EQUIVALENT, "separating": None})
             continue
         # Each F^m is built once; only the pair being compared is kept alive.
-        lo = hi or theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, m))
-        hi = theta_rep_fn(alphabet, args.bound, ThetaSpec(args.x0, args.x1, m + 1))
-        cmp = preceq(lo, hi, args.bound)
+        lo = hi or quotient.theta_rep_fn(
+            alphabet, args.bound, quotient.ThetaSpec(args.x0, args.x1, m))
+        hi = quotient.theta_rep_fn(
+            alphabet, args.bound, quotient.ThetaSpec(args.x0, args.x1, m + 1))
+        cmp = quotient.preceq(lo, hi, args.bound)
         rows.append({
             "m": m,
             "relation": cmp.relation,
@@ -326,11 +326,13 @@ def _run_theta(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
+    from . import quotient
+
     if len(args.input) != 2:
         raise StrfnError("compare needs exactly two --input files")
     first = load_function(args.input[0])
     second = load_function(args.input[1])
-    cmp = preceq(first, second, args.bound)
+    cmp = quotient.preceq(first, second, args.bound)
     _emit({
         "relation": cmp.relation,
         "first_below_second": cmp.first_below_second,

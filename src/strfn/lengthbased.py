@@ -33,8 +33,8 @@ from typing import Callable, Mapping, Sequence
 from .checkers import CheckReport, Witness, _finish, _require_string_valued, _scan
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Token, Value
 from .errors import (
-    InsufficientHorizonError, MissingEntryError, PreconditionError, UnevaluableError,
-    WitnessError,
+    InsufficientHorizonError, MalformedSpecError, MissingEntryError, PreconditionError,
+    UnevaluableError, WitnessError,
 )
 
 IDENTITY = "identity"
@@ -439,6 +439,10 @@ def compose_preassoc_length_based(
         if s not in relabel:
             raise MissingEntryError(f"relabeling has no entry for {s!r}")
         v = relabel[s]
+        if isinstance(v, str):
+            alphabet.validate(v)
+        elif not isinstance(v, Token):
+            raise MalformedSpecError(f"relabeling value {v!r} for {s!r} is not a string or Token")
         kinds.add(STRING if isinstance(v, str) else TOKEN)
         if v in seen and seen[v] != s:
             raise PreconditionError(f"relabeling is not injective: {seen[v]!r} and {s!r} "

@@ -25,27 +25,23 @@ byte-stable without key sorting (which would scramble witness bindings).
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import IO, TYPE_CHECKING, Any, Callable, Mapping
 
 from .builtins import BUILTINS, FUNCTION, LETTER, ORDER, PROFILE, PSI, VALUE, build_builtin
-from .checkers import CheckReport, Witness
 from .core import STRING, Alphabet, BoundedFn, TableDef, Token, Value, table_fn
 from .errors import MalformedSpecError
-from .extension import PartialSpec, partial_spec
-from .factorization import Factorization
-from .lengthbased import (
-    IDENTITY,
-    STRUCTURED,
-    AlphaFn,
-    AlphaRejection,
-    PsiTable,
-    identity_alpha,
-    psi_table,
-    synthesize_alpha,
-)
-from .quotient import ThetaClass
+
+# The constructions' layers load inside the codecs that need them, so a
+# command reading a function spec loads none of them.
+if TYPE_CHECKING:
+    from .checkers import CheckReport, Witness
+    from .extension import PartialSpec
+    from .factorization import Factorization
+    from .lengthbased import AlphaFn, AlphaRejection, PsiTable
+    from .quotient import ThetaClass
 
 
 def value_to_json(v: Value) -> Any:
@@ -76,6 +72,8 @@ def alphabet_from_json(obj: Any) -> Alphabet:
 
 
 def alpha_to_json(alpha: AlphaFn) -> dict[str, Any]:
+    from .lengthbased import IDENTITY, STRUCTURED
+
     if alpha.kind == IDENTITY:
         return {"kind": IDENTITY}
     return {
@@ -97,6 +95,8 @@ def _is_count(v: Any) -> bool:
 
 def structured_alpha_from_json(n1: Any, ell: Any, window: Any) -> AlphaFn | AlphaRejection:
     """``synthesize_alpha`` on JSON fields, once their shapes are checked."""
+    from .lengthbased import synthesize_alpha
+
     if not (_is_count(n1) and _is_count(ell) and ell > 0 and isinstance(window, list)
             and len(window) == n1 + ell and all(map(_is_count, window))):
         raise MalformedSpecError("a structured profile needs n1 >= 0, ell >= 1 and "
@@ -105,6 +105,8 @@ def structured_alpha_from_json(n1: Any, ell: Any, window: Any) -> AlphaFn | Alph
 
 
 def alpha_from_json(obj: Any) -> AlphaFn:
+    from .lengthbased import IDENTITY, STRUCTURED, AlphaFn, identity_alpha
+
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise MalformedSpecError(f"not a profile: {obj!r}")
     if obj["kind"] == IDENTITY:
@@ -126,6 +128,8 @@ def psi_from_json(obj: Any) -> PsiTable:
             isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and isinstance(e[1], str)
             for e in obj)):
         raise MalformedSpecError("psi table must be an array of [n, string] pairs")
+    from .lengthbased import psi_table
+
     try:
         return psi_table([(n, s) for n, s in obj])
     except ValueError as exc:
@@ -172,7 +176,7 @@ def _definition_to_json(definition: object) -> dict[str, Any] | None:
     """The function object for a recognized definition, else None."""
     if isinstance(definition, TableDef):
         return _table_to_json(definition.codomain, definition.entries)
-    name = _BUILTIN_NAMES.get(type(definition))
+    name = _BUILTIN_NAMES.get(_qualified(type(definition)))
     if name is None:
         return None
     params = {}
@@ -233,7 +237,17 @@ _PARAM_CODECS: dict[str, tuple[Callable[..., Any], Callable[..., Any]]] = {
     PSI: (psi_to_json, psi_from_json),
     FUNCTION: (_definition_to_json, _function_from_object),
 }
-_BUILTIN_NAMES = {entry.definition: name for name, entry in BUILTINS.items()}
+
+
+def _qualified(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+# Each builtin's name, by the qualified name of its definition class.
+_BUILTIN_NAMES = {
+    e.definition if isinstance(e.definition, str) else _qualified(e.definition): name
+    for name, e in BUILTINS.items()
+}
 
 
 def function_from_json(obj: Any) -> BoundedFn:
@@ -290,6 +304,8 @@ def partial_from_json(obj: Any) -> PartialSpec:
     if len(raw) != m + 2:  # every arity is present, so some other key is too
         extra = sorted(set(raw) - {str(k) for k in range(m + 2)})
         raise MalformedSpecError(f"'parts' keys must be arities 0..{m + 1}, got {extra!r}")
+    from .extension import partial_spec
+
     return partial_spec(alphabet, m, parts)
 
 
@@ -337,8 +353,31 @@ def theta_class_to_json(cls: ThetaClass) -> dict[str, Any]:
     return {"members": list(cls.members), "truncated": cls.truncated}
 
 
+# The report format: what ``json.dumps(obj, indent=2)`` writes.
+_ENCODER = json.JSONEncoder(indent=2)
+# Encoder chunks joined per write: about 160 KB of an extended table's
+# text.  Few enough writes to cost what one write of the whole text does,
+# while the chunks held at once no longer grow with the output.
+_BATCH = 16384
+
+
 def to_text(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _ENCODER.encode(obj) + "\n"
+
+
+def write_to_json(obj: Any, *files: IO[str]) -> None:
+    """Write ``to_text(obj)`` to each file, one batch of chunks at a time.
+
+    ``to_text`` joins every chunk of the encoder at once, so it holds
+    them all: several times the size of the text.
+    """
+    chunks = _ENCODER.iterencode(obj)
+    # No chunk is empty, so an empty batch means the chunks are spent.
+    while batch := "".join(itertools.islice(chunks, _BATCH)):
+        for f in files:
+            f.write(batch)
+    for f in files:
+        f.write("\n")
 
 
 def _read(path: str | Path) -> Any:

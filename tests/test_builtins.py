@@ -142,6 +142,11 @@ def test_constant_value_checked_against_alphabet(ab):
         constant_fn(ab, 3, "xyz")
 
 
+def test_constant_value_must_be_a_value(ab):
+    with pytest.raises(MalformedSpecError, match="not a string or Token"):
+        constant_fn(ab, 3, 5)
+
+
 def test_build_builtin_dispatch(ab):
     assert build_builtin("identity", ab, 3).eval("ab") == "ab"
     assert build_builtin("sort", ab, 3).eval("ba") == "ab"

@@ -4,10 +4,7 @@ import hashlib
 import itertools
 import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -231,14 +228,6 @@ def test_pool_never_outnumbers_tasks_or_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert sweep_alpha_tables(3, 3, jobs=500) == serial
     assert sizes == [4, 3]
-
-
-def test_importing_the_cli_loads_no_process_pool():
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    code = ("import strfn.cli, sys; "
-            "sys.exit('concurrent.futures' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -------------------------------------------------------------- preassociativity

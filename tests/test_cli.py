@@ -18,6 +18,7 @@ import pytest
 import strfn
 from strfn import (
     Alphabet,
+    extend,
     length_fn,
     length_of_fn,
     letter_remove_g_fn,
@@ -27,7 +28,7 @@ from strfn import (
     table_fn,
     theta_rep_fn,
 )
-from strfn import cli
+from strfn import quotient
 from strfn.cli import main
 from strfn.specio import function_to_json, partial_to_json, to_text
 
@@ -332,7 +333,7 @@ def test_theta_chain_builds_no_identities(capsys, monkeypatch):
         built.append(spec.m)
         return theta_rep_fn(alphabet, bound, spec)
 
-    monkeypatch.setattr(cli, "theta_rep_fn", counting)
+    monkeypatch.setattr(quotient, "theta_rep_fn", counting)
     code, out, err = run(capsys, "theta", "chain", "--alphabet", "ab",
                          "--x0", "a", "--x1", "b", "--bound", "3",
                          "--m-exp", "20000")
@@ -395,6 +396,20 @@ def test_output_file_matches_stdout(capsys, tmp_path, ofo_file):
     _, out, _ = run(capsys, "check", "assoc", "--input", ofo_file,
                     "--output", str(report_path))
     assert report_path.read_text() == out
+
+
+def test_streamed_output_file_matches_stdout(tmp_path, first_letter_spec):
+    """A report of many write batches: the file and stdout get its bytes."""
+    spec_path = write(tmp_path, "spec.json", partial_to_json(first_letter_spec))
+    out_path = tmp_path / "grown.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(strfn.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "strfn", "extend", "--input", spec_path,
+         "--bound", "12", "--output", str(out_path)],
+        env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0
+    expected = to_text(function_to_json(extend(first_letter_spec, 12))).encode()
+    assert done.stdout == out_path.read_bytes() == expected
 
 
 def _spec(function):

@@ -11,9 +11,11 @@ from strfn import (
     FAILS,
     HOLDS,
     Alphabet,
+    AlphabetError,
     AlphaRejection,
     InsufficientHorizonError,
     LengthBasedRejection,
+    MalformedSpecError,
     MissingEntryError,
     PreconditionError,
     Token,
@@ -375,6 +377,14 @@ def test_preassoc_length_based_needs_injective_relabel(ab):
         compose_preassoc_length_based(
             ab, 6, mu, {"": Token("e"), "a": Token("x"), "aa": Token("x")}
         )
+
+
+@pytest.mark.parametrize("value, error", [
+    ("c", AlphabetError), (5, MalformedSpecError), (None, MalformedSpecError),
+])
+def test_preassoc_length_based_checks_relabel_values(ab, value, error):
+    with pytest.raises(error):
+        compose_preassoc_length_based(ab, 4, {n: "" for n in range(5)}, {"": value})
 
 
 def test_preassoc_length_based_rejects_invalid_profile(ab):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from strfn import (
     compose_length_based,
     constant_fn,
     enumerate_strings,
+    extend,
     factorize,
     identity_alpha,
     identity_fn,
@@ -53,6 +55,7 @@ from strfn.specio import (
     value_from_json,
     value_to_json,
     witness_to_json,
+    write_to_json,
 )
 
 
@@ -253,6 +256,27 @@ def test_to_text_is_deterministic(ab):
     assert first == second
     assert first.endswith("\n")
     json.loads(first)
+
+
+_STREAMED = {
+    "extend-L12": lambda ab, ab3, spec: function_to_json(extend(spec, 12)),
+    "small": lambda ab, ab3, spec: {"value": ""},
+    "witness": lambda ab, ab3, spec: report_to_json(
+        check_preassociative(length_of_fn(letter_remove_g_fn(ab3, 5, "a")), 5)),
+}
+
+
+@pytest.mark.parametrize("name", _STREAMED)
+def test_streamed_json_is_to_text(ab, ab3, first_letter_spec, name):
+    obj = _STREAMED[name](ab, ab3, first_letter_spec)
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(obj))
+    assert (chunks > 2 * specio._BATCH) == (name == "extend-L12")
+    first, second = io.StringIO(), io.StringIO()
+    write_to_json(obj, first, second)
+    expected = json.dumps(obj, indent=2) + "\n"
+    assert first.getvalue() == second.getvalue() == expected == to_text(obj)
+    if name == "witness":
+        assert '"witness"' in expected
 
 
 def test_load_function(tmp_path, ab):
