@@ -1,15 +1,17 @@
 """Closed-form example functions: the toolkit's standard fixtures.
 
-Each builtin is a small frozen definition object wrapped in a
-:class:`~strfn.core.BoundedFn` by its factory.  Definitions pickle; they
-hash only when their params do, so ``length_of`` over a table, whose
-entries are a dict, does not.  ``BUILTINS`` registers each one under the
+Every builtin is one :class:`BuiltinDef`: its registry name, its params,
+and a module-level closed form with those params bound.  Its factory
+validates the params and wraps it in a :class:`~strfn.core.BoundedFn`.
+A definition pickles, equals another with the same name and params, and
+hashes when its params do; ``length_of`` over a table, whose entries
+are a dict, does not.  ``BUILTINS`` registers each factory under the
 name spec files use for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Token, Value
@@ -19,115 +21,92 @@ if TYPE_CHECKING:
     from .lengthbased import AlphaFn, PsiTable
 
 
-@dataclass(frozen=True)
-class IdentityDef:
-    codomain: str = STRING
+class BuiltinDef:
+    """A builtin's definition: ``apply(s)`` is ``closed_form(*params.values(), s)``.
 
-    def apply(self, s: str) -> str:
-        return s
+    ``name`` and ``params`` are what a spec file holds, so the params are
+    given in the closed form's order, which is also the registry's.
+    """
+
+    __slots__ = ("name", "params", "codomain", "apply")
+
+    def __init__(self, name: str, closed_form: Callable[..., Value],
+                 codomain: str = STRING, **params: object) -> None:
+        self.name = name
+        self.params = params
+        self.codomain = codomain
+        self.apply = partial(closed_form, *params.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BuiltinDef):
+            return NotImplemented
+        return self.name == other.name and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.name, *self.params.items()))
+
+    def __repr__(self) -> str:
+        return f"BuiltinDef({self.name!r}, {self.params!r})"
 
 
-@dataclass(frozen=True)
-class SortDef:
+def _identity(s: str) -> str:
+    return s
+
+
+def _sort(order: tuple[str, ...], s: str) -> str:
     """Stable sort of the letters by the given order."""
-
-    order: tuple[str, ...]
-    codomain: str = STRING
-
-    def apply(self, s: str) -> str:
-        return "".join(sorted(s, key=self.order.index))
+    return "".join(sorted(s, key=order.index))
 
 
-@dataclass(frozen=True)
-class LetterRemoveDef:
+def _letter_remove(letter: str, s: str) -> str:
     """Delete every occurrence of one letter; a monoid endomorphism."""
-
-    letter: str
-    codomain: str = STRING
-
-    def apply(self, s: str) -> str:
-        return s.replace(self.letter, "")
+    return s.replace(letter, "")
 
 
-@dataclass(frozen=True)
-class LetterRemoveGDef:
-    """Like LetterRemoveDef, except powers of the letter collapse to it.
+def _letter_remove_g(letter: str, s: str) -> str:
+    """Like ``_letter_remove``, except powers of the letter collapse to it.
 
     Sends every string in {a}* (the empty string included) to "a", and
     anything else to its letter-removed form.  Associative but not
     standard: the value at the empty string is "a".
     """
-
-    letter: str
-    codomain: str = STRING
-
-    def apply(self, s: str) -> str:
-        if set(s) <= {self.letter}:
-            return self.letter
-        return s.replace(self.letter, "")
+    if set(s) <= {letter}:
+        return letter
+    return s.replace(letter, "")
 
 
-@dataclass(frozen=True)
-class OfoDef:
+def _ofo(s: str) -> str:
     """Keep only the first occurrence of each letter, in order."""
-
-    codomain: str = STRING
-
-    def apply(self, s: str) -> str:
-        return "".join(dict.fromkeys(s))
+    return "".join(dict.fromkeys(s))
 
 
-@dataclass(frozen=True)
-class SeparatorInsertDef:
+def _separator_insert(bar: str, s: str) -> str:
     """Insert the bar letter between adjacent letters when neither is a bar."""
-
-    bar: str
-    codomain: str = STRING
-
-    def apply(self, s: str) -> str:
-        if not s:
-            return s
-        out = [s[0]]
-        for prev, cur in zip(s, s[1:]):
-            if prev != self.bar and cur != self.bar:
-                out.append(self.bar)
-            out.append(cur)
-        return "".join(out)
+    if not s:
+        return s
+    out = [s[0]]
+    for prev, cur in zip(s, s[1:]):
+        if prev != bar and cur != bar:
+            out.append(bar)
+        out.append(cur)
+    return "".join(out)
 
 
-@dataclass(frozen=True)
-class LengthDef:
-    codomain: str = TOKEN
-
-    def apply(self, s: str) -> Token:
-        return Token(len(s))
+def _length(s: str) -> Token:
+    return Token(len(s))
 
 
-@dataclass(frozen=True)
-class LengthOfDef:
+def _inner_length(inner: object, s: str) -> Token:
     """Length of another definition's output: |inner(x)|."""
-
-    inner: object
-    codomain: str = TOKEN
-
-    def apply(self, s: str) -> Token:
-        return Token(len(self.inner.apply(s)))
+    return Token(len(inner.apply(s)))
 
 
-@dataclass(frozen=True)
-class ConstantDef:
-    value: Value
-
-    @property
-    def codomain(self) -> str:
-        return STRING if isinstance(self.value, str) else TOKEN
-
-    def apply(self, s: str) -> Value:
-        return self.value
+def _constant(value: Value, s: str) -> Value:
+    return value
 
 
 def identity_fn(alphabet: Alphabet, bound: int) -> BoundedFn:
-    return BoundedFn(alphabet, bound, IdentityDef())
+    return BoundedFn(alphabet, bound, BuiltinDef("identity", _identity))
 
 
 def sort_fn(
@@ -140,37 +119,41 @@ def sort_fn(
         raise PreconditionError(
             f"sort order {order!r} is not a permutation of the alphabet"
         )
-    return BoundedFn(alphabet, bound, SortDef(tuple(order)))
+    return BoundedFn(alphabet, bound, BuiltinDef("sort", _sort, order=tuple(order)))
 
 
 def letter_remove_fn(alphabet: Alphabet, bound: int, letter: str) -> BoundedFn:
     alphabet.index(letter)
-    return BoundedFn(alphabet, bound, LetterRemoveDef(letter))
+    return BoundedFn(alphabet, bound, BuiltinDef("letter_remove", _letter_remove,
+                                                 letter=letter))
 
 
 def letter_remove_g_fn(alphabet: Alphabet, bound: int, letter: str) -> BoundedFn:
     alphabet.index(letter)
-    return BoundedFn(alphabet, bound, LetterRemoveGDef(letter))
+    return BoundedFn(alphabet, bound, BuiltinDef("letter_remove_g", _letter_remove_g,
+                                                 letter=letter))
 
 
 def ofo_fn(alphabet: Alphabet, bound: int) -> BoundedFn:
-    return BoundedFn(alphabet, bound, OfoDef())
+    return BoundedFn(alphabet, bound, BuiltinDef("ofo", _ofo))
 
 
 def separator_insert_fn(alphabet: Alphabet, bound: int, bar: str) -> BoundedFn:
     alphabet.index(bar)
-    return BoundedFn(alphabet, bound, SeparatorInsertDef(bar))
+    return BoundedFn(alphabet, bound, BuiltinDef("separator_insert", _separator_insert,
+                                                 bar=bar))
 
 
 def length_fn(alphabet: Alphabet, bound: int) -> BoundedFn:
-    return BoundedFn(alphabet, bound, LengthDef())
+    return BoundedFn(alphabet, bound, BuiltinDef("length", _length, TOKEN))
 
 
 def length_of_fn(inner: BoundedFn) -> BoundedFn:
     """Token-valued |inner(x)|; requires a string-valued inner function."""
     if not inner.string_valued:
         raise PreconditionError("length_of requires a string-valued inner function")
-    return BoundedFn(inner.alphabet, inner.bound, LengthOfDef(inner.definition))
+    return BoundedFn(inner.alphabet, inner.bound,
+                     BuiltinDef("length_of", _inner_length, TOKEN, inner=inner.definition))
 
 
 def constant_fn(alphabet: Alphabet, bound: int, value: Value) -> BoundedFn:
@@ -178,7 +161,18 @@ def constant_fn(alphabet: Alphabet, bound: int, value: Value) -> BoundedFn:
         alphabet.validate(value)
     elif not isinstance(value, Token):
         raise MalformedSpecError(f"constant value {value!r} is not a string or Token")
-    return BoundedFn(alphabet, bound, ConstantDef(value))
+    codomain = STRING if isinstance(value, str) else TOKEN
+    return BoundedFn(alphabet, bound, BuiltinDef("constant", _constant, codomain, value=value))
+
+
+def _length_of(alphabet: Alphabet, bound: int, inner: BoundedFn) -> BoundedFn:
+    """``length_of_fn``, for an inner function over ``alphabet`` and ``bound``."""
+    if inner.alphabet != alphabet or inner.bound != bound:
+        raise PreconditionError(
+            f"length_of over {alphabet.letters} to bound {bound} got an inner function "
+            f"over {inner.alphabet.letters} to bound {inner.bound}"
+        )
+    return length_of_fn(inner)
 
 
 def _length_based(alphabet: Alphabet, bound: int, alpha: AlphaFn, psi: PsiTable) -> BoundedFn:
@@ -193,34 +187,32 @@ LETTER, ORDER, VALUE, PROFILE, PSI, FUNCTION = (
     "letter", "order", "value", "profile", "psi", "function")
 
 
-@dataclass(frozen=True)
 class Builtin:
-    """A spec name's definition class and factory.  ``params`` maps each
-    param, which the definition stores under the same attribute name, to
-    its kind, in serialized order; the factory defaults the ``optional``.
-    A class of another layer is given as ``"module.Class"``, so that the
-    registry does not load that layer."""
+    """A spec name's factory.  ``params`` maps each param, which the
+    definition holds under the same key, to its kind, in serialized
+    order; the factory defaults the ``optional``."""
 
-    definition: type | str
-    factory: Callable[..., BoundedFn]
-    params: Mapping[str, str] = field(default_factory=dict)
-    optional: tuple[str, ...] = ()
+    __slots__ = ("factory", "params", "optional")
+
+    def __init__(self, factory: Callable[..., BoundedFn],
+                 params: Mapping[str, str] | None = None,
+                 optional: tuple[str, ...] = ()) -> None:
+        self.factory = factory
+        self.params = params or {}
+        self.optional = optional
 
 
 BUILTINS: dict[str, Builtin] = {
-    "identity": Builtin(IdentityDef, identity_fn),
-    "sort": Builtin(SortDef, sort_fn, {"order": ORDER}, ("order",)),
-    "letter_remove": Builtin(LetterRemoveDef, letter_remove_fn, {"letter": LETTER}),
-    "letter_remove_g": Builtin(LetterRemoveGDef, letter_remove_g_fn, {"letter": LETTER}),
-    "ofo": Builtin(OfoDef, ofo_fn),
-    "separator_insert": Builtin(SeparatorInsertDef, separator_insert_fn, {"bar": LETTER}),
-    "length": Builtin(LengthDef, length_fn),
-    # The inner function carries its own alphabet and bound.
-    "length_of": Builtin(LengthOfDef, lambda alphabet, bound, inner: length_of_fn(inner),
-                         {"inner": FUNCTION}),
-    "constant": Builtin(ConstantDef, constant_fn, {"value": VALUE}),
-    "length_based": Builtin("strfn.lengthbased.LengthBasedDef", _length_based,
-                            {"alpha": PROFILE, "psi": PSI}),
+    "identity": Builtin(identity_fn),
+    "sort": Builtin(sort_fn, {"order": ORDER}, ("order",)),
+    "letter_remove": Builtin(letter_remove_fn, {"letter": LETTER}),
+    "letter_remove_g": Builtin(letter_remove_g_fn, {"letter": LETTER}),
+    "ofo": Builtin(ofo_fn),
+    "separator_insert": Builtin(separator_insert_fn, {"bar": LETTER}),
+    "length": Builtin(length_fn),
+    "length_of": Builtin(_length_of, {"inner": FUNCTION}),
+    "constant": Builtin(constant_fn, {"value": VALUE}),
+    "length_based": Builtin(_length_based, {"alpha": PROFILE, "psi": PSI}),
 }
 
 

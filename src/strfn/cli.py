@@ -246,23 +246,19 @@ def _run_alpha(args: argparse.Namespace) -> int:
         report = lengthbased.check_alpha_equations(_alpha_values(data))
         _emit(report_to_json(report), args, _summarize("alpha equations", report))
         return _report_exit(report)
-    if args.action == "classify":
-        shape = lengthbased.classify_alpha(_alpha_values(data))
-        if isinstance(shape, lengthbased.AlphaFn):
-            _emit(alpha_to_json(shape), args, f"classified: {shape.kind}")
-            return 0
-        _emit({"rejected": shape.condition, "message": shape.message},
-              args, f"rejected: {shape.message}")
-        return 1
-    if args.action == "synth":
-        made = structured_alpha_from_json(
-            fields.get("n1"), fields.get("ell"), fields.get("window"))
-        if isinstance(made, lengthbased.AlphaFn):
-            _emit(alpha_to_json(made), args, "synthesized")
-            return 0
-        _emit({"rejected": made.condition, "message": made.message},
-              args, f"rejected: {made.message}")
-        return 1
+    if args.action in ("classify", "synth"):
+        if args.action == "classify":
+            made = lengthbased.classify_alpha(_alpha_values(data))
+        else:
+            made = structured_alpha_from_json(
+                fields.get("n1"), fields.get("ell"), fields.get("window"))
+        if isinstance(made, lengthbased.AlphaRejection):
+            _emit({"rejected": made.condition, "message": made.message},
+                  args, f"rejected: {made.message}")
+            return 1
+        _emit(alpha_to_json(made), args,
+              f"classified: {made.kind}" if args.action == "classify" else "synthesized")
+        return 0
     witnesses = fields.get("witnesses")
     if not (isinstance(witnesses, list) and witnesses and all(
             isinstance(w, list) and len(w) == 2 and all(map(_is_int, w))

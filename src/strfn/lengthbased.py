@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
+from .builtins import BuiltinDef
 from .checkers import CheckReport, Witness, _finish, _require_string_valued, _scan
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Token, Value
 from .errors import (
@@ -295,16 +296,9 @@ def psi_table(pairs: Mapping[int, str] | Sequence[tuple[int, str]]) -> PsiTable:
     return PsiTable(tuple(items))
 
 
-@dataclass(frozen=True)
-class LengthBasedDef:
+def _psi_alpha_length(alpha: AlphaFn, psi: PsiTable, s: str) -> str:
     """Closed form psi(alpha(|x|)); associative whenever alpha classifies."""
-
-    alpha: AlphaFn
-    psi: PsiTable
-    codomain: str = STRING
-
-    def apply(self, s: str) -> Value:
-        return self.psi.apply(eval_alpha(self.alpha, len(s)))
+    return psi.apply(eval_alpha(alpha, len(s)))
 
 
 def compose_length_based(
@@ -314,7 +308,8 @@ def compose_length_based(
     for k in range(bound + 1):
         out = psi.apply(eval_alpha(alpha, k))
         alphabet.validate(out)
-    return BoundedFn(alphabet, bound, LengthBasedDef(alpha, psi))
+    return BoundedFn(alphabet, bound,
+                     BuiltinDef("length_based", _psi_alpha_length, alpha=alpha, psi=psi))
 
 
 @dataclass(frozen=True)

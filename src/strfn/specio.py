@@ -30,7 +30,9 @@ import json
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Mapping
 
-from .builtins import BUILTINS, FUNCTION, LETTER, ORDER, PROFILE, PSI, VALUE, build_builtin
+from .builtins import (
+    BUILTINS, FUNCTION, LETTER, ORDER, PROFILE, PSI, VALUE, BuiltinDef, build_builtin,
+)
 from .core import STRING, Alphabet, BoundedFn, TableDef, Token, Value, table_fn
 from .errors import MalformedSpecError
 
@@ -176,15 +178,14 @@ def _definition_to_json(definition: object) -> dict[str, Any] | None:
     """The function object for a recognized definition, else None."""
     if isinstance(definition, TableDef):
         return _table_to_json(definition.codomain, definition.entries)
-    name = _BUILTIN_NAMES.get(_qualified(type(definition)))
-    if name is None:
+    if not isinstance(definition, BuiltinDef):
         return None
     params = {}
-    for key, kind in BUILTINS[name].params.items():
-        params[key] = _PARAM_CODECS[kind][0](getattr(definition, key))
+    for key, kind in BUILTINS[definition.name].params.items():
+        params[key] = _PARAM_CODECS[kind][0](definition.params[key])
         if params[key] is None:
             return None
-    return {"kind": "builtin", "name": name, "params": params}
+    return {"kind": "builtin", "name": definition.name, "params": params}
 
 
 def function_to_json(fn: BoundedFn) -> dict[str, Any]:
@@ -236,17 +237,6 @@ _PARAM_CODECS: dict[str, tuple[Callable[..., Any], Callable[..., Any]]] = {
     PROFILE: (alpha_to_json, alpha_from_json),
     PSI: (psi_to_json, psi_from_json),
     FUNCTION: (_definition_to_json, _function_from_object),
-}
-
-
-def _qualified(cls: type) -> str:
-    return f"{cls.__module__}.{cls.__qualname__}"
-
-
-# Each builtin's name, by the qualified name of its definition class.
-_BUILTIN_NAMES = {
-    e.definition if isinstance(e.definition, str) else _qualified(e.definition): name
-    for name, e in BUILTINS.items()
 }
 
 

@@ -128,6 +128,15 @@ def test_length_of_needs_string_valued_inner(ab):
         length_of_fn(length_fn(ab, 3))
 
 
+def test_built_length_of_keeps_the_requested_alphabet_and_bound(ab):
+    abc = Alphabet(("a", "b", "c"))
+    fn = build_builtin("length_of", ab, 3, {"inner": ofo_fn(ab, 3)})
+    assert (fn.alphabet, fn.bound) == (ab, 3)
+    for inner in (ofo_fn(abc, 3), ofo_fn(ab, 5)):
+        with pytest.raises(PreconditionError):
+            build_builtin("length_of", ab, 3, {"inner": inner})
+
+
 def test_constant(ab):
     fn = constant_fn(ab, 3, "ab")
     assert fn.eval("") == "ab"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
 
 import pytest
 
@@ -97,12 +98,16 @@ def test_function_round_trips(ab, name):
     fn = _ROUND_TRIP_BUILDERS[name](ab)
     obj = function_to_json(fn)
     clone = function_from_json(obj)
+    pickled = pickle.loads(pickle.dumps(fn))
     assert clone.alphabet == fn.alphabet
     assert clone.bound == fn.bound
     for s in enumerate_strings(fn.alphabet, fn.bound):
-        assert clone.eval(s) == fn.eval(s)
-    assert function_to_json(clone) == obj
+        assert clone.eval(s) == pickled.eval(s) == fn.eval(s)
+    assert function_to_json(clone) == function_to_json(pickled) == obj
     assert obj["function"].get("name", "table") == name
+    # Definitions compare by value and print without a memory address.
+    assert _ROUND_TRIP_BUILDERS[name](ab) == fn
+    assert "0x" not in repr(fn)
 
 
 def test_docstring_lists_every_builtin():
