@@ -187,6 +187,35 @@ LETTER, ORDER, VALUE, PROFILE, PSI, FUNCTION = (
     "letter", "order", "value", "profile", "psi", "function")
 
 
+def _is_order(v: object) -> bool:
+    return v is None or (isinstance(v, (tuple, list, str))
+                         and all(isinstance(c, str) for c in v))
+
+
+def _is_profile(v: object) -> bool:
+    from .lengthbased import AlphaFn
+
+    return isinstance(v, AlphaFn)
+
+
+def _is_psi(v: object) -> bool:
+    from .lengthbased import PsiTable
+
+    return isinstance(v, PsiTable)
+
+
+# What an API param of each kind must be; the factory checks its value.
+# The two length-profile kinds load their layer, which their factory needs.
+_KIND_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    LETTER: ("a letter", lambda v: isinstance(v, str)),
+    ORDER: ("a sequence of letters or None", _is_order),
+    VALUE: ("a string or Token", lambda v: isinstance(v, (str, Token))),
+    PROFILE: ("an AlphaFn", _is_profile),
+    PSI: ("a PsiTable", _is_psi),
+    FUNCTION: ("a BoundedFn", lambda v: isinstance(v, BoundedFn)),
+}
+
+
 class Builtin:
     """A spec name's factory.  ``params`` maps each param, which the
     definition holds under the same key, to its kind, in serialized
@@ -219,14 +248,22 @@ BUILTINS: dict[str, Builtin] = {
 def build_builtin(
     name: str, alphabet: Alphabet, bound: int, params: Mapping[str, object] | None = None
 ) -> BoundedFn:
-    """Construct a builtin by its registry name, as used in spec files."""
+    """Construct a builtin by its registry name, as used in spec files.
+
+    Raises MalformedSpecError for an unknown name, a missing or unknown
+    param, or a param whose type does not fit its kind.
+    """
     entry = BUILTINS.get(name)
     if entry is None:
         raise MalformedSpecError(f"unknown builtin {name!r}")
     params = dict(params or {})
-    for key in params:
+    for key, value in params.items():
         if key not in entry.params:
             raise MalformedSpecError(f"builtin {name!r} has no parameter {key!r}")
+        what, accepts = _KIND_TYPES[entry.params[key]]
+        if not accepts(value):
+            raise MalformedSpecError(f"builtin {name!r} parameter {key!r} must be {what}, "
+                                     f"got {type(value).__name__}")
     for key in entry.params:
         if key not in params and key not in entry.optional:
             raise MalformedSpecError(f"builtin {name!r} is missing parameter {key!r}")

@@ -62,10 +62,9 @@ enforces ``0 <= level <= fn.bound``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .core import BoundedFn, Value, count_strings
+from .core import BoundedFn, Record, Value, count_strings
 from .errors import NotApplicableError, PreconditionError
 
 HOLDS = "holds"
@@ -73,25 +72,31 @@ FAILS = "fails"
 VACUOUS = "vacuous"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """An instantiated counterexample: variable bindings plus both sides."""
 
-    bindings: tuple[tuple[str, str], ...]
-    lhs: Value | None = None
-    rhs: Value | None = None
+    __slots__ = _fields = ("bindings", "lhs", "rhs")
+
+    def __init__(self, bindings: tuple[tuple[str, str], ...],
+                 lhs: Value | None = None, rhs: Value | None = None) -> None:
+        self.bindings = bindings
+        self.lhs = lhs
+        self.rhs = rhs
 
     def binding(self, name: str) -> str:
         return dict(self.bindings)[name]
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    verdict: str
-    witness: Witness | None
-    checked: int
-    skipped: int
-    detail: str | None = None
+class CheckReport(Record):
+    __slots__ = _fields = ("verdict", "witness", "checked", "skipped", "detail")
+
+    def __init__(self, verdict: str, witness: Witness | None, checked: int, skipped: int,
+                 detail: str | None = None) -> None:
+        self.verdict = verdict
+        self.witness = witness
+        self.checked = checked
+        self.skipped = skipped
+        self.detail = detail
 
     @property
     def ok(self) -> bool:
@@ -499,7 +504,8 @@ def check_m_bounded(fn: BoundedFn, m: int, level: int) -> CheckReport:
                    for s, v in vals.items())
     if report.ok:
         return report
-    return replace(report, detail=f"|F(x)| = {len(report.witness.lhs)} exceeds m = {m}")
+    return CheckReport(FAILS, report.witness, report.checked, report.skipped,
+                       f"|F(x)| = {len(report.witness.lhs)} exceeds m = {m}")
 
 
 def check_m_determined_range(fn: BoundedFn, m: int, level: int) -> CheckReport:
@@ -653,7 +659,7 @@ def check_injective_rigidity(fn: BoundedFn, level: int) -> CheckReport:
                            detail="not idempotent on the domain")
 
     report = _scan(None if v == s else Witness((("x", s),), v, s) for s, v in vals.items())
-    return replace(report, skipped=skipped)
+    return CheckReport(report.verdict, report.witness, report.checked, skipped, report.detail)
 
 
 def find_absorbed_string(fn: BoundedFn, level: int) -> str | None:

@@ -17,7 +17,6 @@ function's values there from one :class:`Domain` per level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Union
 
@@ -27,7 +26,34 @@ STRING = "string"
 TOKEN = "token"
 
 
-@dataclass(frozen=True)
+class Record:
+    """Equality, hash and repr read off the per-class field names ``_fields``.
+
+    Two instances are equal when they are of the same class, subclasses
+    apart, and their fields are equal; ``hash`` is the hash of the field
+    tuple and ``repr`` is ``Name(field=value, ...)``.  Each subclass
+    declares ``__slots__`` and sets its fields in ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 class Token:
     """Opaque codomain value, compared by equality only.
 
@@ -35,7 +61,18 @@ class Token:
     (numbers, labels) that is disjoint from every string codomain.
     """
 
-    payload: int | str
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: int | str) -> None:
+        self.payload = payload
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self.payload == other.payload
+
+    def __hash__(self) -> int:
+        return hash((self.payload,))
 
     def __repr__(self) -> str:
         return f"Token({self.payload!r})"
@@ -44,24 +81,22 @@ class Token:
 Value = Union[str, Token]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """A finite, totally ordered set of single-character letters."""
 
-    letters: tuple[str, ...]
+    __slots__ = ("letters", "_index")
+    _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: tuple[str, ...]) -> None:
+        if not letters:
             raise AlphabetError("alphabet must contain at least one letter")
-        for ch in self.letters:
+        for ch in letters:
             if not isinstance(ch, str) or len(ch) != 1:
                 raise AlphabetError(f"letters must be single characters, got {ch!r}")
-        if len(set(self.letters)) != len(self.letters):
+        if len(set(letters)) != len(letters):
             raise AlphabetError("alphabet letters must be distinct")
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {ch: i for i, ch in enumerate(self.letters)}
+        self.letters = letters
+        self._index = {ch: i for i, ch in enumerate(letters)}
 
     def __contains__(self, ch: str) -> bool:
         return ch in self._index
@@ -127,12 +162,14 @@ def count_strings(alphabet: Alphabet, max_len: int) -> int:
     return sum(n**k for k in range(max_len + 1))
 
 
-@dataclass(frozen=True)
-class TableDef:
+class TableDef(Record):
     """Lookup-table definition, total on the carrier's bounded domain."""
 
-    codomain: str
-    entries: Mapping[str, Value]
+    __slots__ = _fields = ("codomain", "entries")
+
+    def __init__(self, codomain: str, entries: Mapping[str, Value]) -> None:
+        self.codomain = codomain
+        self.entries = entries
 
     def apply(self, s: str) -> Value:
         try:
@@ -141,8 +178,7 @@ class TableDef:
             raise MissingEntryError(f"table has no entry for {s!r}")
 
 
-@dataclass(frozen=True)
-class BoundedFn:
+class BoundedFn(Record):
     """A variadic string function evaluated on strings up to ``bound``.
 
     ``definition`` is any object with a ``codomain`` attribute
@@ -150,15 +186,17 @@ class BoundedFn:
     tables and the closed-form builtins both satisfy this.
     """
 
-    alphabet: Alphabet
-    bound: int
-    definition: object
-    # The latest domain built by domain(); freed together with the function.
-    _domain: Domain | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("alphabet", "bound", "definition", "_domain")
+    _fields = ("alphabet", "bound", "definition")
 
-    def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {self.bound}")
+    def __init__(self, alphabet: Alphabet, bound: int, definition: object) -> None:
+        if bound < 0:
+            raise ValueError(f"bound must be nonnegative, got {bound}")
+        self.alphabet = alphabet
+        self.bound = bound
+        self.definition = definition
+        # The latest domain built by domain(); freed together with the function.
+        self._domain: Domain | None = None
 
     @property
     def codomain(self) -> str:
@@ -187,8 +225,7 @@ class BoundedFn:
         level = self.bound if level is None else level
         dom = self._domain
         if dom is None or dom.level != level:
-            dom = Domain(self, level)
-            object.__setattr__(self, "_domain", dom)
+            dom = self._domain = Domain(self, level)
         return dom
 
     def value_map(self, max_len: int | None = None) -> dict[str, Value]:
@@ -311,5 +348,5 @@ def _total_table(alphabet: Alphabet, bound: int, codomain: str,
     table is neither evaluated nor copied a second time.
     """
     fn = BoundedFn(alphabet, bound, TableDef(codomain, entries))
-    object.__setattr__(fn, "_domain", Domain(fn, bound, entries))
+    fn._domain = Domain(fn, bound, entries)
     return fn

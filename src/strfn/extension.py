@@ -10,7 +10,6 @@ grows the unique associative function on X^<=L by the fold G(yz) = G(G(y)z).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .checkers import (
@@ -23,24 +22,28 @@ from .checkers import (
     check_m_bounded,
 )
 from .core import (
-    STRING, Alphabet, BoundedFn, Value, _total_table, count_strings, enumerate_strings,
+    STRING, Alphabet, BoundedFn, Record, Value, _total_table, count_strings,
+    enumerate_strings,
 )
 from .errors import ConditionsFailedError, MalformedSpecError, PreconditionError
 
 Part = dict[str, Value]
 
 
-@dataclass(frozen=True)
-class VariadicParts:
+class VariadicParts(Record):
     """Low-arity tables F_0..F_{m+1}, any codomain, total per arity; m is derived.
 
     ``parts[k]`` maps each string of length k to its value.
     """
 
-    alphabet: Alphabet
-    parts: tuple[Part, ...]
+    __slots__ = _fields = ("alphabet", "parts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alphabet: Alphabet, parts: tuple[Part, ...]) -> None:
+        self.alphabet = alphabet
+        self.parts = parts
+        self._validate()
+
+    def _validate(self) -> None:
         if len(self.parts) < 2:
             raise MalformedSpecError("need tables for arities 0 and 1 at least")
         for k, part in enumerate(self.parts):
@@ -71,8 +74,10 @@ class PartialSpec(VariadicParts):
     """Tables whose every output is a string of at most m letters, so that
     a stored output plus one letter is again a key of the tables."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def _validate(self) -> None:
+        super()._validate()
         for k, part in enumerate(self.parts):
             for out in part.values():
                 if not isinstance(out, str):

@@ -26,13 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .builtins import BuiltinDef
 from .checkers import CheckReport, Witness, _finish, _require_string_valued, _scan
-from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Token, Value
+from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Record, Token, Value
 from .errors import (
     InsufficientHorizonError, MalformedSpecError, MissingEntryError, PreconditionError,
     UnevaluableError, WitnessError,
@@ -42,18 +40,21 @@ IDENTITY = "identity"
 STRUCTURED = "structured"
 
 
-@dataclass(frozen=True)
-class AlphaFn:
+class AlphaFn(Record):
     """A classified length profile, evaluable at every n >= 0.
 
     ``values`` stores the window [0, n1 + ell); beyond it the profile
     repeats with period ``ell``.  The identity kind ignores the fields.
     """
 
-    kind: str
-    n1: int = 0
-    ell: int = 1
-    values: tuple[int, ...] = ()
+    __slots__ = _fields = ("kind", "n1", "ell", "values")
+
+    def __init__(self, kind: str, n1: int = 0, ell: int = 1,
+                 values: tuple[int, ...] = ()) -> None:
+        self.kind = kind
+        self.n1 = n1
+        self.ell = ell
+        self.values = values
 
     @property
     def standard(self) -> bool:
@@ -65,12 +66,14 @@ def identity_alpha() -> AlphaFn:
     return AlphaFn(IDENTITY)
 
 
-@dataclass(frozen=True)
-class AlphaRejection:
+class AlphaRejection(Record):
     """Why a table or window is not a valid profile of the rigid shape."""
 
-    condition: str
-    message: str
+    __slots__ = _fields = ("condition", "message")
+
+    def __init__(self, condition: str, message: str) -> None:
+        self.condition = condition
+        self.message = message
 
 
 def eval_alpha(alpha: AlphaFn, n: int) -> int:
@@ -183,6 +186,11 @@ def classify_alpha(values: Sequence[int]) -> AlphaFn | AlphaRejection:
     table is too short to confirm one full period past the threshold.
     """
     _validate_table(values)
+    return _classify(values)
+
+
+def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
+    """:func:`classify_alpha` on a table already known to be valid."""
     horizon = len(values) - 1
 
     moved = [n for n, v in enumerate(values) if v != n]
@@ -263,26 +271,24 @@ def minimal_period(
 # composing and decomposing length-based functions
 
 
-@dataclass(frozen=True)
-class PsiTable:
+class PsiTable(Record):
     """Partial map n -> string with |psi(n)| = n, given as sorted pairs."""
 
-    entries: tuple[tuple[int, str], ...]
+    __slots__ = ("entries", "_map")
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for n, s in self.entries:
+    def __init__(self, entries: tuple[tuple[int, str], ...]) -> None:
+        mapping: dict[int, str] = {}
+        for n, s in entries:
             if isinstance(n, bool) or not isinstance(n, int):
                 raise ValueError(f"psi argument {n!r} must be an int")
             if len(s) != n:
                 raise ValueError(f"psi({n}) = {s!r} must have length {n}")
-            if n in seen:
+            if n in mapping:
                 raise ValueError(f"psi has more than one entry for {n}")
-            seen.add(n)
-
-    @cached_property
-    def _map(self) -> dict[int, str]:
-        return dict(self.entries)
+            mapping[n] = s
+        self.entries = entries
+        self._map = mapping
 
     def apply(self, n: int) -> str:
         try:
@@ -312,10 +318,12 @@ def compose_length_based(
                      BuiltinDef("length_based", _psi_alpha_length, alpha=alpha, psi=psi))
 
 
-@dataclass(frozen=True)
-class LengthBasedRejection:
-    reason: str
-    message: str
+class LengthBasedRejection(Record):
+    __slots__ = _fields = ("reason", "message")
+
+    def __init__(self, reason: str, message: str) -> None:
+        self.reason = reason
+        self.message = message
 
 
 def _constant_per_length(
@@ -388,13 +396,15 @@ def decompose_length_based(
     return shape, psi_table(psi_entries)
 
 
-@dataclass(frozen=True)
-class RelabeledLengthDef:
+class RelabeledLengthDef(Record):
     """Closed form f(mu(|x|)) with f injective on the reachable strings."""
 
-    mu: dict[int, str]
-    relabel: dict[str, Value]
-    codomain: str
+    __slots__ = _fields = ("mu", "relabel", "codomain")
+
+    def __init__(self, mu: dict[int, str], relabel: dict[str, Value], codomain: str) -> None:
+        self.mu = mu
+        self.relabel = relabel
+        self.codomain = codomain
 
     def apply(self, s: str) -> Value:
         mu, relabel = self.mu, self.relabel
@@ -472,14 +482,20 @@ def _starmap(func, arg_tuples, jobs):
         return list(pool.map(func, *zip(*arg_tuples)))
 
 
-@dataclass
-class AlphaSweep:
-    total: int = 0
-    equations_hold: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    insufficient: int = 0
-    mismatches: list[tuple[int, ...]] = field(default_factory=list)
+class AlphaSweep(Record):
+    __slots__ = _fields = ("total", "equations_hold", "accepted", "rejected", "insufficient",
+                           "mismatches")
+    __hash__ = None
+
+    def __init__(self, total: int = 0, equations_hold: int = 0, accepted: int = 0,
+                 rejected: int = 0, insufficient: int = 0,
+                 mismatches: list[tuple[int, ...]] | None = None) -> None:
+        self.total = total
+        self.equations_hold = equations_hold
+        self.accepted = accepted
+        self.rejected = rejected
+        self.insufficient = insufficient
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def agree(self) -> bool:
@@ -492,7 +508,7 @@ def _sweep_chunk(prefix: int, horizon: int, max_value: int) -> AlphaSweep:
         values = (prefix, *rest)
         out.total += 1
         try:
-            accepted = isinstance(classify_alpha(values), AlphaFn)
+            accepted = isinstance(_classify(values), AlphaFn)
         except InsufficientHorizonError:
             accepted = None
         if accepted is None or max(values) > horizon:

@@ -12,27 +12,26 @@ kernel quasiorder computed by :func:`preceq`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .core import STRING, Alphabet, BoundedFn, Value, _total_table, enumerate_strings
+from .core import STRING, Alphabet, BoundedFn, Record, Value, _total_table, enumerate_strings
 from .errors import OutOfDomainError, PreconditionError
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(Record):
     """Substitution data: swap x0^(2^m) with x1^(2^m)."""
 
-    x0: str
-    x1: str
-    m: int = 0
+    __slots__ = _fields = ("x0", "x1", "m")
 
-    def __post_init__(self) -> None:
-        if not self.x0 or not self.x1:
+    def __init__(self, x0: str, x1: str, m: int = 0) -> None:
+        if not x0 or not x1:
             raise ValueError("substitution strings must be nonempty")
-        if self.x0 == self.x1:
+        if x0 == x1:
             raise ValueError("substitution strings must be distinct")
-        if self.m < 0:
-            raise ValueError(f"exponent index must be nonnegative, got {self.m}")
+        if m < 0:
+            raise ValueError(f"exponent index must be nonnegative, got {m}")
+        self.x0 = x0
+        self.x1 = x1
+        self.m = m
 
     @property
     def blocks(self) -> tuple[str, str]:
@@ -40,16 +39,18 @@ class ThetaSpec:
         return (self.x0 * reps, self.x1 * reps)
 
 
-@dataclass(frozen=True)
-class ThetaClass:
+class ThetaClass(Record):
     """A closure result: members in length-lex order, truncation flagged.
 
     ``truncated`` is True when some rewrite left the bounded domain, so
     the true (unbounded) class has members beyond these.
     """
 
-    members: tuple[str, ...]
-    truncated: bool
+    __slots__ = _fields = ("members", "truncated")
+
+    def __init__(self, members: tuple[str, ...], truncated: bool) -> None:
+        self.members = members
+        self.truncated = truncated
 
     @property
     def rep(self) -> str:
@@ -136,8 +137,7 @@ STRICTLY_ABOVE = "strictly-above"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class KernelComparison:
+class KernelComparison(Record):
     """Outcome of comparing two kernels on the bounded domain.
 
     ``first_below_second`` means the second function's kernel refines the
@@ -146,10 +146,15 @@ class KernelComparison:
     function but distinguished by the other.
     """
 
-    relation: str
-    first_below_second: bool
-    second_below_first: bool
-    separating: tuple[str, str] | None
+    __slots__ = _fields = ("relation", "first_below_second", "second_below_first",
+                           "separating")
+
+    def __init__(self, relation: str, first_below_second: bool, second_below_first: bool,
+                 separating: tuple[str, str] | None) -> None:
+        self.relation = relation
+        self.first_below_second = first_below_second
+        self.second_below_first = second_below_first
+        self.separating = separating
 
 
 def _constant_on_classes(

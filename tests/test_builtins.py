@@ -10,12 +10,14 @@ from strfn import (
     build_builtin,
     constant_fn,
     enumerate_strings,
+    identity_alpha,
     identity_fn,
     length_fn,
     length_of_fn,
     letter_remove_fn,
     letter_remove_g_fn,
     ofo_fn,
+    psi_table,
     separator_insert_fn,
     sort_fn,
 )
@@ -179,3 +181,16 @@ def test_build_builtin_unknown_name(ab):
 def test_build_builtin_missing_param(ab):
     with pytest.raises(MalformedSpecError):
         build_builtin("letter_remove", ab, 3)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("letter_remove", {"letter": ["a"]}),
+    ("sort", {"order": 5}),
+    ("constant", {"value": 5}),
+    ("length_based", {"alpha": [0, 1, 2, 3], "psi": psi_table({0: "", 1: "a"})}),
+    ("length_based", {"alpha": identity_alpha(), "psi": {0: "", 1: "a"}}),
+    ("length_of", {"inner": "x"}),
+], ids=["letter", "order", "value", "profile", "psi", "function"])
+def test_build_builtin_rejects_a_param_of_another_kind(ab, name, params):
+    with pytest.raises(MalformedSpecError, match=r"parameter '\w+' must be"):
+        build_builtin(name, ab, 3, params)

@@ -426,6 +426,12 @@ def test_sweep_small_horizon():
     assert sweep.mismatches == []
 
 
+def test_sweep_totals_at_horizon_five():
+    sweep = sweep_alpha_tables(5, 5)
+    assert (sweep.total, sweep.equations_hold, sweep.accepted, sweep.rejected,
+            sweep.insufficient, sweep.mismatches) == (46656, 34, 34, 46012, 610, [])
+
+
 def test_sweep_rejects_negative_arguments():
     with pytest.raises(ValueError, match="horizon"):
         sweep_alpha_tables(-1, 2)

@@ -71,7 +71,11 @@ COMMANDS = {
                     {"quotient"}),
     "compare": ("compare --input {ofo} --input {length} --bound 4", {"quotient"}),
     "alpha-check": ("alpha check --input {profile}", {"lengthbased"}),
+    "check-length": ("check length --input {length} --bound 4", {"lengthbased"}),
 }
+# Standard modules no command needs: ``dataclasses`` loads ``inspect``,
+# which loads ``ast``, ``dis`` and ``tokenize``.
+UNUSED = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, layers", COMMANDS.values(), ids=COMMANDS)
@@ -85,6 +89,7 @@ def test_each_command_loads_only_its_layers(tmp_path, specs, argv, layers):
     assert own <= names
     assert {n for n in names if n.split(".")[0] == "strfn"} <= BASE | own
     assert "concurrent.futures" not in names
+    assert not UNUSED & names
 
 
 def test_importing_strfn_loads_no_submodule():
@@ -92,11 +97,12 @@ def test_importing_strfn_loads_no_submodule():
         "import json, strfn, sys\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'strfn')\n"
         "before = loaded()\n"
-        "print(json.dumps([before, strfn.checkers is sys.modules['strfn.checkers'], loaded()]))\n"
+        "print(json.dumps([before, strfn.checkers is sys.modules['strfn.checkers'], loaded(),\n"
+        f"                  sorted({sorted(UNUSED)} & sys.modules.keys())]))\n"
     ))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [
-        ["strfn"], True, ["strfn", "strfn.checkers", "strfn.core", "strfn.errors"]]
+        ["strfn"], True, ["strfn", "strfn.checkers", "strfn.core", "strfn.errors"], []]
 
 
 def test_public_names_resolve_on_first_use():
