@@ -180,18 +180,27 @@ def recursion_extension(spec: PartialSpec, level: int) -> BoundedFn:
         )
     # One table, filled in length-lex order: the stored parts are already
     # validated, and every fold reads a shorter, already filled string.
-    entries: dict[str, str] = {}
-    for s in enumerate_strings(spec.alphabet, level):
-        if len(s) <= spec.m + 1:
-            entries[s] = spec.value_at(s)
-            continue
-        folded = entries[s[:-1]] + s[-1]
-        if folded not in entries:
-            raise MalformedSpecError(
-                f"fold {folded!r} of {s!r} leaves the stored arities; "
-                f"outputs must have at most m = {spec.m} letters"
-            )
-        entries[s] = entries[folded]
+    # X^(n+1) in length-lex order is each string of X^n in order followed
+    # by each letter in turn, so a string's prefix is the one it grew from.
+    letters = spec.alphabet.letters
+    entries: dict[str, str] = {s: spec.value_at(s)
+                               for s in enumerate_strings(spec.alphabet, spec.m + 1)}
+    strings = [s for s in entries if len(s) == spec.m + 1]
+    for _ in range(spec.m + 2, level + 1):
+        grown = []
+        for prefix in strings:
+            head = entries[prefix]
+            for a in letters:
+                s = prefix + a
+                folded = head + a
+                if folded not in entries:
+                    raise MalformedSpecError(
+                        f"fold {folded!r} of {s!r} leaves the stored arities; "
+                        f"outputs must have at most m = {spec.m} letters"
+                    )
+                entries[s] = entries[folded]
+                grown.append(s)
+        strings = grown
     return _total_table(spec.alphabet, level, STRING, entries)
 
 

@@ -21,15 +21,18 @@ File shapes:
 
 Dictionaries are built in deterministic order, so serialized output is
 byte-stable without key sorting (which would scramble witness bindings).
+The text is that of ``json.dumps(obj, indent=2)`` and a newline, built by
+:mod:`strfn.jsontext`; ``write_to_json`` writes it a piece at a time, so
+a long table is never held as one string.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Mapping
 
+from . import jsontext
 from .builtins import (
     BUILTINS, FUNCTION, LETTER, ORDER, PROFILE, PSI, VALUE, BuiltinDef, build_builtin,
 )
@@ -343,29 +346,20 @@ def theta_class_to_json(cls: ThetaClass) -> dict[str, Any]:
     return {"members": list(cls.members), "truncated": cls.truncated}
 
 
-# The report format: what ``json.dumps(obj, indent=2)`` writes.
-_ENCODER = json.JSONEncoder(indent=2)
-# Encoder chunks joined per write: about 160 KB of an extended table's
-# text.  Few enough writes to cost what one write of the whole text does,
-# while the chunks held at once no longer grow with the output.
-_BATCH = 16384
-
-
 def to_text(obj: Any) -> str:
-    return _ENCODER.encode(obj) + "\n"
+    """The report text: ``json.dumps(obj, indent=2)`` and a newline."""
+    return "".join(jsontext.chunks(obj)) + "\n"
 
 
 def write_to_json(obj: Any, *files: IO[str]) -> None:
-    """Write ``to_text(obj)`` to each file, one batch of chunks at a time.
+    """Write ``to_text(obj)`` to each file, one piece at a time.
 
-    ``to_text`` joins every chunk of the encoder at once, so it holds
-    them all: several times the size of the text.
+    A long array goes out ``jsontext.ROWS`` rows per write, so the text
+    is never held whole.
     """
-    chunks = _ENCODER.iterencode(obj)
-    # No chunk is empty, so an empty batch means the chunks are spent.
-    while batch := "".join(itertools.islice(chunks, _BATCH)):
+    for piece in jsontext.chunks(obj):
         for f in files:
-            f.write(batch)
+            f.write(piece)
     for f in files:
         f.write("\n")
 

@@ -238,3 +238,44 @@ def test_conditions_sample_agrees_with_extension(ab):
             failing += 1
             assert assoc.verdict == FAILS
     assert passing and failing
+
+
+def _fold_oracle(spec, level):
+    """The fold G(s) = G(G(s[:-1]) s[-1]) over enumerate_strings, in its order."""
+    entries = {}
+    for s in enumerate_strings(spec.alphabet, level):
+        if len(s) <= spec.m + 1:
+            entries[s] = spec.value_at(s)
+            continue
+        folded = entries[s[:-1]] + s[-1]
+        if folded not in entries:
+            raise MalformedSpecError(f"fold {folded!r} of {s!r} leaves the stored arities; "
+                                     f"outputs must have at most m = {spec.m} letters")
+        entries[s] = entries[folded]
+    return entries
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_extension_grows_the_fold_in_length_lex_order(seed):
+    rng = random.Random(seed)
+    ab = Alphabet(tuple("abc"[:rng.randint(1, 3)]))
+    m = rng.randint(0, 2)
+    spec = partial_spec(ab, m, [
+        {s: "".join(rng.choice(ab.letters) for _ in range(rng.randint(0, m)))
+         for s in enumerate_strings(ab, k, min_len=k)}
+        for k in range(m + 2)
+    ])
+    if seed % 2:
+        # Parts are plain dicts: an output longer than m, set after the
+        # spec was validated, sends some fold out of the stored arities.
+        k = rng.randint(1, m + 1)
+        spec.parts[k][rng.choice(sorted(spec.parts[k]))] = ab.letters[-1] * (m + 1)
+    level = rng.randint(m + 2, m + 5)
+    try:
+        expected = list(_fold_oracle(spec, level).items())
+    except MalformedSpecError as exc:
+        with pytest.raises(MalformedSpecError) as info:
+            recursion_extension(spec, level)
+        assert str(info.value) == str(exc)
+    else:
+        assert list(recursion_extension(spec, level).definition.entries.items()) == expected

@@ -34,7 +34,7 @@ from strfn import (
     theta_class,
     theta_rep_fn,
 )
-from strfn import specio
+from strfn import jsontext, specio
 from strfn.builtins import BUILTINS
 from strfn.specio import (
     alpha_from_json,
@@ -271,15 +271,32 @@ _STREAMED = {
 }
 
 
+class _Recorder(io.StringIO):
+    """A text file that keeps each write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
 @pytest.mark.parametrize("name", _STREAMED)
 def test_streamed_json_is_to_text(ab, ab3, first_letter_spec, name):
     obj = _STREAMED[name](ab, ab3, first_letter_spec)
-    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(obj))
-    assert (chunks > 2 * specio._BATCH) == (name == "extend-L12")
-    first, second = io.StringIO(), io.StringIO()
+    first, second = _Recorder(), _Recorder()
     write_to_json(obj, first, second)
     expected = json.dumps(obj, indent=2) + "\n"
     assert first.getvalue() == second.getvalue() == expected == to_text(obj)
+    assert first.writes == second.writes
+    if name == "extend-L12":
+        # 8191 table rows, each opening a line "      [": no write holds
+        # more than jsontext.ROWS of them, so none holds the whole text.
+        rows = [w.count("\n      [") for w in first.writes]
+        assert sum(rows) == 8191
+        assert len(first.writes) > 1 and max(rows) == jsontext.ROWS
     if name == "witness":
         assert '"witness"' in expected
 

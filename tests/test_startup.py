@@ -17,10 +17,10 @@ from strfn import length_fn, ofo_fn
 from strfn.specio import function_to_json, partial_to_json, to_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-# The modules every command may load: the front door, the spec codecs
-# and what they need to load a function and check it.
-BASE = {"strfn", "strfn.__main__", "strfn.cli", "strfn.specio", "strfn.core",
-        "strfn.errors", "strfn.builtins", "strfn.checkers"}
+# The modules every command may load: the front door, the spec codecs,
+# the report writer and what they need to load a function and check it.
+BASE = {"strfn", "strfn.__main__", "strfn.cli", "strfn.specio", "strfn.jsontext",
+        "strfn.core", "strfn.errors", "strfn.builtins", "strfn.checkers"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
