@@ -49,14 +49,11 @@ def chunks(obj: Any, indent: str = "") -> Iterator[str]:
 def _rows(rows: list[Any] | tuple[Any, ...], indent: str) -> str:
     """The items of an array at ``indent``, joined by its separator.
 
-    A run of strings, or of ``[str, str]`` rows (every string-valued
-    table's), is encoded by ``map`` and ``str.join`` alone.
+    A run of ``[str, str]`` rows (every string-valued table's) is encoded
+    by ``map`` and ``str.join`` alone.
     """
     sep = ",\n" + indent
-    kinds = set(map(type, rows))
-    if kinds == {str}:
-        return sep.join(map(_string, rows))
-    if (kinds == {list} and set(map(len, rows)) == {2}
+    if (set(map(type, rows)) == {list} and set(map(len, rows)) == {2}
             and set(map(type, chain.from_iterable(rows))) == {str}):
         inner = indent + "  "
         cells = map(_string, chain.from_iterable(rows))
@@ -74,8 +71,7 @@ def _text(obj: Any, indent: str) -> str:
         return int.__repr__(obj)
     if isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
-        return ("[\n" + inner + (",\n" + inner).join([_text(item, inner) for item in obj])
-                + "\n" + indent + "]")
+        return "[\n" + inner + _rows(obj, inner) + "\n" + indent + "]"
     if isinstance(obj, dict) and obj:
         inner = indent + "  "
         return ("{\n" + inner + (",\n" + inner).join([

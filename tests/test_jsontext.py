@@ -87,7 +87,7 @@ def _scalar(r):
 def _long_array(r):
     """More than ROWS items: [str, str] rows, token rows and scalars mixed."""
     n = r.choice([ROWS + 1, 2 * ROWS, 2 * ROWS + 3])
-    plain = _STRINGS[:-1]  # exact str, as the fast paths need
+    plain = _STRINGS[:-1]  # exact str, as the pair path needs
     shape = r.choice(["pairs", "strings", "mixed"])
     if shape == "strings":
         rows = [r.choice(plain) * r.randint(0, 2) for _ in range(n)]
