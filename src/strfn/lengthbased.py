@@ -170,11 +170,16 @@ def _window_rejection(values: Sequence[int], n1: int, ell: int) -> AlphaRejectio
 
 
 def _verify_period(values: Sequence[int], start: int, period: int) -> tuple[int, int] | None:
-    """First index where the claimed periodicity breaks, or None."""
-    for n in range(start, len(values) - period):
+    """First (n, n + period) with n >= start and alpha(n) != alpha(n + period), or None.
+
+    One slice compare decides; the break is walked only when it fails.
+    """
+    stop = max(start, len(values) - period)
+    if values[start:stop] == values[start + period :]:
+        return None
+    for n in range(start, stop):
         if values[n] != values[n + period]:
             return (n, n + period)
-    return None
 
 
 def classify_alpha(values: Sequence[int]) -> AlphaFn | AlphaRejection:
@@ -190,16 +195,30 @@ def classify_alpha(values: Sequence[int]) -> AlphaFn | AlphaRejection:
 
 
 def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
-    """:func:`classify_alpha` on a table already known to be valid."""
-    horizon = len(values) - 1
+    """:func:`classify_alpha` on a table already known to be valid.
 
-    moved = [n for n, v in enumerate(values) if v != n]
-    if not moved:
+    One pass over the table finds the threshold n1, the least of
+    min(n, alpha(n)) over the moved n (those with alpha(n) != n), and the
+    period ell, the least jump |alpha(n) - n|.  The first moved n0 sets
+    both.  A later moved n has n > n0 >= n1, so it can lower n1 only
+    through alpha(n).  The window test then runs over [n1, n1 + ell), and
+    the period is one slice compare (:func:`_verify_period`).
+    """
+    it = enumerate(values)
+    for n, v in it:
+        if v != n:
+            n1, ell = min(n, v), abs(v - n)
+            break
+    else:
         return identity_alpha()
+    for n, v in it:
+        if v != n:
+            if v < n1:
+                n1 = v
+            if abs(v - n) < ell:
+                ell = abs(v - n)
 
-    n1 = min(min(moved), min(values[n] for n in moved))
-    ell = min(abs(values[n] - n) for n in moved)
-
+    horizon = len(values) - 1
     if horizon < n1 + 2 * ell:
         raise InsufficientHorizonError(n1, ell, horizon)
 
@@ -503,24 +522,26 @@ class AlphaSweep(Record):
 
 
 def _sweep_chunk(prefix: int, horizon: int, max_value: int) -> AlphaSweep:
-    out = AlphaSweep()
-    for rest in itertools.product(range(max_value + 1), repeat=horizon):
-        values = (prefix, *rest)
-        out.total += 1
+    equations_hold = accepted = insufficient = 0
+    mismatches = []
+    above = max_value > horizon  # else no entry can exceed the horizon
+    for values in itertools.product((prefix,), *[range(max_value + 1)] * horizon):
         try:
-            accepted = isinstance(_classify(values), AlphaFn)
+            ok = isinstance(_classify(values), AlphaFn)
         except InsufficientHorizonError:
-            accepted = None
-        if accepted is None or max(values) > horizon:
-            out.insufficient += 1
+            insufficient += 1
+            continue
+        if above and max(values) > horizon:
+            insufficient += 1
             continue
         holds = _equations_hold(values)
-        out.equations_hold += holds
-        out.accepted += accepted
-        out.rejected += not accepted
-        if accepted != holds:
-            out.mismatches.append(values)
-    return out
+        equations_hold += holds
+        accepted += ok
+        if ok != holds:
+            mismatches.append(values)
+    total = (max_value + 1) ** horizon
+    return AlphaSweep(total, equations_hold, accepted, total - insufficient - accepted,
+                      insufficient, mismatches)
 
 
 def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSweep:
@@ -541,7 +562,10 @@ def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSwee
     )
     total = AlphaSweep()
     for chunk in chunks:
-        for name in ("total", "equations_hold", "accepted", "rejected", "insufficient"):
-            setattr(total, name, getattr(total, name) + getattr(chunk, name))
+        total.total += chunk.total
+        total.equations_hold += chunk.equations_hold
+        total.accepted += chunk.accepted
+        total.rejected += chunk.rejected
+        total.insufficient += chunk.insufficient
         total.mismatches += chunk.mismatches
     return total

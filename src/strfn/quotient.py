@@ -74,12 +74,16 @@ def _occurrence_rewrites(s: str, old: str, new: str) -> list[str]:
         start = i + 1
 
 
-def _closure(x: str, spec: ThetaSpec, level: int) -> tuple[set[str], bool]:
+def _blocks(spec: ThetaSpec, level: int) -> tuple[str, str]:
     # A block longer than the level never occurs in X^{<=level}, and swapping
     # it in always leaves the domain; a stand-in of level + 1 letters does the
     # same, so 2^m is computed only when it is at most the level.
     reps = 2**spec.m if spec.m < level.bit_length() else level + 1
-    block0, block1 = ((w * reps)[: level + 1] for w in (spec.x0, spec.x1))
+    return (spec.x0 * reps)[: level + 1], (spec.x1 * reps)[: level + 1]
+
+
+def _closure(x: str, spec: ThetaSpec, level: int) -> tuple[set[str], bool]:
+    block0, block1 = _blocks(spec, level)
     seen = {x}
     queue = deque([x])
     truncated = False
@@ -114,18 +118,22 @@ def canonical_rep(x: str, spec: ThetaSpec, level: int, alphabet: Alphabet) -> st
 def theta_rep_fn(alphabet: Alphabet, bound: int, spec: ThetaSpec) -> BoundedFn:
     """The canonical-representative function F^m, as a table on X^{<=bound}.
 
-    One length-lex pass runs the BFS only from unlabelled strings and
-    labels the whole class with that string.  Swaps are reversible, so
-    the bounded classes partition the domain, and a string is still
-    unlabelled when reached iff no earlier string shares its class.  The
-    labels fill a dict keyed in length-lex order, which is the table and
-    its domain at the bound.
+    Every string starts labelled with itself.  One length-lex pass runs
+    the BFS only from a string that holds a block and is still its own
+    label, and labels the whole class with that string.  Swaps are
+    reversible, so the bounded classes partition the domain, and a string
+    keeps its own label when reached iff no earlier string shares its
+    class.  A string with neither block is a class of its own: no swap
+    applies to it, and none leads to it, since the swap back would need a
+    block.  The labels fill a dict keyed in length-lex order, which is
+    the table and its domain at the bound.
     """
     alphabet.validate(spec.x0)
     alphabet.validate(spec.x1)
-    entries = dict.fromkeys(enumerate_strings(alphabet, bound))
+    block0, block1 = _blocks(spec, bound)
+    entries = {s: s for s in enumerate_strings(alphabet, bound)}
     for s, rep in entries.items():  # only values change, so the loop is safe
-        if rep is None:
+        if rep == s and (block0 in s or block1 in s):
             members, _ = _closure(s, spec, bound)
             entries.update(dict.fromkeys(members, s))
     return _total_table(alphabet, bound, STRING, entries)

@@ -173,8 +173,9 @@ def _pairs_from_json(
 
 
 def _table_to_json(codomain: str, entries: Mapping[str, Value]) -> dict[str, Any]:
-    return {"kind": "table", "codomain": codomain,
-            "entries": [[s, value_to_json(v)] for s, v in entries.items()]}
+    rows = (list(map(list, entries.items())) if codomain == STRING  # values are str
+            else [[s, value_to_json(v)] for s, v in entries.items()])
+    return {"kind": "table", "codomain": codomain, "entries": rows}
 
 
 def _definition_to_json(definition: object) -> dict[str, Any] | None:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 
 from strfn import (
-    FAILS, HOLDS, VACUOUS, BoundedFn, CheckReport, Token, UnevaluableError, Witness,
-    enumerate_strings,
+    FAILS, HOLDS, VACUOUS, AlphaFn, AlphaRejection, BoundedFn, CheckReport,
+    InsufficientHorizonError, Token, UnevaluableError, Witness, enumerate_strings,
+    identity_alpha,
 )
 
 
@@ -275,3 +276,63 @@ def transformation_table(alphabet, bound, rng, points, token=False):
             action[s] = tuple(maps[s[-1]][i] for i in action[s[:-1]])
         entries[s] = Token(action[s]) if token else least.setdefault(action[s], s)
     return table_fn(alphabet, bound, entries, codomain="token" if token else "string")
+
+
+def oracle_classify(values):
+    """``classify_alpha`` on a valid table, by separate passes over the moved n.
+
+    Lists the moved n (alpha(n) != n), takes the threshold and the period
+    from them in two more passes, and walks the periodicity entry by entry.
+    """
+    horizon = len(values) - 1
+    moved = [n for n, v in enumerate(values) if v != n]
+    if not moved:
+        return identity_alpha()
+    n1 = min(min(moved), min(values[n] for n in moved))
+    ell = min(abs(values[n] - n) for n in moved)
+    if horizon < n1 + 2 * ell:
+        raise InsufficientHorizonError(n1, ell, horizon)
+    for n in range(n1, n1 + ell):
+        v = values[n]
+        if v < n:
+            return AlphaRejection("window-growth", f"alpha({n}) = {v} < {n} inside the window")
+        if (v - n) % ell != 0:
+            return AlphaRejection("window-residue",
+                                  f"alpha({n}) = {v} is not congruent to {n} mod {ell}")
+    for n in range(n1, len(values) - ell):
+        if values[n] != values[n + ell]:
+            return AlphaRejection(
+                "periodicity", f"alpha({n}) = {values[n]} but alpha({n + ell}) = {values[n + ell]}"
+            )
+    return AlphaFn("structured", n1, ell, tuple(values[: n1 + ell]))
+
+
+def oracle_period_break(values, start, period):
+    """First (n, n + period), n >= start, with unequal entries, walked one by one."""
+    for n in range(start, len(values) - period):
+        if values[n] != values[n + period]:
+            return (n, n + period)
+    return None
+
+
+def oracle_theta_reps(alphabet, level, block0, block1):
+    """Each string of X^{<=level} to its class's length-lex least member.
+
+    Runs a BFS of single-occurrence block swaps from every string, with
+    no labels shared between strings.
+    """
+    strings = list(enumerate_strings(alphabet, level))
+    position = {s: i for i, s in enumerate(strings)}
+    reps = {}
+    for x in strings:
+        seen, queue = {x}, [x]
+        for cur in queue:
+            for old, new in ((block0, block1), (block1, block0)):
+                for i in range(len(cur) - len(old) + 1):
+                    if cur[i:i + len(old)] == old:
+                        t = cur[:i] + new + cur[i + len(old):]
+                        if len(t) <= level and t not in seen:
+                            seen.add(t)
+                            queue.append(t)
+        reps[x] = min(seen, key=position.__getitem__)
+    return reps

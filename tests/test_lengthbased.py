@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import oracle_alpha_equations
+from helpers import oracle_alpha_equations, oracle_classify, oracle_period_break
 from strfn import (
     FAILS,
     HOLDS,
@@ -42,7 +42,7 @@ from strfn import (
     synthesize_alpha,
     table_fn,
 )
-from strfn.lengthbased import _equations_hold
+from strfn.lengthbased import _classify, _equations_hold, _verify_period
 from strfn.specio import report_to_json
 
 
@@ -220,6 +220,74 @@ def test_classification_agrees_with_equations():
         rejected += not ok
         assert ok == (equations.verdict == HOLDS), values
     assert accepted and rejected
+
+
+def _outcome(classify, values):
+    """What ``classify`` gives: the profile or rejection, or the error's text and fields."""
+    try:
+        return classify(values)
+    except InsufficientHorizonError as e:
+        return ("insufficient", str(e), e.n1, e.ell, e.horizon)
+
+
+def _condition(outcome):
+    if isinstance(outcome, tuple):
+        return outcome[0]
+    return outcome.condition if isinstance(outcome, AlphaRejection) else outcome.kind
+
+
+@pytest.mark.parametrize("horizon, max_value", [(5, 5), (4, 6), (6, 3)])
+def test_classify_matches_the_oracle_on_every_table(horizon, max_value):
+    for values in itertools.product(range(max_value + 1), repeat=horizon + 1):
+        assert _outcome(_classify, values) == _outcome(oracle_classify, values), values
+
+
+def _random_profile(rng):
+    """A random table, or a valid profile's table with some entries changed."""
+    horizon = rng.randint(0, 30)
+    if rng.random() < 0.3:
+        return [rng.randint(0, horizon + 2) for _ in range(horizon + 1)]
+    n1, ell = rng.randint(0, horizon), rng.randint(1, 8)
+    window = list(range(n1)) + [n + ell * rng.randrange(3) for n in range(n1, n1 + ell)]
+    values = [window[n] if n < n1 + ell else window[n1 + (n - n1) % ell]
+              for n in range(horizon + 1)]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        values[rng.randrange(horizon + 1)] = rng.randint(0, horizon + 2)
+    return values
+
+
+def test_classify_matches_the_oracle_on_random_tables():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(20000):
+        values = _random_profile(rng)
+        table = tuple(values) if rng.random() < 0.5 else values
+        expected = _outcome(oracle_classify, table)
+        assert _outcome(classify_alpha, table) == expected, values
+        seen.add(_condition(expected))
+    assert seen == {"identity", "structured", "window-residue", "periodicity", "insufficient"}
+
+
+def test_classify_outcome_counts_at_horizon_four():
+    # Classification never gives window-growth: a moved n in [n1, n1 + ell)
+    # with alpha(n) < n jumps by n - alpha(n) <= n - n1 < ell, below the
+    # least jump.  Only synthesize_alpha does (test_synthesize_rejections).
+    counts = {}
+    for values in itertools.product(range(7), repeat=5):
+        condition = _condition(_outcome(classify_alpha, values))
+        counts[condition] = counts.get(condition, 0) + 1
+    assert counts == {"identity": 1, "structured": 27, "window-residue": 1768,
+                      "periodicity": 14190, "insufficient": 821}
+
+
+def test_period_break_matches_the_walk():
+    rng = random.Random(7)
+    for _ in range(3000):
+        values = [rng.randint(0, 2) for _ in range(rng.randint(1, 12))]
+        start, period = rng.randint(0, 14), rng.randint(1, 14)
+        expected = oracle_period_break(values, start, period)
+        assert _verify_period(values, start, period) == expected, (values, start, period)
+        assert _verify_period(tuple(values), start, period) == expected
 
 
 # ------------------------------------------------------------------ synthesis

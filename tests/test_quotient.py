@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import strfn
-from helpers import oracle_block_classes
+from helpers import oracle_block_classes, oracle_theta_reps
 from strfn import (
     EQUIVALENT,
     HOLDS,
@@ -190,6 +190,29 @@ def test_classes_match_the_fixpoint_oracle(x0, x1, m, letters, top):
         for s, (members, truncated) in expected.items():
             cls = theta_class(s, spec, level, alphabet)
             assert (cls.members, cls.truncated) == (members, truncated), (level, s)
+
+
+@pytest.mark.parametrize("letters, top", [("ab", 6), ("abc", 4)])
+def test_theta_rep_fn_matches_a_bfs_from_every_string(letters, top):
+    # Every pair of distinct blocks of 1-2 letters, overlapping ones such
+    # as ab <-> ba included; at m = 3 every block is longer than the level.
+    alphabet = Alphabet(tuple(letters))
+    words = list(enumerate_strings(alphabet, 2, min_len=1))
+    for x0 in words:
+        for x1 in words:
+            if x0 == x1:
+                continue
+            for m in range(4):
+                spec = ThetaSpec(x0, x1, m)
+                for level in range(top + 1):
+                    expected = oracle_theta_reps(alphabet, level, *spec.blocks)
+                    reps = theta_rep_fn(alphabet, level, spec).value_map()
+                    assert list(reps.items()) == list(expected.items()), (x0, x1, m, level)
+
+
+def test_theta_rep_fn_never_builds_a_block_longer_than_the_bound(ab):
+    reps = theta_rep_fn(ab, 3, ThetaSpec("a", "b", 2**40)).value_map()
+    assert reps == {s: s for s in enumerate_strings(ab, 3)}
 
 
 def test_oracle_sees_truncation_and_letter_order(ab):
