@@ -20,40 +20,34 @@ terminated, which is likewise deterministic.  :func:`_scan` is the one
 statement of that counting rule; the checkers here and the conditions of
 ``extension``, ``factorization`` and ``lengthbased`` report through it.
 The hot kernels count by hand with the same rule and end in
-:func:`_finish`: ``_assoc_scan``, ``_preassoc_scan``, ``_assoc_iii``,
-``_assoc_iv`` and ``lengthbased.check_alpha_equations``
-(``_preassoc_witness`` only searches).  The preassociativity check is
-the one exception: its counters come from its scan over kernel-class
-pairs up to the first failure it meets, while its witness is the least
-failing instance over the same pairs, found by walking the total length
-|x y y2 z| upward.
+:func:`_finish`: ``_assoc_scan``, ``_preassoc_scan`` and
+``lengthbased.check_alpha_equations`` (``_preassoc_witness`` only
+searches).  The preassociativity check is the one exception: its
+counters come from its scan over kernel-class pairs up to the first
+failure it meets, while its witness is the least failing instance over
+the same pairs, found by walking the total length |x y y2 z| upward.
 
-Associativity, preassociativity and the equivalent definitions take one
-of three paths: the congruence decider, the fails decider and the scan.
-The congruence decider runs first: it compares each kernel-class member
-with its class leader under one-letter contexts (:func:`_is_congruence`),
-in time linear in the domain.  When it proves the law, it returns the
-scan's report in closed form: preassociativity whenever the kernel is a
-congruence; the associativity checks when, besides, F(v) = v for every
-value v with |v| <= L, since a checked instance has |x F(y) z| <= L, so
-y ~ F(y) and F(xyz) = F(x F(y) z).  Their count is one sum over the
-strings y: y is checked in
-cum[min(cap, L - max(|y|, |F(y)|))] of the cum[min(cap, L - |y|)]
-contexts it enters (none when |F(y)| > L), and skipped in the rest, with
-cap = L (full) or 1 (reduced) and cum = ``Domain.context_counts``.  The
-equivalent definitions need also that F never lengthens, since the skips
-of (iii) depend on two values together.
+The shape of F picks one associativity decider (:func:`_run_assoc`),
+shared by the full and reduced checks and by (i) and (ii) of the
+equivalent definitions:
 
-The fails decider serves the full associativity check when the first
-returns None and F never lengthens a string, so the law fails
-(:func:`_assoc_by_one_letter_splits`): one pass finds the first length
-at which a string fails a one-letter split, the failing strings of that
-length lead to the least failing string, and only that string's splits
-are scanned for the witness.  Everything else takes the scan, which
-gives the counters and the witness: the associativity checks of a
-lengthening function that the first decider leaves, the reduced check
-of a failing law (already linear), and the equivalent definitions when
-the first decider does not hold.  Every path gives the same report.
+- an F that never lengthens a string takes
+  :func:`_assoc_by_one_letter_splits` for either verdict.  No instance
+  is skipped, so one pass finds the first length at which a string fails
+  a one-letter split; the failing strings of that length lead to the
+  least failing string, and only that string's splits are scanned for
+  the witness.  With no failure, the law holds and the counters are
+  closed form.
+- any other F takes the congruence decider (:func:`_assoc_by_congruence`),
+  which proves the law in closed form when F(v) = v for every value v
+  with |v| <= L and the kernel is a congruence (:func:`_is_congruence`),
+  and else the scan (:func:`_assoc_scan`), which gives the counters and
+  the witness.
+
+Preassociativity holds in closed form whenever the kernel is a
+congruence, and is scanned otherwise.  The equivalent definitions read
+(ii) off (i); (iii) and (iv) are closed form when (i) holds with no
+skips, and scanned otherwise.  Every path gives the scan's report.
 
 Every checker reads its values from ``fn.domain(level)``, which also
 enforces ``0 <= level <= fn.bound``.
@@ -181,17 +175,16 @@ def _is_congruence(dom) -> bool:
 def _assoc_by_congruence(dom, cap: int) -> CheckReport | None:
     """The associativity report in closed form, or None when it cannot decide.
 
+    Only an F that lengthens some string reaches it (:func:`_run_assoc`).
     Decides when F(v) = v for every value v with |v| <= L and the kernel
     is a congruence (:func:`_is_congruence`); the full check has
     ``cap`` = L, the reduced one ``cap`` = 1 (contexts with |xz| <= 1).
 
     Proof sketch.  A checked instance (x, y, z) has |x F(y) z| <= L, so
     v = F(y) fits, F(v) = v puts y and v in one kernel class, and bounded
-    preassociativity gives F(xyz) = F(x v z), both sides within L.  So a
-    failing F is left to the fails decider or the scan, which find the
-    witness.  A non-lengthening associative F passes both tests (x = z =
-    empty gives F(v) = v); a lengthening one may fail the congruence
-    test, and is scanned.
+    preassociativity gives F(xyz) = F(x v z), both sides within L.  An F
+    that fails either test is left to the scan, which finds the witness
+    or proves the law.
 
     Counters, per string y: the contexts with |x| + |z| <= b number
     cum[b], so y enters cum[min(cap, L - |y|)] instances and is checked
@@ -221,8 +214,9 @@ def _assoc_scan(strings, vals, level, reduced):
 
     Every split (x, y, z) of w, or with ``reduced`` only those with
     |xz| <= 1.  Returns the first failure (or None), the counters up to it
-    and the number of strings entered, the failing one included.  The
-    checks pass the whole domain; the fails decider passes one string.
+    and the number of strings entered, the failing one included.  An F
+    that lengthens passes the whole domain; the one-letter pass passes one
+    string.
     """
     checked = 0
     skipped = 0
@@ -252,8 +246,9 @@ def _assoc_scan(strings, vals, level, reduced):
     return None, checked, skipped, len(strings)
 
 
-def _assoc_by_one_letter_splits(dom) -> CheckReport:
-    """The full associativity report of an F that never lengthens a string.
+def _assoc_by_one_letter_splits(dom, reduced: bool) -> tuple[CheckReport, int]:
+    """The associativity report of an F that never lengthens a string, and
+    the number of strings the scan enters.
 
     Proof sketch.  No instance leaves the bound, so none is skipped, and
     F(empty) = empty passes the one split of the empty string.  Let every
@@ -278,18 +273,18 @@ def _assoc_by_one_letter_splits(dom) -> CheckReport:
     put back as y.  Only the least same-length preimage y != s of each s
     is needed: y = s gives u itself, and a larger y gives a larger w.  The
     witness is the first failing split of the least such string, scanned
-    alone.  ``checked`` adds the (|w'|+1)(|w'|+2)/2 splits of each string
-    w' before it to the splits scanned in it.
+    alone.  The reduced check scans exactly the one split of the empty
+    string and the one-letter splits of every other string, so its
+    witness string is the first one to fail a one-letter split.  Each
+    string of length t before the witness string counts its splits as
+    checked: (t+1)(t+2)/2 of them, or 3 (1 for t = 0) when reduced.
     """
     vals, alphabet, level = dom.vals, dom.alphabet, dom.level
     n, first = level, None  # the first string failing a one-letter split
     left, right = [], []  # the strings of length n failing (1, n), (0, n-1)
-    preimage: dict[str, str] = {}  # s -> the least y != s, |y| = |s|, F(y) = s
     for w, v in itertools.islice(vals.items(), 1, None):
         if len(w) > n:
             break
-        if first is None and len(v) == len(w) and v != w:
-            preimage.setdefault(v, w)
         fails_left = vals[w[0] + vals[w[1:]]] != v
         fails_right = vals[vals[w[:-1]] + w[-1]] != v
         if fails_left or fails_right or vals[v] != v:
@@ -300,42 +295,49 @@ def _assoc_by_one_letter_splits(dom) -> CheckReport:
             if fails_right:
                 right.append(w)
     k = len(alphabet)
-    splits = [(t + 1) * (t + 2) // 2 for t in range(level + 1)]  # per string of length t
+    # per string of length t
+    splits = [3 if reduced and t else (t + 1) * (t + 2) // 2 for t in range(level + 1)]
     if first is None:
-        return _finish(None, sum(k**t * c for t, c in enumerate(splits)), 0)
-    spans = itertools.chain(
-        ((u, i, j) for u in left for i in range(1, n) for j in range(i + 1, n + 1)),
-        ((u, 0, j) for u in right for j in range(1, n)),
-    )
-    w = min(itertools.chain((first,), (u[:i] + preimage[u[i:j]] + u[j:]
-                                       for u, i, j in spans if u[i:j] in preimage)),
-            key=alphabet.sort_key)
+        return _finish(None, sum(k**t * c for t, c in enumerate(splits)), 0), len(vals)
+    shorter = count_strings(alphabet, n - 1)
+    w = first
+    if not reduced:
+        preimage: dict[str, str] = {}  # s -> the least y != s, |y| = |s|, F(y) = s
+        for y, v in itertools.islice(vals.items(), shorter):
+            if len(v) == len(y) and v != y:
+                preimage.setdefault(v, y)
+        spans = itertools.chain(
+            ((u, i, j) for u in left for i in range(1, n) for j in range(i + 1, n + 1)),
+            ((u, 0, j) for u in right for j in range(1, n)),
+        )
+        w = min(itertools.chain((first,), (u[:i] + preimage[u[i:j]] + u[j:]
+                                           for u, i, j in spans if u[i:j] in preimage)),
+                key=alphabet.sort_key)
     rank = 0  # of w among the strings of length n
     for d in alphabet.sort_key(w):
         rank = rank * k + d
     before = sum(k**t * splits[t] for t in range(n)) + rank * splits[n]
-    witness, checked, skipped, _ = _assoc_scan([w], vals, level, False)
-    return _finish(witness, before + checked, skipped)
+    witness, checked, skipped, _ = _assoc_scan([w], vals, level, reduced)
+    return _finish(witness, before + checked, skipped), shorter + rank + 1
 
 
-def _run_assoc(fn: BoundedFn, level: int, reduced: bool) -> CheckReport:
-    """The congruence decider, else the fails decider, else the scan.
+def _run_assoc(fn: BoundedFn, level: int, reduced: bool) -> tuple[CheckReport, int]:
+    """The associativity report and the number of strings its scan enters.
 
-    The congruence decider (:func:`_assoc_by_congruence`) proves the law
-    or returns None.  The full check of an F that never lengthens a string
-    then takes :func:`_assoc_by_one_letter_splits`, which finds the
-    failure; the reduced check, already linear, and lengthening functions
-    take the scan.
+    The shape of F picks the one decider that runs: an F that never
+    lengthens a string takes :func:`_assoc_by_one_letter_splits` for
+    either verdict; any other F takes :func:`_assoc_by_congruence`, and
+    the scan when that cannot decide.
     """
     dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
+    if _never_lengthens(dom.vals):
+        return _assoc_by_one_letter_splits(dom, reduced)
     decided = _assoc_by_congruence(dom, 1 if reduced else level)
     if decided is not None:
-        return decided
-    if not reduced and _never_lengthens(dom.vals):
-        return _assoc_by_one_letter_splits(dom)
-    witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, reduced)
-    return _finish(witness, checked, skipped)
+        return decided, len(dom.vals)
+    witness, checked, skipped, entered = _assoc_scan(dom.strings, dom.vals, level, reduced)
+    return _finish(witness, checked, skipped), entered
 
 
 def check_associative_full(fn: BoundedFn, level: int) -> CheckReport:
@@ -344,7 +346,7 @@ def check_associative_full(fn: BoundedFn, level: int) -> CheckReport:
     Instances where the inner value makes |x F(y) z| exceed the bound are
     skipped and counted.
     """
-    return _run_assoc(fn, level, reduced=False)
+    return _run_assoc(fn, level, False)[0]
 
 
 def check_associative_reduced(fn: BoundedFn, level: int) -> CheckReport:
@@ -353,7 +355,7 @@ def check_associative_reduced(fn: BoundedFn, level: int) -> CheckReport:
     For m-bounded functions this restriction is decisive; for anything
     else a ``holds`` verdict with skips is advisory only.
     """
-    return _run_assoc(fn, level, reduced=True)
+    return _run_assoc(fn, level, True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,21 +539,23 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
     - "iii": F(F(xy) z) = F(x F(yz))
     - "iv":  F(xy) = F(F(x) F(y))
 
-    When F never lengthens a string and the associativity decider holds
-    (:func:`_assoc_by_congruence`), every formulation holds with no skips:
-    each is an instance of (i), or two chained, on strings no longer than
-    the one checked.  (i) and (iii) check every split (x, y, z), (ii) every
-    split but the reference one per string, and (iv) every split (x, y).
-    The decider alone is not enough here: (iii) skips an instance when
-    F(xy) z or x F(yz) leaves the bound, two values together, so a
-    lengthening F has no per-string count of its skips.
+    (i) is the full associativity check, by its one decider
+    (:func:`_run_assoc`), and (ii) is read off it on every path.  (ii)
+    compares every split of w with the first one not skipped.  As
+    F(empty) = empty, that is x = y = empty, with value F(w), so each
+    comparison is the one (i) makes at that split.  Hence (ii) fails at
+    (i)'s instance with the same sides (bindings x = y = empty, z = w, and
+    (i)'s x, y, z as x2, y2, z2), skips the same instances and checks one
+    fewer per string entered.
 
-    Otherwise the scans run, and (ii) is read off (i)'s scan.  It compares
-    every split of w with the first one not skipped.  As F(empty) = empty,
-    that is x = y = empty, with value F(w), so each comparison is the one
-    (i) makes at that split.  Hence (ii) fails at (i)'s instance with the
-    same sides (bindings x = y = empty, z = w, and (i)'s x, y, z as x2, y2,
-    z2), skips the same instances and checks one fewer per string entered.
+    When (i) holds with no skips, F never lengthens a string (a y with
+    |F(y)| > |y| is skipped at the split (empty, y, z), |yz| = L), and
+    (iii) and (iv) hold with no skips: each is an instance of (i), or two
+    chained, on strings no longer than the one checked.  (iii) then checks
+    every split (x, y, z), as (i) does, and (iv) every split (x, y).
+    Otherwise both are scanned: (iii) skips an instance when F(xy) z or
+    x F(yz) leaves the bound, two values together, so a lengthening F has
+    no per-string count of its skips.
     """
     dom = fn.domain(level)
     _require_string_valued(fn, "equivalent-definitions check")
@@ -559,75 +563,45 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
         raise PreconditionError(
             "equivalent-definitions check requires F(empty) = empty"
         )
-    full = _assoc_by_congruence(dom, level) if _never_lengthens(dom.vals) else None
-    if full is None:
-        return _equiv_scan(dom)
-    return {
-        "i": full,
-        "ii": _finish(None, full.checked - len(dom.vals), 0),
-        "iii": full,
-        "iv": _finish(None, dom.context_counts[-1], 0),
-    }
-
-
-def _equiv_scan(dom) -> dict[str, CheckReport]:
-    """The four formulations by scanning; (ii) is read off (i)."""
-    strings, vals, level = dom.strings, dom.vals, dom.level
-    witness, checked, skipped, entered = _assoc_scan(strings, vals, level, False)
-    split = None
-    if witness is not None:
-        x, y, z = (v for _, v in witness.bindings)
+    full, entered = _run_assoc(fn, level, False)
+    split = full.witness
+    if split is not None:
+        x, y, z = (v for _, v in split.bindings)
         split = Witness((("x", ""), ("y", ""), ("z", x + y + z), ("x2", x), ("y2", y),
-                         ("z2", z)), witness.lhs, witness.rhs)
-    return {
-        "i": _finish(witness, checked, skipped),
-        "ii": _finish(split, checked - entered, skipped),
-        "iii": _assoc_iii(strings, vals, level),
-        "iv": _assoc_iv(strings, vals, level),
-    }
+                         ("z2", z)), split.lhs, split.rhs)
+    if full.ok and not full.skipped:
+        iii, iv = full, _finish(None, dom.context_counts[-1], 0)
+    else:
+        iii, iv = _scan(_assoc_iii(dom)), _scan(_assoc_iv(dom))
+    return {"i": full, "ii": _finish(split, full.checked - entered, full.skipped),
+            "iii": iii, "iv": iv}
 
 
-def _assoc_iii(strings, vals, level) -> CheckReport:
-    """(iii): F(F(xy) z) = F(x F(yz))."""
-    checked = skipped = 0
-    for w in strings:
+def _assoc_iii(dom):
+    """(iii): F(F(xy) z) = F(x F(yz)), one outcome per split (x, y, z)."""
+    vals, level = dom.vals, dom.level
+    for w in dom.strings:
         n = len(w)
         for i in range(n + 1):
             for j in range(i, n + 1):
-                u = vals[w[:j]]
-                v = vals[w[i:]]
+                u, v = vals[w[:j]], vals[w[i:]]
                 if len(u) + (n - j) > level or i + len(v) > level:
-                    skipped += 1
+                    yield SKIPPED
                     continue
-                checked += 1
-                left = vals[u + w[j:]]
-                right = vals[w[:i] + v]
-                if left != right:
-                    witness = Witness(
-                        (("x", w[:i]), ("y", w[i:j]), ("z", w[j:])), left, right
-                    )
-                    return _finish(witness, checked, skipped)
-    return _finish(None, checked, skipped)
+                left, right = vals[u + w[j:]], vals[w[:i] + v]
+                yield None if left == right else Witness(
+                    (("x", w[:i]), ("y", w[i:j]), ("z", w[j:])), left, right)
 
 
-def _assoc_iv(strings, vals, level) -> CheckReport:
-    """(iv): F(xy) = F(F(x) F(y))."""
-    checked = skipped = 0
-    for w in strings:
-        n = len(w)
-        for i in range(n + 1):
-            u = vals[w[:i]]
-            v = vals[w[i:]]
-            if len(u) + len(v) > level:
-                skipped += 1
-                continue
-            checked += 1
-            if vals[w] != vals[u + v]:
-                witness = Witness(
-                    (("x", w[:i]), ("y", w[i:])), vals[w], vals[u + v]
-                )
-                return _finish(witness, checked, skipped)
-    return _finish(None, checked, skipped)
+def _assoc_iv(dom):
+    """(iv): F(xy) = F(F(x) F(y)), one outcome per split (x, y)."""
+    vals, level = dom.vals, dom.level
+    for w in dom.strings:
+        for i in range(len(w) + 1):
+            u, v = vals[w[:i]], vals[w[i:]]
+            yield (SKIPPED if len(u) + len(v) > level
+                   else None if vals[w] == vals[u + v]
+                   else Witness((("x", w[:i]), ("y", w[i:])), vals[w], vals[u + v]))
 
 
 # ---------------------------------------------------------------------------

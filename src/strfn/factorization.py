@@ -112,10 +112,10 @@ def factorize(fn: BoundedFn, level: int) -> Factorization:
     is the length-lex least string, so it leads its own class and
     H(empty) = g(F(empty)) = empty: a standard F has a standard core.
     H never lengthens a string (a leader is no longer than any member of
-    its class) and its kernel is F's, so "inner-associative" is decided
-    from the kernel classes whenever F is preassociative; only a failing
-    core runs the associativity scan, for its witness.  H is read off the
-    evaluated domain in length-lex order, so its table is its own domain.
+    its class), so "inner-associative" takes the one-letter pass of the
+    associativity check for either verdict; a failing core scans only its
+    witness string.  H is read off the evaluated domain in length-lex
+    order, so its table is its own domain.
     """
     vals = fn.domain(level).vals
     g = quasi_inverse(fn, level)

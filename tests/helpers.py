@@ -14,6 +14,7 @@ from strfn import (
     InsufficientHorizonError, Token, UnevaluableError, Witness, enumerate_strings,
     identity_alpha,
 )
+from strfn.checkers import _assoc_scan, _finish
 
 
 def oracle_associative(fn: BoundedFn, level: int) -> tuple[bool, int]:
@@ -141,6 +142,71 @@ def oracle_decompositions_agree(fn: BoundedFn, level: int) -> CheckReport:
                     )
                     return CheckReport(FAILS, witness, checked, skipped)
     return CheckReport(HOLDS if checked else VACUOUS, None, checked, skipped)
+
+
+def oracle_equiv_scan(dom) -> dict[str, CheckReport]:
+    """The four equivalent definitions by scanning the whole domain.
+
+    (i) is the associativity scan and (ii) is read off it; (iii) and (iv)
+    are counted by hand, loop by loop.  Returns the reports
+    ``check_equivalent_definitions`` gives.
+    """
+    strings, vals, level = dom.strings, dom.vals, dom.level
+    witness, checked, skipped, entered = _assoc_scan(strings, vals, level, False)
+    split = None
+    if witness is not None:
+        x, y, z = (v for _, v in witness.bindings)
+        split = Witness((("x", ""), ("y", ""), ("z", x + y + z), ("x2", x), ("y2", y),
+                         ("z2", z)), witness.lhs, witness.rhs)
+    return {
+        "i": _finish(witness, checked, skipped),
+        "ii": _finish(split, checked - entered, skipped),
+        "iii": _oracle_iii(strings, vals, level),
+        "iv": _oracle_iv(strings, vals, level),
+    }
+
+
+def _oracle_iii(strings, vals, level) -> CheckReport:
+    """(iii): F(F(xy) z) = F(x F(yz))."""
+    checked = skipped = 0
+    for w in strings:
+        n = len(w)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                u = vals[w[:j]]
+                v = vals[w[i:]]
+                if len(u) + (n - j) > level or i + len(v) > level:
+                    skipped += 1
+                    continue
+                checked += 1
+                left = vals[u + w[j:]]
+                right = vals[w[:i] + v]
+                if left != right:
+                    witness = Witness(
+                        (("x", w[:i]), ("y", w[i:j]), ("z", w[j:])), left, right
+                    )
+                    return _finish(witness, checked, skipped)
+    return _finish(None, checked, skipped)
+
+
+def _oracle_iv(strings, vals, level) -> CheckReport:
+    """(iv): F(xy) = F(F(x) F(y))."""
+    checked = skipped = 0
+    for w in strings:
+        n = len(w)
+        for i in range(n + 1):
+            u = vals[w[:i]]
+            v = vals[w[i:]]
+            if len(u) + len(v) > level:
+                skipped += 1
+                continue
+            checked += 1
+            if vals[w] != vals[u + v]:
+                witness = Witness(
+                    (("x", w[:i]), ("y", w[i:])), vals[w], vals[u + v]
+                )
+                return _finish(witness, checked, skipped)
+    return _finish(None, checked, skipped)
 
 
 def oracle_alpha_equations(values) -> CheckReport:

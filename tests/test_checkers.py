@@ -12,6 +12,7 @@ from helpers import (
     oracle_associative,
     oracle_decompositions_agree,
     oracle_associative_reduced,
+    oracle_equiv_scan,
     oracle_preassoc_first_witness,
     oracle_preassociative,
     oracle_standard,
@@ -55,7 +56,6 @@ from strfn.checkers import (
     _assoc_by_congruence,
     _assoc_by_one_letter_splits,
     _assoc_scan,
-    _equiv_scan,
     _finish,
     _is_congruence,
     _never_lengthens,
@@ -564,8 +564,8 @@ def decider_corpus(rng):
 
 def test_deciders_match_the_scans():
     # Each decided report must equal the one the scan it replaces gives,
-    # and every other input must still be scanned: whole reports (verdict,
-    # witness, counters, detail) over full, reduced, equivalent
+    # and each shape of input must take its one decider: whole reports
+    # (verdict, witness, counters, detail) over full, reduced, equivalent
     # definitions and preassociativity, counted by the path that ran.
     rng = random.Random(2026)
     seen = Counter()
@@ -576,45 +576,43 @@ def test_deciders_match_the_scans():
         seen["preassoc", _is_congruence(dom), report.verdict, report.incomplete] += 1
         if not fn.string_valued:
             continue
-        decided = _assoc_by_congruence(dom, level) is not None
         shrinks = _never_lengthens(dom.vals)
+        path = ("one-letter" if shrinks
+                else "congruence" if _assoc_by_congruence(dom, level) is not None
+                else "scan")
         strings = {}
         for reduced, check in ((False, check_associative_full),
                                (True, check_associative_reduced)):
-            witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, reduced)
+            witness, checked, skipped, entered = _assoc_scan(dom.strings, dom.vals, level,
+                                                             reduced)
             report = check(fn, level)
             assert report == _finish(witness, checked, skipped), kind
-            path = ("congruence" if decided
-                    else "one-letter" if shrinks and not reduced else "scan")
             seen[check.__name__, path, report.verdict, report.incomplete] += 1
+            if shrinks:
+                # The one-letter pass also counts the strings the scan enters.
+                assert _assoc_by_one_letter_splits(dom, reduced) == (report, entered), kind
             if witness is not None:
                 strings[reduced] = "".join(v for _, v in witness.bindings)
-        if shrinks:
-            # The fails decider also gives the report of a law that holds.
-            full = check_associative_full(fn, level)
-            assert _assoc_by_one_letter_splits(dom) == full, kind
-            # With no skips, the reduced witness is the first string to
-            # fail a one-letter split; a full witness before it came from
-            # another failing string.
-            if strings and strings[False] != strings[True]:
-                seen["witness before the first one-letter failure"] += 1
+        # With no skips, the reduced witness is the first string to fail a
+        # one-letter split; a full witness before it came from another
+        # failing string.
+        if shrinks and strings and strings[False] != strings[True]:
+            seen["witness before the first one-letter failure"] += 1
         if dom.vals[""] == "":
             reports = check_equivalent_definitions(fn, level)
-            assert reports == _equiv_scan(dom), kind
-            seen["equiv", decided and shrinks, reports["i"].verdict] += 1
+            assert reports == oracle_equiv_scan(dom), kind
+            seen["equiv", path, reports["i"].verdict] += 1
     assert seen["preassoc", True, HOLDS, True] >= 100
     assert seen["preassoc", False, FAILS, True] >= 100
     for name in ("check_associative_full", "check_associative_reduced"):
-        assert seen[name, "congruence", HOLDS, False] >= 100
+        assert seen[name, "one-letter", HOLDS, False] >= 100
+        assert seen[name, "one-letter", FAILS, False] >= 100
         assert seen[name, "congruence", HOLDS, True] >= 100
         assert seen[name, "scan", HOLDS, True] >= 100
-    assert seen["check_associative_full", "one-letter", FAILS, False] >= 100
-    assert seen["check_associative_full", "one-letter", HOLDS, False] == 0
-    assert seen["check_associative_full", "scan", FAILS, False] >= 100
-    assert seen["check_associative_reduced", "scan", FAILS, False] >= 100
+        assert seen[name, "scan", FAILS, False] >= 100
     assert seen["witness before the first one-letter failure"] >= 10
-    assert seen["equiv", True, HOLDS] >= 100
-    assert seen["equiv", False, FAILS] >= 100
+    assert seen["equiv", "one-letter", HOLDS] >= 100
+    assert seen["equiv", "one-letter", FAILS] >= 100
 
 
 def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
@@ -641,7 +639,8 @@ def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
     assert factorize(length_fn(ab, 6), 6).clean
 
     # A failing function that never lengthens: only the witness string is
-    # scanned.
+    # scanned, by the full and reduced checks and by (i) and (ii) of the
+    # equivalent definitions.
     def witness_only(strings, *args):
         if len(strings) != 1:
             raise AssertionError("a failing input that never lengthens was scanned")
@@ -654,19 +653,33 @@ def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
     transformation["||||a"] = "a"
     reversed_sort = dict(sort_fn(ab, 6, ("b", "a")).value_map())
     reversed_sort["bbbabb"] = "a"
-    for alphabet, level, entries, failing in ((ab, 9, ofo, "bbbbbbbba"),
-                                              (ab3, 5, transformation, "||||a"),
-                                              (ab, 6, reversed_sort, "abbbbb")):
+    for alphabet, level, entries, failing, first in (
+            (ab, 9, ofo, "bbbbbbbba", "bbbbbbbba"),
+            (ab3, 5, transformation, "||||a", "||||a"),
+            (ab, 6, reversed_sort, "abbbbb", "bbbabb")):
         fn = table_fn(alphabet, level, entries)
         dom = fn.domain(level)
-        witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, False)
-        report = check_associative_full(fn, level)
-        assert report == _finish(witness, checked, skipped)
-        assert "".join(v for _, v in report.witness.bindings) == failing
+        for reduced, check, string in ((False, check_associative_full, failing),
+                                       (True, check_associative_reduced, first)):
+            witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, reduced)
+            report = check(fn, level)
+            assert report == _finish(witness, checked, skipped)
+            assert "".join(v for _, v in report.witness.bindings) == string
+        assert check_equivalent_definitions(fn, level) == oracle_equiv_scan(dom)
     # "abbbbb" fails no one-letter split: F(abbb) = bbba puts it on the
     # string "bbbabb", which does.
+    report = check_associative_full(fn, level)
     assert report.witness.bindings == (("x", ""), ("y", "abbb"), ("z", "bb"))
     assert report.checked == 1896
+
+    # A late failure: b^10 a, the next to last string of X^11, sent to b.
+    ofo = dict(ofo_fn(ab, 11).value_map())
+    ofo["bbbbbbbbbba"] = "b"
+    reports = check_equivalent_definitions(table_fn(ab, 11, ofo), 11)
+    assert {r.verdict for r in reports.values()} == {FAILS}
+    assert [reports[k].checked for k in ("i", "ii", "iii", "iv")] == [
+        274278, 270184, 274278, 45035]
+    assert reports["i"].witness.bindings == (("x", ""), ("y", "bb"), ("z", "bbbbbbbba"))
 
 
 def test_equivalent_definitions_need_empty_fixed(ab):

@@ -1,4 +1,4 @@
-"""Pinned reports of the pointwise checkers and the construction conditions.
+"""Pinned reports of the law checkers and the construction conditions.
 
 Every report these checkers return (verdict, witness, ``checked``,
 ``skipped`` and detail) over a seeded corpus is hashed, so any change to
@@ -22,13 +22,17 @@ from strfn import (
     StrfnError,
     Token,
     check_alpha_equations,
+    check_associative_full,
+    check_associative_reduced,
     check_bounded_retraction,
     check_determination,
+    check_equivalent_definitions,
     check_idempotent,
     check_injective_rigidity,
     check_length_based,
     check_m_bounded,
     check_m_determined_range,
+    check_preassociative,
     check_quasi_inverse_conditions,
     check_standard,
     check_weakly_length_based,
@@ -38,6 +42,7 @@ from strfn import (
     enumerate_strings,
     eval_alpha,
     extend,
+    factorize,
     identity_fn,
     length_fn,
     length_of_fn,
@@ -158,6 +163,26 @@ def extension_outcomes(ab):
         twin = table_fn(fn.alphabet, fn.bound, entries)
         pairs.append(outcome(lambda: check_determination(fn, twin, m, fn.bound)))
     return conditions, pairs
+
+
+def associativity_reports(fn):
+    level = fn.bound
+    return [
+        outcome(lambda: check_associative_full(fn, level)),
+        outcome(lambda: check_associative_reduced(fn, level)),
+        outcome(lambda: check_equivalent_definitions(fn, level)),
+        outcome(lambda: check_preassociative(fn, level)),
+        outcome(lambda: factorize(fn, level).checks),
+    ]
+
+
+def test_associativity_reports_are_pinned():
+    rows = [associativity_reports(fn) for fn in function_corpus(random.Random(10), 1200)]
+    seen = verdicts(rows)
+    # Both verdicts of the full, reduced and (i) checks occur in the corpus.
+    for i, name in [(0, None), (1, None), (2, "i"), (3, None)]:
+        assert {(i, name, HOLDS), (i, name, FAILS)} <= seen
+    assert digest(rows) == "30d1361a068ba3fd535cc8df5299145c1347c9acd56eb8cf12bb5bcf54fed418"
 
 
 def test_pointwise_and_factorization_reports_are_pinned():
