@@ -68,6 +68,12 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "QuasiInverseError", "WitnessError",
     ),
 }
+# The layer each CLI command runs.  ``python -m strfn`` imports it before
+# the CLI (see ``__main__``), and ``cli`` imports it from here.
+_COMMAND_LAYERS = {
+    "check": "checkers", "extend": "extension", "factorize": "factorization",
+    "alpha": "lengthbased", "theta": "quotient", "compare": "quotient",
+}
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_SOURCE)

@@ -272,12 +272,16 @@ def _assoc_by_one_letter_splits(dom, reduced: bool) -> tuple[CheckReport, int]:
     So each failing w is a failing u whose substring s = F(y), |s| < n, is
     put back as y.  Only the least same-length preimage y != s of each s
     is needed: y = s gives u itself, and a larger y gives a larger w.  The
-    witness is the first failing split of the least such string, scanned
-    alone.  The reduced check scans exactly the one split of the empty
-    string and the one-letter splits of every other string, so its
-    witness string is the first one to fail a one-letter split.  Each
-    string of length t before the witness string counts its splits as
-    checked: (t+1)(t+2)/2 of them, or 3 (1 for t = 0) when reduced.
+    span (1, n) of a u failing (1, n) is never looked up: s = u[1:] would
+    be a value of a shorter string, so F(s) = s, and then F(u[0] F(s)) =
+    F(u), against the failure.  The span (0, n-1) of a u failing (0, n-1)
+    is the mirror case.  The witness is the first failing split of the
+    least such string, scanned alone.  The reduced check scans exactly
+    the one split of the empty string and the one-letter splits of every
+    other string, so its witness string is the first one to fail a
+    one-letter split.  Each string of length t before the witness string
+    counts its splits as checked: (t+1)(t+2)/2 of them, or 3 (1 for t = 0)
+    when reduced.
     """
     vals, alphabet, level = dom.vals, dom.alphabet, dom.level
     n, first = level, None  # the first string failing a one-letter split
@@ -307,8 +311,8 @@ def _assoc_by_one_letter_splits(dom, reduced: bool) -> tuple[CheckReport, int]:
             if len(v) == len(y) and v != y:
                 preimage.setdefault(v, y)
         spans = itertools.chain(
-            ((u, i, j) for u in left for i in range(1, n) for j in range(i + 1, n + 1)),
-            ((u, 0, j) for u in right for j in range(1, n)),
+            ((u, i, j) for u in left for i in range(1, n) for j in range(i + 1, n + (i > 1))),
+            ((u, 0, j) for u in right for j in range(1, n - 1)),
         )
         w = min(itertools.chain((first,), (u[:i] + preimage[u[i:j]] + u[j:]
                                            for u, i, j in spans if u[i:j] in preimage)),

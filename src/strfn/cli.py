@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from typing import Any, Mapping, NoReturn
+from typing import TYPE_CHECKING, Any, Mapping, NoReturn
 
-# checkers, the largest module every command loads, comes first: compiled
-# while the heap is smallest, it leaves memory that the later imports
-# reuse, so a check run peaks lower than when checkers is imported last.
-from .checkers import FAILS, VACUOUS, CheckReport
+# No layer is imported here: ``python -m strfn`` imports the command's
+# layer before this module (see ``__main__``), and a handler imports it
+# through ``_layer``.
+from . import _COMMAND_LAYERS
 from .core import Alphabet, count_strings
 from .errors import (
     ConditionsFailedError,
@@ -42,6 +42,9 @@ from .specio import (
     value_to_json,
     write_to_json,
 )
+
+if TYPE_CHECKING:
+    from .checkers import CheckReport
 
 DEFAULT_BOUND = 6
 
@@ -124,6 +127,8 @@ def _one_input(args: argparse.Namespace) -> str:
 
 
 def _report_exit(report: CheckReport) -> int:
+    from .checkers import FAILS, VACUOUS
+
     if report.verdict == FAILS:
         return 1
     if report.verdict == VACUOUS or report.skipped > 0:
@@ -159,6 +164,11 @@ def _summarize(name: str, report: CheckReport) -> str:
 # Each handler imports the layers it uses, and calls them through the
 # module, so a run loads only its command's layers and a function
 # rebound on a layer is the one that runs.
+def _layer(args: argparse.Namespace) -> Any:
+    """The module of the layer that runs ``args.command``."""
+    return importlib.import_module(f".{_COMMAND_LAYERS[args.command]}", __package__)
+
+
 def _run_eval(args: argparse.Namespace) -> int:
     fn = load_function(_one_input(args))
     value = fn.eval(args.string)
@@ -197,17 +207,16 @@ def _run_check(args: argparse.Namespace) -> int:
         result = check(fn, _required_m(args), args.bound)
     else:
         result = check(fn, args.bound)
-    if isinstance(result, CheckReport):
-        _emit(report_to_json(result), args, _summarize(args.property, result))
-        return _report_exit(result)
-    _emit(reports_to_json(result), args,
-          "; ".join(_summarize(k, r) for k, r in result.items()))
-    return _reports_exit(result)
+    if isinstance(result, Mapping):
+        _emit(reports_to_json(result), args,
+              "; ".join(_summarize(k, r) for k, r in result.items()))
+        return _reports_exit(result)
+    _emit(report_to_json(result), args, _summarize(args.property, result))
+    return _report_exit(result)
 
 
 def _run_extend(args: argparse.Namespace) -> int:
-    from . import extension
-
+    extension = _layer(args)
     spec = load_partial(_one_input(args))
     # No name holds the grown table, so it is freed before serializing.
     _emit(function_to_json(extension.extend(spec, args.bound)), args,
@@ -217,8 +226,7 @@ def _run_extend(args: argparse.Namespace) -> int:
 
 
 def _run_factorize(args: argparse.Namespace) -> int:
-    from . import factorization
-
+    factorization = _layer(args)
     fn = load_function(_one_input(args))
     fact = factorization.factorize(fn, args.bound)
     _emit(factorization_to_json(fact), args,
@@ -238,8 +246,7 @@ def _alpha_values(obj: Any) -> list[int]:
 
 
 def _run_alpha(args: argparse.Namespace) -> int:
-    from . import lengthbased
-
+    lengthbased = _layer(args)
     data = _read(_one_input(args))
     fields = data if isinstance(data, Mapping) else {}
     if args.action == "check":
@@ -274,8 +281,7 @@ def _run_alpha(args: argparse.Namespace) -> int:
 
 
 def _run_theta(args: argparse.Namespace) -> int:
-    from . import quotient
-
+    quotient = _layer(args)
     alphabet = Alphabet(tuple(args.alphabet))
     if not args.x0 or not args.x1 or args.x0 == args.x1:
         raise StrfnError("--x0 and --x1 must be distinct nonempty strings")
@@ -322,8 +328,7 @@ def _run_theta(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    from . import quotient
-
+    quotient = _layer(args)
     if len(args.input) != 2:
         raise StrfnError("compare needs exactly two --input files")
     first = load_function(args.input[0])

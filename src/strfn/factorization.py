@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .checkers import (
     SKIPPED,
@@ -28,7 +29,9 @@ from .checkers import (
 )
 from .core import STRING, BoundedFn, Record, Value, _total_table, enumerate_strings
 from .errors import PreconditionError, QuasiInverseError
-from .extension import VariadicParts
+
+if TYPE_CHECKING:
+    from .extension import VariadicParts
 
 
 def kernel_classes(fn: BoundedFn, level: int) -> list[list[str]]:

@@ -26,15 +26,18 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .builtins import BuiltinDef
-from .checkers import CheckReport, Witness, _finish, _require_string_valued, _scan
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Record, Token, Value
 from .errors import (
     InsufficientHorizonError, MalformedSpecError, MissingEntryError, PreconditionError,
     UnevaluableError, WitnessError,
 )
+
+# checkers and builtins are imported by the functions that use them, so
+# classifying or sweeping profiles compiles neither.
+if TYPE_CHECKING:
+    from .checkers import CheckReport
 
 IDENTITY = "identity"
 STRUCTURED = "structured"
@@ -127,6 +130,8 @@ def check_alpha_equations(values: Sequence[int]) -> CheckReport:
     Raises UnevaluableError when some entry exceeds the horizon, since
     alpha(alpha(n)) would then be unreadable.
     """
+    from .checkers import Witness, _finish
+
     _validate_table(values)
     size = len(values)
     members: dict[int, list[int]] = {}
@@ -194,15 +199,19 @@ def classify_alpha(values: Sequence[int]) -> AlphaFn | AlphaRejection:
     return _classify(values)
 
 
-def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
-    """:func:`classify_alpha` on a table already known to be valid.
+def _shape(values: Sequence[int]) -> tuple[int, int, bool]:
+    """The verdict of :func:`classify_alpha` on a valid table: (n1, ell, accepted).
 
-    One pass over the table finds the threshold n1, the least of
-    min(n, alpha(n)) over the moved n (those with alpha(n) != n), and the
-    period ell, the least jump |alpha(n) - n|.  The first moved n0 sets
-    both.  A later moved n has n > n0 >= n1, so it can lower n1 only
-    through alpha(n).  The window test then runs over [n1, n1 + ell), and
-    the period is one slice compare (:func:`_verify_period`).
+    ``ell`` is 0 for the identity.  One pass over the table finds the
+    threshold n1, the least of min(n, alpha(n)) over the moved n (those
+    with alpha(n) != n), and the period ell, the least jump |alpha(n) - n|.
+    The first moved n0 sets both.  A later moved n has n > n0 >= n1, so
+    it can lower n1 only through alpha(n).
+
+    Only the residue is tested in the window [n1, n1 + ell): no n there
+    has alpha(n) < n.  Such an n is moved, so alpha(n) >= n1, and it would
+    jump by n - alpha(n) <= n - n1 < ell, below the least jump.  The
+    period is then one slice compare.  Raises InsufficientHorizonError.
     """
     it = enumerate(values)
     for n, v in it:
@@ -210,7 +219,7 @@ def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
             n1, ell = min(n, v), abs(v - n)
             break
     else:
-        return identity_alpha()
+        return 0, 0, True
     for n, v in it:
         if v != n:
             if v < n1:
@@ -221,17 +230,31 @@ def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
     horizon = len(values) - 1
     if horizon < n1 + 2 * ell:
         raise InsufficientHorizonError(n1, ell, horizon)
+    for n in range(n1, n1 + ell):
+        if (values[n] - n) % ell:
+            return n1, ell, False
+    return n1, ell, values[n1:-ell] == values[n1 + ell :]
 
+
+def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
+    """:func:`classify_alpha` on a table already known to be valid.
+
+    The verdict comes from :func:`_shape`; a rejection is then explained
+    by the first window entry off its residue (:func:`_window_rejection`,
+    whose growth test cannot fire here), else by the first period break
+    (:func:`_verify_period`).
+    """
+    n1, ell, accepted = _shape(values)
+    if not ell:
+        return identity_alpha()
+    if accepted:
+        return AlphaFn(STRUCTURED, n1, ell, tuple(values[: n1 + ell]))
     if rejection := _window_rejection(values, n1, ell):
         return rejection
-
-    if broke := _verify_period(values, n1, ell):
-        n, n2 = broke
-        return AlphaRejection(
-            "periodicity", f"alpha({n}) = {values[n]} but alpha({n2}) = {values[n2]}"
-        )
-
-    return AlphaFn(STRUCTURED, n1, ell, tuple(values[: n1 + ell]))
+    n, n2 = _verify_period(values, n1, ell)
+    return AlphaRejection(
+        "periodicity", f"alpha({n}) = {values[n]} but alpha({n2}) = {values[n2]}"
+    )
 
 
 def synthesize_alpha(n1: int, ell: int, window: Sequence[int]) -> AlphaFn | AlphaRejection:
@@ -330,6 +353,8 @@ def compose_length_based(
     alphabet: Alphabet, bound: int, alpha: AlphaFn, psi: PsiTable
 ) -> BoundedFn:
     """Build psi(alpha(|x|)) as a bounded function, validating coverage."""
+    from .builtins import BuiltinDef
+
     for k in range(bound + 1):
         out = psi.apply(eval_alpha(alpha, k))
         alphabet.validate(out)
@@ -349,6 +374,8 @@ def _constant_per_length(
     dom: Domain, key: Callable[[Value], object], detail: str | None
 ) -> CheckReport:
     """Verify key(F(x)) is the same for all x of each length in the domain."""
+    from .checkers import Witness, _scan
+
     vals = dom.vals
 
     def outcomes():
@@ -370,6 +397,8 @@ def check_length_based(fn: BoundedFn, level: int) -> CheckReport:
 
 def check_weakly_length_based(fn: BoundedFn, level: int) -> CheckReport:
     """Verify |F(x)| depends on |x| only (string-valued functions)."""
+    from .checkers import _require_string_valued
+
     dom = fn.domain(level)
     _require_string_valued(fn, "weak length-basedness check")
     return _constant_per_length(dom, len, "same length, different output lengths")
@@ -384,6 +413,8 @@ def decompose_length_based(
     values would force an inconsistent psi, or when the recovered profile
     table does not classify.  InsufficientHorizonError propagates.
     """
+    from .checkers import _require_string_valued
+
     dom = fn.domain(level)
     _require_string_valued(fn, "length-based decomposition")
     report = _constant_per_length(dom, lambda v: v, None)
@@ -527,7 +558,7 @@ def _sweep_chunk(prefix: int, horizon: int, max_value: int) -> AlphaSweep:
     above = max_value > horizon  # else no entry can exceed the horizon
     for values in itertools.product((prefix,), *[range(max_value + 1)] * horizon):
         try:
-            ok = isinstance(_classify(values), AlphaFn)
+            ok = _shape(values)[2]
         except InsufficientHorizonError:
             insufficient += 1
             continue

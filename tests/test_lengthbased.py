@@ -42,7 +42,8 @@ from strfn import (
     synthesize_alpha,
     table_fn,
 )
-from strfn.lengthbased import _classify, _equations_hold, _verify_period
+from strfn import lengthbased
+from strfn.lengthbased import _classify, _equations_hold, _shape, _verify_period
 from strfn.specio import report_to_json
 
 
@@ -195,6 +196,9 @@ def test_classify_rejects_residue_mismatch():
     rejection = classify_alpha([0, 3, 5, 3, 4, 5])
     assert isinstance(rejection, AlphaRejection)
     assert rejection.condition == "window-residue"
+    # Only the window's first entry is off its residue, and the period holds.
+    assert classify_alpha([7, 3, 7, 3, 7]) == AlphaRejection(
+        "window-residue", "alpha(0) = 7 is not congruent to 0 mod 2")
 
 
 def test_classify_short_horizon():
@@ -230,6 +234,26 @@ def _outcome(classify, values):
         return ("insufficient", str(e), e.n1, e.ell, e.horizon)
 
 
+def _verdict(values):
+    """What the verdict pass gives, as :func:`_verdict_of` reads an outcome."""
+    try:
+        n1, ell, accepted = _shape(values)
+    except InsufficientHorizonError as e:
+        return ("insufficient", str(e), e.n1, e.ell, e.horizon)
+    if not ell:
+        return "identity"
+    return (n1, ell) if accepted else "rejected"
+
+
+def _verdict_of(outcome):
+    """An outcome of :func:`_outcome` without its rejection's explanation."""
+    if isinstance(outcome, tuple):
+        return outcome
+    if isinstance(outcome, AlphaRejection):
+        return "rejected"
+    return "identity" if outcome.kind == "identity" else (outcome.n1, outcome.ell)
+
+
 def _condition(outcome):
     if isinstance(outcome, tuple):
         return outcome[0]
@@ -239,7 +263,9 @@ def _condition(outcome):
 @pytest.mark.parametrize("horizon, max_value", [(5, 5), (4, 6), (6, 3)])
 def test_classify_matches_the_oracle_on_every_table(horizon, max_value):
     for values in itertools.product(range(max_value + 1), repeat=horizon + 1):
-        assert _outcome(_classify, values) == _outcome(oracle_classify, values), values
+        expected = _outcome(oracle_classify, values)
+        assert _outcome(_classify, values) == expected, values
+        assert _verdict(values) == _verdict_of(expected), values
 
 
 def _random_profile(rng):
@@ -264,8 +290,20 @@ def test_classify_matches_the_oracle_on_random_tables():
         table = tuple(values) if rng.random() < 0.5 else values
         expected = _outcome(oracle_classify, table)
         assert _outcome(classify_alpha, table) == expected, values
+        assert _verdict(table) == _verdict_of(expected), values
         seen.add(_condition(expected))
     assert seen == {"identity", "structured", "window-residue", "periodicity", "insufficient"}
+
+
+@pytest.mark.parametrize("planted", [(0, 1, 2, 3), (0, 1, 1, 3)])
+def test_sweep_reports_a_planted_disagreement(monkeypatch, planted):
+    # The sweep compares the verdict pass with the equations: flipping the
+    # equations on one table, accepted or rejected, must show there alone.
+    assert sweep_alpha_tables(3, 3).agree
+    holds = lengthbased._equations_hold
+    monkeypatch.setattr(lengthbased, "_equations_hold",
+                        lambda values: holds(values) != (values == planted))
+    assert sweep_alpha_tables(3, 3, jobs=1).mismatches == [planted]
 
 
 def test_classify_outcome_counts_at_horizon_four():

@@ -17,10 +17,10 @@ from strfn import length_fn, ofo_fn
 from strfn.specio import function_to_json, partial_to_json, to_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-# The modules every command may load: the front door, the spec codecs,
-# the report writer and what they need to load a function and check it.
-BASE = {"strfn", "strfn.__main__", "strfn.cli", "strfn.specio", "strfn.jsontext",
-        "strfn.core", "strfn.errors", "strfn.builtins", "strfn.checkers"}
+# The modules every command loads: the front door, the spec codecs, the
+# report writer and what they need to load a function.
+BASE = {"strfn", "strfn.cli", "strfn.specio", "strfn.jsontext", "strfn.core",
+        "strfn.errors", "strfn.builtins"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -30,7 +30,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 # Runs ``python -m strfn <argv>`` and writes the names in sys.modules at
-# exit to the file named by the first argument.
+# exit to the file named by the first argument, in the order in which
+# their imports finished.
 _PROBE = (
     "import atexit, runpy, sys\n"
     "out = sys.argv.pop(1)\n"
@@ -39,10 +40,10 @@ _PROBE = (
 )
 
 
-def _loaded(tmp_path: Path, argv: list[str]) -> tuple[int, set[str]]:
+def _loaded(tmp_path: Path, argv: list[str]) -> tuple[int, list[str]]:
     out = tmp_path / "modules.txt"
     done = _python("-c", _PROBE, str(out), *argv)
-    return done.returncode, set(out.read_text().splitlines())
+    return done.returncode, out.read_text().splitlines()
 
 
 @pytest.fixture
@@ -58,38 +59,50 @@ def specs(tmp_path, ab, first_letter_spec):
     return lambda name: str(tmp_path / f"{name}.json")
 
 
-# Each command's arguments, and the layers it loads beyond BASE.
+# Each command's arguments, and exactly the layers it loads beyond BASE.
 COMMANDS = {
     "eval": ("eval --input {ofo} ab", set()),
-    "check-assoc": ("check assoc --input {ofo} --bound 4", set()),
-    "check-assoc-jobs2": ("check assoc --input {ofo} --bound 4 --jobs 2", set()),
-    "check-preassoc": ("check preassoc --input {length} --bound 4", set()),
-    "extend": ("extend --input {partial} --bound 4", {"extension"}),
-    "factorize": ("factorize --input {length} --bound 4", {"extension", "factorization"}),
+    "check-assoc": ("check assoc --input {ofo} --bound 4", {"checkers"}),
+    "check-assoc-jobs2": ("check assoc --input {ofo} --bound 4 --jobs 2", {"checkers"}),
+    "check-preassoc": ("check preassoc --input {length} --bound 4", {"checkers"}),
+    "extend": ("extend --input {partial} --bound 4", {"checkers", "extension"}),
+    "factorize": ("factorize --input {length} --bound 4", {"checkers", "factorization"}),
     "theta-rep": ("theta rep --alphabet ab --x0 a --x1 b --bound 4", {"quotient"}),
     "theta-chain": ("theta chain --alphabet ab --x0 a --x1 b --bound 4 --m-exp 3",
                     {"quotient"}),
     "compare": ("compare --input {ofo} --input {length} --bound 4", {"quotient"}),
-    "alpha-check": ("alpha check --input {profile}", {"lengthbased"}),
-    "check-length": ("check length --input {length} --bound 4", {"lengthbased"}),
+    "alpha-check": ("alpha check --input {profile}", {"checkers", "lengthbased"}),
+    "alpha-classify": ("alpha classify --input {profile}", {"lengthbased"}),
+    "check-length": ("check length --input {length} --bound 4", {"checkers", "lengthbased"}),
 }
 # Standard modules no command needs: ``dataclasses`` loads ``inspect``,
 # which loads ``ast``, ``dis`` and ``tokenize``.
 UNUSED = {"dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("argv, layers", COMMANDS.values(), ids=COMMANDS)
-def test_each_command_loads_only_its_layers(tmp_path, specs, argv, layers):
-    args = [a.format(ofo=specs("ofo"), length=specs("length"),
+def _args(specs, argv: str) -> list[str]:
+    return [a.format(ofo=specs("ofo"), length=specs("length"),
                      partial=specs("partial"), profile=specs("profile"))
             for a in argv.split()]
-    code, names = _loaded(tmp_path, args)
+
+
+@pytest.mark.parametrize("argv, layers", COMMANDS.values(), ids=COMMANDS)
+def test_each_command_loads_only_its_layers(tmp_path, specs, argv, layers):
+    code, names = _loaded(tmp_path, _args(specs, argv))
     assert code == 0
     own = {f"strfn.{layer}" for layer in layers}
-    assert own <= names
-    assert {n for n in names if n.split(".")[0] == "strfn"} <= BASE | own
+    assert {n for n in names if n.split(".")[0] == "strfn"} == BASE | own
     assert "concurrent.futures" not in names
-    assert not UNUSED & names
+    assert not UNUSED & set(names)
+
+
+def test_check_imports_its_layer_before_the_cli(tmp_path, specs):
+    # Compiled first, checkers leaves memory that the later imports reuse,
+    # so a check run peaks lower (see strfn.__main__).
+    code, names = _loaded(tmp_path, _args(specs, COMMANDS["check-assoc"][0]))
+    assert code == 0
+    assert names.index("strfn.checkers") < names.index("strfn.specio")
+    assert names.index("strfn.checkers") < names.index("strfn.cli")
 
 
 def test_importing_strfn_loads_no_submodule():
