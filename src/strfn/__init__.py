@@ -24,8 +24,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Alphabet", "Token", "Value", "BoundedFn", "TableDef", "STRING", "TOKEN",
         "concat", "power", "enumerate_strings", "count_strings", "table_fn",
     ),
+    "reports": ("HOLDS", "FAILS", "VACUOUS", "CheckReport", "Witness"),
     "checkers": (
-        "HOLDS", "FAILS", "VACUOUS", "CheckReport", "Witness",
         "check_associative_full", "check_associative_reduced",
         "check_preassociative", "check_standard", "check_idempotent",
         "check_m_bounded", "check_m_determined_range",
@@ -65,7 +65,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "StrfnError", "AlphabetError", "OutOfDomainError", "MissingEntryError",
         "MalformedSpecError", "PreconditionError", "ConditionsFailedError",
         "NotApplicableError", "UnevaluableError", "InsufficientHorizonError",
-        "QuasiInverseError", "WitnessError",
+        "QuasiInverseError", "WitnessError", "WorkerError",
     ),
 }
 # The layer each CLI command runs.  ``python -m strfn`` imports it before

@@ -16,11 +16,12 @@ Witness determinism: the reported counterexample is the first failure in
 the enumeration order of the quantified tuple -- length-lex order on the
 concatenation of the tuple's components, ties broken by split position.
 On failure the counters cover the instances examined before the scan
-terminated, which is likewise deterministic.  :func:`_scan` is the one
-statement of that counting rule; the checkers here and the conditions of
+terminated, which is likewise deterministic.  The report records and
+``reports._scan``, the one statement of that counting rule, live in
+``strfn.reports``; the checkers here and the conditions of
 ``extension``, ``factorization`` and ``lengthbased`` report through it.
 The hot kernels count by hand with the same rule and end in
-:func:`_finish`: ``_assoc_scan``, ``_preassoc_scan`` and
+``reports._finish``: ``_assoc_scan``, ``_preassoc_scan`` and
 ``lengthbased.check_alpha_equations`` (``_preassoc_witness`` only
 searches).  The preassociativity check is the one exception: its
 counters come from its scan over kernel-class pairs up to the first
@@ -56,84 +57,14 @@ enforces ``0 <= level <= fn.bound``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
-from .core import BoundedFn, Record, Value, count_strings
+from .core import BoundedFn, Value, count_strings
 from .errors import NotApplicableError, PreconditionError
-
-HOLDS = "holds"
-FAILS = "fails"
-VACUOUS = "vacuous"
-
-
-class Witness(Record):
-    """An instantiated counterexample: variable bindings plus both sides."""
-
-    __slots__ = _fields = ("bindings", "lhs", "rhs")
-
-    def __init__(self, bindings: tuple[tuple[str, str], ...],
-                 lhs: Value | None = None, rhs: Value | None = None) -> None:
-        self.bindings = bindings
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def binding(self, name: str) -> str:
-        return dict(self.bindings)[name]
-
-
-class CheckReport(Record):
-    __slots__ = _fields = ("verdict", "witness", "checked", "skipped", "detail")
-
-    def __init__(self, verdict: str, witness: Witness | None, checked: int, skipped: int,
-                 detail: str | None = None) -> None:
-        self.verdict = verdict
-        self.witness = witness
-        self.checked = checked
-        self.skipped = skipped
-        self.detail = detail
-
-    @property
-    def ok(self) -> bool:
-        """True unless a counterexample was found."""
-        return self.verdict != FAILS
-
-    @property
-    def incomplete(self) -> bool:
-        return self.skipped > 0
-
-
-def _finish(witness: Witness | None, checked: int, skipped: int,
-            detail: str | None = None) -> CheckReport:
-    if witness is not None:
-        return CheckReport(FAILS, witness, checked, skipped, detail)
-    if checked == 0:
-        return CheckReport(VACUOUS, None, checked, skipped, detail)
-    return CheckReport(HOLDS, None, checked, skipped, detail)
-
-
-# An outcome of _scan: the instance leaves the bound and is not evaluated.
-SKIPPED = object()
-
-
-def _scan(outcomes: Iterable[Witness | object | None],
-          detail: str | None = None) -> CheckReport:
-    """The report of a scan that stops at its first failing instance.
-
-    ``outcomes`` yields one item per instance, in enumeration order: None
-    when the instance holds, ``SKIPPED`` when it leaves the bound, or the
-    failure's :class:`Witness`.  The scan stops at the first witness;
-    ``checked`` counts the instances evaluated, that failure included, and
-    ``skipped`` the skips before it.  The verdict is ``fails`` with the
-    witness and ``detail``, else ``vacuous`` when nothing was checked, else
-    ``holds``; ``detail`` is attached only on failure.
-    """
-    seen = skipped = 0
-    for seen, outcome in enumerate(outcomes, 1):
-        if outcome is SKIPPED:
-            skipped += 1
-        elif outcome is not None:
-            return CheckReport(FAILS, outcome, seen - skipped, skipped, detail)
-    return _finish(None, seen - skipped, skipped)
+# The report records are re-exported: a report pickled when they lived
+# here still loads, and ``strfn.checkers.CheckReport`` stays one class.
+from .reports import (  # noqa: F401
+    FAILS, HOLDS, SKIPPED, VACUOUS, CheckReport, Witness, _finish, _scan,
+)
 
 
 def _require_string_valued(fn: BoundedFn, op: str) -> None:

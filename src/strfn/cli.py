@@ -44,7 +44,7 @@ from .specio import (
 )
 
 if TYPE_CHECKING:
-    from .checkers import CheckReport
+    from .reports import CheckReport
 
 DEFAULT_BOUND = 6
 
@@ -127,7 +127,7 @@ def _one_input(args: argparse.Namespace) -> str:
 
 
 def _report_exit(report: CheckReport) -> int:
-    from .checkers import FAILS, VACUOUS
+    from .reports import FAILS, VACUOUS
 
     if report.verdict == FAILS:
         return 1

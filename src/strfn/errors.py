@@ -76,3 +76,8 @@ class QuasiInverseError(StrfnError):
 
 class WitnessError(StrfnError):
     """A supplied periodicity witness does not verify against the table."""
+
+
+class WorkerError(StrfnError):
+    """A worker process of a parallel map ended without sending its
+    outcome, or could not send it."""

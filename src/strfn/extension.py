@@ -12,20 +12,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping, Sequence
 
-from .checkers import (
-    FAILS,
-    VACUOUS,
-    CheckReport,
-    Witness,
-    _scan,
-    check_associative_full,
-    check_m_bounded,
-)
 from .core import (
     STRING, Alphabet, BoundedFn, Record, Value, _total_table, count_strings,
     enumerate_strings,
 )
 from .errors import ConditionsFailedError, MalformedSpecError, PreconditionError
+from .reports import FAILS, VACUOUS, CheckReport, Witness, _scan
 
 Part = dict[str, Value]
 
@@ -233,6 +225,8 @@ def check_determination(
     failure is raised as PreconditionError carrying the reports.  When
     the low-arity parts differ the claim does not apply: VACUOUS.
     """
+    from .checkers import check_associative_full, check_m_bounded
+
     if fn.alphabet != other.alphabet:
         raise PreconditionError("determination check requires a common alphabet")
     f_vals = fn.domain(level).vals
@@ -268,6 +262,8 @@ def identity_patch(fn: BoundedFn, k: int, m: int, level: int) -> BoundedFn:
     patched entries are read off the checked domain in length-lex order, so
     the result is its own domain at ``level``.
     """
+    from .checkers import check_associative_full, check_m_bounded
+
     if k > m:
         raise PreconditionError(f"patch arity {k} exceeds the bound m = {m}")
     _require_gates("patch", {

@@ -17,11 +17,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .checkers import (
-    SKIPPED,
-    CheckReport,
-    Witness,
-    _finish,
-    _scan,
     check_associative_full,
     check_m_determined_range,
     check_preassociative,
@@ -29,6 +24,7 @@ from .checkers import (
 )
 from .core import STRING, BoundedFn, Record, Value, _total_table, enumerate_strings
 from .errors import PreconditionError, QuasiInverseError
+from .reports import SKIPPED, CheckReport, Witness, _finish, _scan
 
 if TYPE_CHECKING:
     from .extension import VariadicParts

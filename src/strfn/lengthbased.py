@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Record, Token, Value
@@ -34,10 +33,10 @@ from .errors import (
     UnevaluableError, WitnessError,
 )
 
-# checkers and builtins are imported by the functions that use them, so
-# classifying or sweeping profiles compiles neither.
+# reports, checkers, builtins and forkmap are imported by the functions
+# that use them, so classifying profiles compiles none of them.
 if TYPE_CHECKING:
-    from .checkers import CheckReport
+    from .reports import CheckReport
 
 IDENTITY = "identity"
 STRUCTURED = "structured"
@@ -130,7 +129,7 @@ def check_alpha_equations(values: Sequence[int]) -> CheckReport:
     Raises UnevaluableError when some entry exceeds the horizon, since
     alpha(alpha(n)) would then be unreadable.
     """
-    from .checkers import Witness, _finish
+    from .reports import Witness, _finish
 
     _validate_table(values)
     size = len(values)
@@ -169,9 +168,13 @@ def _window_rejection(values: Sequence[int], n1: int, ell: int) -> AlphaRejectio
         if v < n:
             return AlphaRejection("window-growth", f"alpha({n}) = {v} < {n} inside the window")
         if (v - n) % ell != 0:
-            return AlphaRejection("window-residue",
-                                  f"alpha({n}) = {v} is not congruent to {n} mod {ell}")
+            return _residue_rejection(values, n, ell)
     return None
+
+
+def _residue_rejection(values: Sequence[int], n: int, ell: int) -> AlphaRejection:
+    return AlphaRejection("window-residue",
+                          f"alpha({n}) = {values[n]} is not congruent to {n} mod {ell}")
 
 
 def _verify_period(values: Sequence[int], start: int, period: int) -> tuple[int, int] | None:
@@ -200,13 +203,17 @@ def classify_alpha(values: Sequence[int]) -> AlphaFn | AlphaRejection:
 
 
 def _shape(values: Sequence[int]) -> tuple[int, int, bool]:
-    """The verdict of :func:`classify_alpha` on a valid table: (n1, ell, accepted).
+    """The verdict of :func:`classify_alpha` on a valid table: (n, ell, accepted).
 
-    ``ell`` is 0 for the identity.  One pass over the table finds the
-    threshold n1, the least of min(n, alpha(n)) over the moved n (those
-    with alpha(n) != n), and the period ell, the least jump |alpha(n) - n|.
-    The first moved n0 sets both.  A later moved n has n > n0 >= n1, so
-    it can lower n1 only through alpha(n).
+    ``ell`` is 0 for the identity.  ``n`` is the threshold n1, except for
+    a table rejected by its window: there ``n`` is the first window entry
+    off its residue, where :func:`_classify` explains the rejection.
+
+    One pass over the table finds the threshold n1, the least of
+    min(n, alpha(n)) over the moved n (those with alpha(n) != n), and the
+    period ell, the least jump |alpha(n) - n|.  The first moved n0 sets
+    both.  A later moved n has n > n0 >= n1, so it can lower n1 only
+    through alpha(n).
 
     Only the residue is tested in the window [n1, n1 + ell): no n there
     has alpha(n) < n.  Such an n is moved, so alpha(n) >= n1, and it would
@@ -232,28 +239,29 @@ def _shape(values: Sequence[int]) -> tuple[int, int, bool]:
         raise InsufficientHorizonError(n1, ell, horizon)
     for n in range(n1, n1 + ell):
         if (values[n] - n) % ell:
-            return n1, ell, False
+            return n, ell, False
     return n1, ell, values[n1:-ell] == values[n1 + ell :]
 
 
 def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
     """:func:`classify_alpha` on a table already known to be valid.
 
-    The verdict comes from :func:`_shape`; a rejection is then explained
-    by the first window entry off its residue (:func:`_window_rejection`,
-    whose growth test cannot fire here), else by the first period break
-    (:func:`_verify_period`).
+    The verdict comes from :func:`_shape`.  A rejection is explained at
+    the window entry it returns when that entry is off its residue (no
+    window entry grows, so this is the first failure
+    :func:`_window_rejection` would report), else by the first period
+    break from n1, the failure :func:`_verify_period` would report.
     """
-    n1, ell, accepted = _shape(values)
+    n, ell, accepted = _shape(values)
     if not ell:
         return identity_alpha()
     if accepted:
-        return AlphaFn(STRUCTURED, n1, ell, tuple(values[: n1 + ell]))
-    if rejection := _window_rejection(values, n1, ell):
-        return rejection
-    n, n2 = _verify_period(values, n1, ell)
+        return AlphaFn(STRUCTURED, n, ell, tuple(values[: n + ell]))
+    if (values[n] - n) % ell:
+        return _residue_rejection(values, n, ell)
+    n = next(m for m in itertools.count(n) if values[m] != values[m + ell])
     return AlphaRejection(
-        "periodicity", f"alpha({n}) = {values[n]} but alpha({n2}) = {values[n2]}"
+        "periodicity", f"alpha({n}) = {values[n]} but alpha({n + ell}) = {values[n + ell]}"
     )
 
 
@@ -374,7 +382,7 @@ def _constant_per_length(
     dom: Domain, key: Callable[[Value], object], detail: str | None
 ) -> CheckReport:
     """Verify key(F(x)) is the same for all x of each length in the domain."""
-    from .checkers import Witness, _scan
+    from .reports import Witness, _scan
 
     vals = dom.vals
 
@@ -516,22 +524,6 @@ def compose_preassoc_length_based(
 # exhaustive sweep: equations vs classification
 
 
-def _starmap(func, arg_tuples, jobs):
-    """Each ``func(*args)`` in order, on up to ``jobs`` worker processes.
-
-    The pool gets no more workers than tasks or CPUs (all of them start at
-    once); with one worker the calls run in-process.  The pool module is
-    imported only when a pool starts, so importing ``strfn`` loads none.
-    """
-    workers = min(jobs, len(arg_tuples), os.cpu_count() or 1)
-    if workers <= 1:
-        return [func(*args) for args in arg_tuples]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, *zip(*arg_tuples)))
-
-
 class AlphaSweep(Record):
     __slots__ = _fields = ("total", "equations_hold", "accepted", "rejected", "insufficient",
                            "mismatches")
@@ -588,7 +580,9 @@ def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSwee
         raise ValueError("horizon must be nonnegative")
     if max_value < 0:
         raise ValueError("max_value must be nonnegative")
-    chunks = _starmap(
+    from .forkmap import starmap
+
+    chunks = starmap(
         _sweep_chunk, [(p, horizon, max_value) for p in range(max_value + 1)], jobs
     )
     total = AlphaSweep()

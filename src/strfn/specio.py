@@ -42,11 +42,11 @@ from .errors import MalformedSpecError
 # The constructions' layers load inside the codecs that need them, so a
 # command reading a function spec loads none of them.
 if TYPE_CHECKING:
-    from .checkers import CheckReport, Witness
     from .extension import PartialSpec
     from .factorization import Factorization
     from .lengthbased import AlphaFn, AlphaRejection, PsiTable
     from .quotient import ThetaClass
+    from .reports import CheckReport, Witness
 
 
 def value_to_json(v: Value) -> Any:

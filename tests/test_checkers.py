@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -26,9 +27,11 @@ from strfn import (
     VACUOUS,
     Alphabet,
     CheckReport,
+    InsufficientHorizonError,
     NotApplicableError,
     PreconditionError,
     Token,
+    WorkerError,
     check_associative_full,
     check_associative_reduced,
     check_equivalent_definitions,
@@ -62,6 +65,7 @@ from strfn.checkers import (
     _preassoc_scan,
 )
 from strfn.factorization import factorize
+from strfn.forkmap import starmap
 
 
 def fixture_functions(ab3):
@@ -195,39 +199,92 @@ def test_late_failures_and_seeded_tables(ab, ab3):
         assert check_associative_full(fn, 4).ok == oracle_associative(fn, 4)[0]
 
 
+def _counting_forks(monkeypatch):
+    """The pids that ``os.fork`` returns to the caller from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def test_pool_never_outnumbers_tasks_or_cpus(monkeypatch):
-    sizes = []
-    tasks = []
-
-    class InProcessPool:
-        """Records the pool size and the number of tasks mapped, and maps
-        in-process; starts no process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, *iterables):
-            args = list(zip(*iterables))
-            tasks.append(len(args))
-            return itertools.starmap(func, args)
-
-    # _starmap imports the pool when it starts one, so it reads this patch.
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    # The caller runs one share itself, so w workers fork w - 1 children.
+    forks = _counting_forks(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     serial = sweep_alpha_tables(3, 3)
+    assert forks == []
     assert sweep_alpha_tables(3, 3, jobs=500) == serial
+    assert len(forks) == 3
     assert sweep_alpha_tables(3, 3, jobs=3) == serial
-    assert sizes == [4, 3]
-    assert tasks == [4, 4]
+    assert len(forks) == 3 + 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert sweep_alpha_tables(3, 3, jobs=500) == serial
-    assert sizes == [4, 3]
+    assert len(forks) == 3 + 2
+
+
+CALLER = os.getpid()
+
+
+def _square(i):
+    return i * i, os.getpid() == CALLER
+
+
+def _fails_in_child(i):
+    if os.getpid() != CALLER:
+        raise ValueError(f"task {i} failed in a child")
+    return i
+
+
+def _fails_in_caller(i):
+    if os.getpid() == CALLER:
+        raise KeyboardInterrupt(f"task {i} interrupted the caller")
+    time.sleep(30)  # until the caller kills it
+    return i
+
+
+def _exits_in_child(i):
+    if os.getpid() != CALLER:
+        os._exit(7)
+    return i
+
+
+def _unsendable_in_child(i):
+    if os.getpid() != CALLER:
+        raise InsufficientHorizonError(1, 2, 3)  # its pickle does not load back
+    return i
+
+
+@pytest.mark.parametrize("task, error, message", [
+    (_fails_in_child, ValueError, "^task 1 failed in a child$"),
+    (_fails_in_caller, KeyboardInterrupt, "^task 0 interrupted the caller$"),
+    (_exits_in_child, WorkerError, r"ended without its results \(exit status 7\)$"),
+    (_unsendable_in_child, WorkerError, "could not send its outcome: TypeError"),
+], ids=["child-raises", "caller-interrupted", "child-exits", "child-unsendable"])
+def test_fork_map_raises_and_leaves_no_child(monkeypatch, task, error, message):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    start = time.monotonic()
+    with pytest.raises(error, match=message):
+        starmap(task, [(i,) for i in range(4)], 2)
+    assert time.monotonic() - start < 10  # no child outlived the error
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_keeps_task_order_on_an_uneven_split(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    forks = _counting_forks(monkeypatch)
+    # Two workers: the caller runs the even tasks, one child the odd ones.
+    assert starmap(_square, [(i,) for i in range(7)], 2) == [
+        (i * i, i % 2 == 0) for i in range(7)]
+    assert sweep_alpha_tables(2, 4, jobs=2) == sweep_alpha_tables(2, 4)
+    assert len(forks) == 2
 
 
 # -------------------------------------------------------------- preassociativity

@@ -4,7 +4,7 @@ Each class compares equal only to an instance of its exact class with
 equal fields, hashes as the tuple of those fields (so set iteration
 orders stay as they were), prints as ``Name(field=value, ...)``, builds
 from its field names as keywords, and survives a pickle round trip,
-which the sweep's worker pool relies on.
+which the sweep's worker processes rely on.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from strfn import (
     factorize,
     length_fn,
 )
+from strfn import checkers, reports
 from strfn.lengthbased import RelabeledLengthDef
 
 AB = Alphabet(("a", "b"))
@@ -96,6 +97,16 @@ CASES = [
      "second_below_first=False, separating=('a', 'b'))"),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(CASES)]
+# A failing CheckReport pickled when the report records were defined in
+# strfn.checkers: the pickle names that module.
+OLD_PATH_PICKLE = (
+    b"\x80\x04\x95\xb2\x00\x00\x00\x00\x00\x00\x00\x8c\x0estrfn.checkers\x94\x8c\x0b"
+    b"CheckReport\x94\x93\x94)\x81\x94N}\x94(\x8c\x07verdict\x94\x8c\x05fails\x94\x8c\x07"
+    b"witness\x94h\x00\x8c\x07Witness\x94\x93\x94)\x81\x94N}\x94(\x8c\x08bindings\x94\x8c"
+    b"\x01x\x94\x8c\x01a\x94\x86\x94\x85\x94\x8c\x03lhs\x94h\x0e\x8c\x03rhs\x94\x8c\x01b"
+    b"\x94u\x86\x94b\x8c\x07checked\x94K\x03\x8c\x07skipped\x94K\x01\x8c\x06detail\x94"
+    b"\x8c\x03why\x94u\x86\x94b."
+)
 # Mutable records: equal by fields, never hashed.
 UNHASHABLE = {AlphaSweep, Factorization}
 
@@ -121,6 +132,14 @@ def test_record_contract(cls, fields, text):
             hash(obj)
     else:
         assert hash(obj) == expected
+
+
+def test_report_records_keep_their_old_module_path():
+    assert checkers.CheckReport is reports.CheckReport is CheckReport
+    assert checkers.Witness is reports.Witness is Witness
+    old = pickle.loads(OLD_PATH_PICKLE)
+    assert type(old) is CheckReport and type(old.witness) is Witness
+    assert old == CheckReport("fails", Witness((("x", "a"),), "a", "b"), 3, 1, "why")
 
 
 def test_equality_needs_the_exact_class():

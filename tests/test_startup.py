@@ -60,21 +60,28 @@ def specs(tmp_path, ab, first_letter_spec):
 
 
 # Each command's arguments, and exactly the layers it loads beyond BASE.
+# A command that returns a check report loads ``reports``; only ``check``
+# and ``factorize`` run a law checker.
 COMMANDS = {
     "eval": ("eval --input {ofo} ab", set()),
-    "check-assoc": ("check assoc --input {ofo} --bound 4", {"checkers"}),
-    "check-assoc-jobs2": ("check assoc --input {ofo} --bound 4 --jobs 2", {"checkers"}),
-    "check-preassoc": ("check preassoc --input {length} --bound 4", {"checkers"}),
-    "extend": ("extend --input {partial} --bound 4", {"checkers", "extension"}),
-    "factorize": ("factorize --input {length} --bound 4", {"checkers", "factorization"}),
+    "check-assoc": ("check assoc --input {ofo} --bound 4", {"checkers", "reports"}),
+    "check-assoc-jobs2": ("check assoc --input {ofo} --bound 4 --jobs 2",
+                          {"checkers", "reports"}),
+    "check-preassoc": ("check preassoc --input {length} --bound 4", {"checkers", "reports"}),
+    "extend": ("extend --input {partial} --bound 4", {"extension", "reports"}),
+    "factorize": ("factorize --input {length} --bound 4",
+                  {"checkers", "factorization", "reports"}),
     "theta-rep": ("theta rep --alphabet ab --x0 a --x1 b --bound 4", {"quotient"}),
     "theta-chain": ("theta chain --alphabet ab --x0 a --x1 b --bound 4 --m-exp 3",
                     {"quotient"}),
     "compare": ("compare --input {ofo} --input {length} --bound 4", {"quotient"}),
-    "alpha-check": ("alpha check --input {profile}", {"checkers", "lengthbased"}),
+    "alpha-check": ("alpha check --input {profile}", {"lengthbased", "reports"}),
     "alpha-classify": ("alpha classify --input {profile}", {"lengthbased"}),
-    "check-length": ("check length --input {length} --bound 4", {"checkers", "lengthbased"}),
+    "check-length": ("check length --input {length} --bound 4",
+                     {"checkers", "lengthbased", "reports"}),
 }
+# Pool modules: the alpha sweep forks its workers without them.
+POOLS = {"concurrent.futures", "multiprocessing"}
 # Standard modules no command needs: ``dataclasses`` loads ``inspect``,
 # which loads ``ast``, ``dis`` and ``tokenize``.
 UNUSED = {"dataclasses", "inspect"}
@@ -92,8 +99,7 @@ def test_each_command_loads_only_its_layers(tmp_path, specs, argv, layers):
     assert code == 0
     own = {f"strfn.{layer}" for layer in layers}
     assert {n for n in names if n.split(".")[0] == "strfn"} == BASE | own
-    assert "concurrent.futures" not in names
-    assert not UNUSED & set(names)
+    assert not (POOLS | UNUSED) & set(names)
 
 
 def test_check_imports_its_layer_before_the_cli(tmp_path, specs):
@@ -110,12 +116,32 @@ def test_importing_strfn_loads_no_submodule():
         "import json, strfn, sys\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'strfn')\n"
         "before = loaded()\n"
-        "print(json.dumps([before, strfn.checkers is sys.modules['strfn.checkers'], loaded(),\n"
+        "report = strfn.CheckReport is sys.modules['strfn.reports'].CheckReport\n"
+        "with_report = loaded()\n"
+        "print(json.dumps([before, report, with_report,\n"
+        "                  strfn.checkers is sys.modules['strfn.checkers'], loaded(),\n"
         f"                  sorted({sorted(UNUSED)} & sys.modules.keys())]))\n"
     ))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [
-        ["strfn"], True, ["strfn", "strfn.checkers", "strfn.core", "strfn.errors"], []]
+        ["strfn"], True, ["strfn", "strfn.core", "strfn.errors", "strfn.reports"],
+        True, ["strfn", "strfn.checkers", "strfn.core", "strfn.errors", "strfn.reports"], []]
+
+
+def test_the_sweep_forks_without_a_pool_module():
+    done = _python("-c", (
+        "import json, os, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "from strfn import sweep_alpha_tables\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "tally = sweep_alpha_tables(3, 3, jobs=2)\n"
+        f"pools = sorted({sorted(POOLS)} & sys.modules.keys())\n"
+        "print(json.dumps([tally.agree, len(forks), pools]))\n"
+    ))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [True, 1, []]
 
 
 def test_public_names_resolve_on_first_use():
@@ -124,7 +150,7 @@ def test_public_names_resolve_on_first_use():
         "from strfn import *\n"
         "import strfn\n"
         "names = strfn.__all__\n"
-        "assert len(names) == len(set(names)) == 96, len(names)\n"
+        "assert len(names) == len(set(names)) == 97, len(names)\n"
         "assert [n for n in names if n not in globals()] == []\n"
         "assert all(globals()[n] is getattr(strfn, n) for n in names)\n"
         "objs = [getattr(strfn, n) for n in names]\n"
