@@ -218,8 +218,9 @@ def _run_check(args: argparse.Namespace) -> int:
 def _run_extend(args: argparse.Namespace) -> int:
     extension = _layer(args)
     spec = load_partial(_one_input(args))
-    # No name holds the grown table, so it is freed before serializing.
-    _emit(function_to_json(extension.extend(spec, args.bound)), args,
+    # The grown table's rows stream to the writer from the table itself,
+    # so no list of rows is built.
+    _emit(function_to_json(extension.extend(spec, args.bound), streamed=True), args,
           f"extended to bound {args.bound} "
           f"({count_strings(spec.alphabet, args.bound)} entries)")
     return 0
@@ -295,33 +296,18 @@ def _run_theta(args: argparse.Namespace) -> int:
               + (" (truncated)" if cls.truncated else ""))
         return 3 if cls.truncated else 0
     if args.action == "rep":
-        # No name holds the function, so its evaluated domain is freed
-        # before the table is serialized.
-        _emit(function_to_json(quotient.theta_rep_fn(alphabet, args.bound, spec)),
+        # The table's rows stream to the writer from the table itself, so
+        # no list of rows is built.
+        _emit(function_to_json(quotient.theta_rep_fn(alphabet, args.bound, spec),
+                               streamed=True),
               args, f"representative table up to bound {args.bound}")
         return 0
-    alphabet.validate(args.x0)
-    alphabet.validate(args.x1)
-    # From the least m* with a block longer than the bound, no swap stays in
-    # the domain and F^m is the identity, so F^m is built only for m <= m*.
-    identity_from = (args.bound // max(len(args.x0), len(args.x1))).bit_length()
-    rows = []
-    hi = None
-    for m in range(1, max(args.m_exp, 2)):
-        if m >= identity_from:
-            rows.append({"m": m, "relation": quotient.EQUIVALENT, "separating": None})
-            continue
-        # Each F^m is built once; only the pair being compared is kept alive.
-        lo = hi or quotient.theta_rep_fn(
-            alphabet, args.bound, quotient.ThetaSpec(args.x0, args.x1, m))
-        hi = quotient.theta_rep_fn(
-            alphabet, args.bound, quotient.ThetaSpec(args.x0, args.x1, m + 1))
-        cmp = quotient.preceq(lo, hi, args.bound)
-        rows.append({
-            "m": m,
-            "relation": cmp.relation,
-            "separating": list(cmp.separating) if cmp.separating else None,
-        })
+    rows = [{
+        "m": m,
+        "relation": cmp.relation,
+        "separating": list(cmp.separating) if cmp.separating else None,
+    } for m, cmp in quotient.theta_chain(alphabet, args.bound, args.x0, args.x1,
+                                         max(args.m_exp - 1, 1))]
     _emit({"chain": rows}, args,
           "; ".join(f"F^{r['m']} {r['relation']} F^{r['m'] + 1}" for r in rows))
     return 0

@@ -44,6 +44,10 @@ class ConditionsFailedError(StrfnError):
         super().__init__(message)
         self.reports = reports
 
+    def __reduce__(self) -> tuple:
+        # Pickle rebuilds an exception from ``args``, which lacks ``reports``.
+        return type(self), (self.args[0], self.reports)
+
 
 class NotApplicableError(StrfnError):
     """The operation does not apply to the given function (for example,
@@ -67,6 +71,9 @@ class InsufficientHorizonError(StrfnError):
         self.n1 = n1
         self.ell = ell
         self.horizon = horizon
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n1, self.ell, self.horizon)
 
 
 class QuasiInverseError(StrfnError):

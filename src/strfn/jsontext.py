@@ -12,14 +12,21 @@ text ``json`` gives them.  A cycle raises ``RecursionError``, where
 :func:`chunks` yields the text in pieces: a dict key by key, an array of
 more than :data:`ROWS` items :data:`ROWS` rows at a time, and anything
 else as one string.  So a long table is never held as one string.
+
+:func:`chunks` also takes an iterator, as the object or a dict's value,
+and reads it once as an array: :data:`ROWS` rows per piece, and ``[]``
+when it is empty.  So a table's rows are written straight from the
+table, never held as a list.  ``json.dumps`` rejects iterators, so on
+every object it can encode the text is still ``json``'s.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any, Iterator
+from typing import Any
 
 # Rows of a long array per piece: about 55 KB of an extended table's text.
 ROWS = 1024
@@ -35,13 +42,14 @@ def chunks(obj: Any, indent: str = "") -> Iterator[str]:
             yield from chunks(value, inner)
             head = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(obj, (list, tuple)) and len(obj) > ROWS:
+    elif isinstance(obj, Iterator) or isinstance(obj, (list, tuple)) and len(obj) > ROWS:
         inner = indent + "  "
         head = "[\n" + inner
-        for start in range(0, len(obj), ROWS):
-            yield head + _rows(obj[start:start + ROWS], inner)
+        items = iter(obj)
+        for rows in iter(lambda: list(islice(items, ROWS)), []):
+            yield head + _rows(rows, inner)
             head = ",\n" + inner
-        yield "\n" + indent + "]"
+        yield "[]" if head[0] == "[" else "\n" + indent + "]"
     else:
         yield _text(obj, indent)
 
@@ -49,11 +57,11 @@ def chunks(obj: Any, indent: str = "") -> Iterator[str]:
 def _rows(rows: list[Any] | tuple[Any, ...], indent: str) -> str:
     """The items of an array at ``indent``, joined by its separator.
 
-    A run of ``[str, str]`` rows (every string-valued table's) is encoded
-    by ``map`` and ``str.join`` alone.
+    A run of ``[str, str]`` rows (every string-valued table's), as lists
+    or tuples, is encoded by ``map`` and ``str.join`` alone.
     """
     sep = ",\n" + indent
-    if (set(map(type, rows)) == {list} and set(map(len, rows)) == {2}
+    if (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) == {2}
             and set(map(type, chain.from_iterable(rows))) == {str}):
         inner = indent + "  "
         cells = map(_string, chain.from_iterable(rows))

@@ -165,6 +165,30 @@ class KernelComparison(Record):
         self.separating = separating
 
 
+def theta_chain(alphabet: Alphabet, bound: int, x0: str, x1: str,
+                last: int) -> list[tuple[int, KernelComparison]]:
+    """Compare F^m with F^(m+1) on X^{<=bound}, for m = 1, ..., ``last``.
+
+    From the least m* with a block longer than the bound, no swap stays in
+    the domain and F^m is the identity, so F^m is built only for m <= m*,
+    and each pair from m* on is equivalent.  Each F^m is built once; only
+    the pair being compared is kept alive.
+    """
+    alphabet.validate(x0)
+    alphabet.validate(x1)
+    identity_from = (bound // max(len(x0), len(x1))).bit_length()
+    rows = []
+    hi = None
+    for m in range(1, last + 1):
+        if m >= identity_from:
+            rows.append((m, KernelComparison(EQUIVALENT, True, True, None)))
+            continue
+        lo = hi or theta_rep_fn(alphabet, bound, ThetaSpec(x0, x1, m))
+        hi = theta_rep_fn(alphabet, bound, ThetaSpec(x0, x1, m + 1))
+        rows.append((m, preceq(lo, hi, bound)))
+    return rows
+
+
 def _constant_on_classes(
     grouper: dict[str, Value], checker: dict[str, Value]
 ) -> tuple[str, str] | None:

@@ -23,7 +23,9 @@ Dictionaries are built in deterministic order, so serialized output is
 byte-stable without key sorting (which would scramble witness bindings).
 The text is that of ``json.dumps(obj, indent=2)`` and a newline, built by
 :mod:`strfn.jsontext`; ``write_to_json`` writes it a piece at a time, so
-a long table is never held as one string.
+a long table is never held as one string, and ``function_to_json(fn,
+streamed=True)`` hands it a table's rows straight from the table, so
+they are never held as a list either.
 """
 
 from __future__ import annotations
@@ -172,16 +174,19 @@ def _pairs_from_json(
     return mapping
 
 
-def _table_to_json(codomain: str, entries: Mapping[str, Value]) -> dict[str, Any]:
-    rows = (list(map(list, entries.items())) if codomain == STRING  # values are str
-            else [[s, value_to_json(v)] for s, v in entries.items()])
-    return {"kind": "table", "codomain": codomain, "entries": rows}
+def _table_to_json(codomain: str, entries: Mapping[str, Value],
+                   streamed: bool = False) -> dict[str, Any]:
+    # One row encoder: (input, output) tuples, listed unless streamed.
+    rows = (iter(entries.items()) if codomain == STRING  # values are str
+            else ((s, value_to_json(v)) for s, v in entries.items()))
+    return {"kind": "table", "codomain": codomain,
+            "entries": rows if streamed else list(map(list, rows))}
 
 
-def _definition_to_json(definition: object) -> dict[str, Any] | None:
+def _definition_to_json(definition: object, streamed: bool = False) -> dict[str, Any] | None:
     """The function object for a recognized definition, else None."""
     if isinstance(definition, TableDef):
-        return _table_to_json(definition.codomain, definition.entries)
+        return _table_to_json(definition.codomain, definition.entries, streamed)
     if not isinstance(definition, BuiltinDef):
         return None
     params = {}
@@ -192,11 +197,17 @@ def _definition_to_json(definition: object) -> dict[str, Any] | None:
     return {"kind": "builtin", "name": definition.name, "params": params}
 
 
-def function_to_json(fn: BoundedFn) -> dict[str, Any]:
-    """Serialize; unrecognized closed forms are materialized as tables."""
-    obj = _definition_to_json(fn.definition)
+def function_to_json(fn: BoundedFn, *, streamed: bool = False) -> dict[str, Any]:
+    """Serialize; unrecognized closed forms are materialized as tables.
+
+    A table's entries are ``[input, output]`` lists.  With ``streamed``
+    they are an iterator of ``(input, output)`` tuples over the table
+    instead, which ``write_to_json`` reads once: the same text, and no
+    list of rows is built.
+    """
+    obj = _definition_to_json(fn.definition, streamed)
     if obj is None:
-        obj = _table_to_json(fn.codomain, fn.value_map())
+        obj = _table_to_json(fn.codomain, fn.value_map(), streamed)
     return {
         "alphabet": alphabet_to_json(fn.alphabet),
         "bound": fn.bound,
@@ -356,7 +367,8 @@ def write_to_json(obj: Any, *files: IO[str]) -> None:
     """Write ``to_text(obj)`` to each file, one piece at a time.
 
     A long array goes out ``jsontext.ROWS`` rows per write, so the text
-    is never held whole.
+    is never held whole.  An iterator in ``obj`` is read once, each piece
+    going to every file.
     """
     for piece in jsontext.chunks(obj):
         for f in files:

@@ -255,9 +255,20 @@ def _exits_in_child(i):
     return i
 
 
+class _TwoArgError(Exception):
+    def __init__(self, first, second):  # pickle rebuilds it from args, which lack second
+        super().__init__(first)
+
+
 def _unsendable_in_child(i):
     if os.getpid() != CALLER:
-        raise InsufficientHorizonError(1, 2, 3)  # its pickle does not load back
+        raise _TwoArgError(1, 2)  # its pickle does not load back
+    return i
+
+
+def _horizon_in_child(i):
+    if os.getpid() != CALLER:
+        raise InsufficientHorizonError(1, 2, 3)
     return i
 
 
@@ -266,7 +277,10 @@ def _unsendable_in_child(i):
     (_fails_in_caller, KeyboardInterrupt, "^task 0 interrupted the caller$"),
     (_exits_in_child, WorkerError, r"ended without its results \(exit status 7\)$"),
     (_unsendable_in_child, WorkerError, "could not send its outcome: TypeError"),
-], ids=["child-raises", "caller-interrupted", "child-exits", "child-unsendable"])
+    (_horizon_in_child, InsufficientHorizonError,
+     r"^horizon 3 too small for threshold 1 and period 2: need horizon >= 5$"),
+], ids=["child-raises", "caller-interrupted", "child-exits", "child-unsendable",
+        "child-horizon-error"])
 def test_fork_map_raises_and_leaves_no_child(monkeypatch, task, error, message):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     start = time.monotonic()

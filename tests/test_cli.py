@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 import strfn
 from strfn import (
     Alphabet,
+    ThetaSpec,
     extend,
     length_fn,
     length_of_fn,
@@ -410,6 +412,38 @@ def test_streamed_output_file_matches_stdout(tmp_path, first_letter_spec):
     assert done.returncode == 0
     expected = to_text(function_to_json(extend(first_letter_spec, 12))).encode()
     assert done.stdout == out_path.read_bytes() == expected
+
+
+def test_streamed_theta_rep_output_file_matches_stdout(capsys, tmp_path, ab):
+    """The rows are read once from the table, and the file and stdout both
+    get its bytes."""
+    path = tmp_path / "rep.json"
+    code, out, _ = run(capsys, "theta", "rep", "--alphabet", "ab", "--x0", "ab",
+                       "--x1", "b", "--m-exp", "1", "--bound", "11", "--output", str(path))
+    assert code == 0
+    expected = to_text(function_to_json(theta_rep_fn(ab, 11, ThetaSpec("ab", "b", 1))))
+    assert out == path.read_text() == expected
+
+
+def test_extend_writes_its_table_without_a_copy(tmp_path, monkeypatch, first_letter_spec):
+    """The rows stream from the table, so writing it takes little more
+    memory than the table itself (a list of its rows took about 0.8x more)."""
+    spec_path = write(tmp_path, "spec.json", partial_to_json(first_letter_spec))
+    extend(first_letter_spec, 6)  # first-call set-up stays out of both figures
+    tracemalloc.start()
+    try:
+        fn = extend(first_letter_spec, 14)
+        table = tracemalloc.get_traced_memory()[0]
+        del fn
+        tracemalloc.stop()
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            assert main(["extend", "--input", spec_path, "--bound", "14"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * table
 
 
 def _spec(function):

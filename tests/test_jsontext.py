@@ -8,11 +8,14 @@ from __future__ import annotations
 import enum
 import json
 import random
+from itertools import islice
 
 import pytest
 
 from strfn import (
+    BoundedFn,
     ConditionsFailedError,
+    TableDef,
     Token,
     ThetaSpec,
     check_alpha_equations,
@@ -177,3 +180,35 @@ def test_what_json_rejects_is_rejected_alike(obj):
     with pytest.raises(TypeError) as info:
         to_text(obj)
     assert str(info.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_iterators_encode_as_their_lists(seed):
+    rng = random.Random(seed)
+    plain = _STRINGS[:-1]
+    pairs = (1.0, 0.8, 0.0)[seed]  # all pairs take the pair path
+    for n in (0, 1, ROWS, ROWS + 1, 2 * ROWS + 1):
+        # [str, str] rows as lists and tuples, as a streamed table's are.
+        items = [rng.choice([list, tuple])(rng.sample(plain, 2)) if rng.random() < pairs
+                 else _scalar(rng) if rng.random() < 0.95 else _tree(rng, 3)
+                 for _ in range(n)]
+        for obj, streamed in ((items, iter(items)),
+                              ({"k": items, "z": 0}, {"k": iter(items), "z": 0})):
+            assert to_text(streamed) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+@pytest.mark.parametrize("codomain", ["string", "token"])
+def test_streamed_tables_match_the_listed_ones(tmp_path, ab, codomain, rows):
+    """A table's rows read straight from the table give its listed text."""
+    entries = {s: s[::-1] if codomain == "string" else Token(len(s) if len(s) % 2 else s)
+               for s in islice(enumerate_strings(ab, 11), rows)}
+    fn = BoundedFn(ab, 11, TableDef(codomain, entries))
+    listed = function_to_json(fn)
+    assert isinstance(listed["function"]["entries"], list)
+    expected = json.dumps(listed, indent=2) + "\n"
+    paths = tmp_path / "first.json", tmp_path / "second.json"
+    with open(paths[0], "w") as first, open(paths[1], "w") as second:
+        write_to_json(function_to_json(fn, streamed=True), first, second)
+    assert paths[0].read_text() == paths[1].read_text() == expected
+    assert to_text(function_to_json(fn, streamed=True)) == expected

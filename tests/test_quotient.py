@@ -29,6 +29,7 @@ from strfn import (
     theta_class,
     theta_rep_fn,
 )
+from strfn.quotient import theta_chain
 
 
 def test_theta_spec_blocks():
@@ -145,6 +146,21 @@ def test_preceq_chain(ab):
     assert comparison.first_below_second
     assert not comparison.second_below_first
     assert comparison.separating == ("aa", "bb")
+
+
+@pytest.mark.parametrize("x0, x1, bound", [
+    ("a", "b", 6), ("ab", "b", 7), ("a", "ba", 5), ("aa", "b", 4), ("b", "a", 1),
+])
+def test_theta_chain_matches_each_pair_compared(ab, x0, x1, bound):
+    """Past the cutoff, where no block fits the bound, each F^m is the identity."""
+    chain = theta_chain(ab, bound, x0, x1, 4)
+    assert [m for m, _ in chain] == [1, 2, 3, 4]
+    for m, cmp in chain:
+        assert cmp == preceq(theta_rep_fn(ab, bound, ThetaSpec(x0, x1, m)),
+                             theta_rep_fn(ab, bound, ThetaSpec(x0, x1, m + 1)), bound)
+    assert chain[-1][1].relation == EQUIVALENT
+    with pytest.raises(AlphabetError):  # even where no F^m is built
+        theta_chain(ab, 1, "cc", "a", 1)
 
 
 def test_preceq_reflexive(ab):

@@ -4,7 +4,9 @@ Each class compares equal only to an instance of its exact class with
 equal fields, hashes as the tuple of those fields (so set iteration
 orders stay as they were), prints as ``Name(field=value, ...)``, builds
 from its field names as keywords, and survives a pickle round trip,
-which the sweep's worker processes rely on.
+which the sweep's worker processes rely on.  Every error class survives
+that round trip too, with its fields, so a worker's error reaches the
+caller with its type.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from strfn import (
     factorize,
     length_fn,
 )
-from strfn import checkers, reports
+from strfn import checkers, errors, reports
 from strfn.lengthbased import RelabeledLengthDef
 
 AB = Alphabet(("a", "b"))
@@ -164,3 +166,36 @@ def test_defaults_and_unlisted_state_stay_out_of_the_contract():
     fn.domain(1)
     assert repr(fn) == before and fn == length_fn(AB, 2)
     assert hash(fn) == hash((fn.alphabet, fn.bound, fn.definition))
+
+
+REPORTS = {"gate": CheckReport("fails", Witness((("x", "a"),), "a", "b"), 3, 1, "why")}
+# Each error class: its arguments, and the fields a pickle must keep.
+ERRORS = {
+    errors.StrfnError: (("plain",), {}),
+    errors.AlphabetError: (("bad letter",), {}),
+    errors.OutOfDomainError: (("too long",), {}),
+    errors.MissingEntryError: (("no entry",), {}),
+    errors.MalformedSpecError: (("bad spec",), {}),
+    errors.PreconditionError: (("gate failed", REPORTS), {"reports": REPORTS}),
+    errors.ConditionsFailedError: (("conditions failed", REPORTS), {"reports": REPORTS}),
+    errors.NotApplicableError: (("standard",), {}),
+    errors.UnevaluableError: (("beyond the horizon",), {}),
+    errors.InsufficientHorizonError: ((1, 2, 3), {"n1": 1, "ell": 2, "horizon": 3}),
+    errors.QuasiInverseError: (("no quasi-inverse",), {}),
+    errors.WitnessError: (("no witness",), {}),
+    errors.WorkerError: (("worker died",), {}),
+}
+
+
+def _subclasses(cls):
+    return {cls}.union(*map(_subclasses, cls.__subclasses__()))
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    assert set(ERRORS) == _subclasses(errors.StrfnError)  # a new error needs a case
+    for cls, (args, fields) in ERRORS.items():
+        error = cls(*args)
+        clone = pickle.loads(pickle.dumps(error))
+        assert type(clone) is cls
+        assert str(clone) == str(error) and clone.args == error.args
+        assert {name: getattr(clone, name) for name in fields} == fields
