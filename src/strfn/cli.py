@@ -230,7 +230,9 @@ def _run_factorize(args: argparse.Namespace) -> int:
     factorization = _layer(args)
     fn = load_function(_one_input(args))
     fact = factorization.factorize(fn, args.bound)
-    _emit(factorization_to_json(fact), args,
+    # H's rows stream to the writer from the table itself, so no list of
+    # them is built.
+    _emit(factorization_to_json(fact, streamed=True), args,
           "; ".join(_summarize(k, r) for k, r in fact.checks.items()))
     return _reports_exit({
         k: fact.checks[k] for k in ("source-preassociative", "inner-associative")

@@ -17,6 +17,7 @@ function's values there from one :class:`Domain` per level.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Union
 
@@ -316,7 +317,8 @@ def table_fn(
 
     ``source`` is either a callable evaluated on every string up to
     ``bound`` or a mapping that must cover exactly those strings; string
-    outputs are validated against the alphabet.
+    outputs are validated against the alphabet.  A mapping is copied, so
+    changing it afterwards leaves the function as it was.
     """
     if codomain not in (STRING, TOKEN):
         raise MalformedSpecError(f"codomain must be 'string' or 'token', got {codomain!r}")
@@ -338,6 +340,24 @@ def table_fn(
         extra = next(s for s in source if s not in entries)
         raise MalformedSpecError(f"table has an entry for {extra!r} outside X^<={bound}")
     return _total_table(alphabet, bound, codomain, entries)
+
+
+def _canonical(alphabet: Alphabet, bound: int, source: object, codomain: object) -> bool:
+    """True when :func:`table_fn` would accept ``source`` as it stands.
+
+    That is a dict whose keys are X^{<=bound} in length-lex order, found
+    by one walk beside :func:`enumerate_strings` that stops at the first
+    mismatch (so a short table with a huge bound costs little), and whose
+    values are all ``str`` over the alphabet (``str.strip`` by the letters
+    leaves each empty) or all tokens, as ``codomain`` says.  The test makes
+    no Python-level call per value, and accepts only what the walk accepts.
+    """
+    return (codomain in (STRING, TOKEN) and isinstance(source, dict)
+            and all(itertools.starmap(operator.eq, itertools.zip_longest(
+                source, enumerate_strings(alphabet, bound))))
+            and set(map(type, source.values())) == {str if codomain == STRING else Token}
+            and (codomain == TOKEN or not any(map(
+                str.strip, source.values(), itertools.repeat("".join(alphabet.letters))))))
 
 
 def _total_table(alphabet: Alphabet, bound: int, codomain: str,

@@ -26,6 +26,12 @@ The text is that of ``json.dumps(obj, indent=2)`` and a newline, built by
 a long table is never held as one string, and ``function_to_json(fn,
 streamed=True)`` hands it a table's rows straight from the table, so
 they are never held as a list either.
+
+On the input side a table is held once too: the loader builds one dict
+from the rows, and when they list X^{<=L} in length-lex order (as every
+table strfn writes does), that dict becomes the table and its domain.
+Rows in any other order are reordered into a new dict, with the errors
+``table_fn`` gives.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ from . import jsontext
 from .builtins import (
     BUILTINS, FUNCTION, LETTER, ORDER, PROFILE, PSI, VALUE, BuiltinDef, build_builtin,
 )
-from .core import STRING, Alphabet, BoundedFn, TableDef, Token, Value, table_fn
+from .core import (
+    STRING, Alphabet, BoundedFn, TableDef, Token, Value, _canonical, _total_table, table_fn,
+)
 from .errors import MalformedSpecError
 
 # The constructions' layers load inside the codecs that need them, so a
@@ -223,7 +231,10 @@ def _function_from_object(
     kind = obj["kind"]
     if kind == "table":
         entries = _pairs_from_json(obj.get("entries"), "table", value_from_json)
-        return table_fn(alphabet, bound, entries, obj.get("codomain", STRING))
+        codomain = obj.get("codomain", STRING)
+        if _canonical(alphabet, bound, entries, codomain):  # the dict becomes the table
+            return _total_table(alphabet, bound, codomain, entries)
+        return table_fn(alphabet, bound, entries, codomain)
     if kind == "builtin":
         name = obj.get("name")
         if not isinstance(name, str):
@@ -345,10 +356,12 @@ def reports_to_json(reports: Mapping[str, CheckReport]) -> dict[str, Any]:
     return {name: report_to_json(rep) for name, rep in reports.items()}
 
 
-def factorization_to_json(fact: Factorization) -> dict[str, Any]:
+def factorization_to_json(fact: Factorization, *, streamed: bool = False) -> dict[str, Any]:
+    """``H``'s rows are an iterator with ``streamed``, as in
+    :func:`function_to_json`; ``g`` and ``f`` hold a row per value."""
     return {
         "g": [[value_to_json(v), s] for v, s in fact.g.entries.items()],
-        "H": function_to_json(fact.h),
+        "H": function_to_json(fact.h, streamed=streamed),
         "f": [[s, value_to_json(v)] for s, v in fact.f],
         "checks": reports_to_json(fact.checks),
     }

@@ -21,6 +21,7 @@ from strfn import (
     Alphabet,
     ThetaSpec,
     extend,
+    factorize,
     length_fn,
     length_of_fn,
     letter_remove_g_fn,
@@ -32,7 +33,7 @@ from strfn import (
 )
 from strfn import quotient
 from strfn.cli import main
-from strfn.specio import function_to_json, partial_to_json, to_text
+from strfn.specio import factorization_to_json, function_to_json, partial_to_json, to_text
 
 
 def run(capsys, *argv):
@@ -444,6 +445,40 @@ def test_extend_writes_its_table_without_a_copy(tmp_path, monkeypatch, first_let
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * table
+
+
+def test_factorize_output_file_matches_stdout(capsys, tmp_path, ab):
+    """H's rows are read once, and the file and stdout both get the
+    report's bytes."""
+    spec_path = write(tmp_path, "len.json", function_to_json(length_fn(ab, 11)))
+    path = tmp_path / "fact.json"
+    code, out, _ = run(capsys, "factorize", "--input", spec_path, "--bound", "11",
+                       "--output", str(path))
+    assert code == 0
+    expected = to_text(factorization_to_json(factorize(length_fn(ab, 11), 11)))
+    assert out == path.read_text() == expected
+
+
+def test_factorize_writes_its_tables_without_a_copy(tmp_path, monkeypatch, ab):
+    """H's rows stream from its table, so writing the report takes little
+    more memory than the factorization itself (a list of them took about
+    0.6x more at L=13)."""
+    spec_path = write(tmp_path, "len.json", function_to_json(length_fn(ab, 13)))
+    factorize(length_fn(ab, 6), 6)  # first-call set-up stays out of both figures
+    tracemalloc.start()
+    try:
+        fact = factorize(length_fn(ab, 13), 13)
+        held = tracemalloc.get_traced_memory()[0]
+        del fact
+        tracemalloc.stop()
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            assert main(["factorize", "--input", spec_path, "--bound", "13"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * held
 
 
 def _spec(function):

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
 import pickle
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from strfn import (
     Alphabet,
+    AlphabetError,
     MalformedSpecError,
+    MissingEntryError,
     ThetaSpec,
     Token,
     check_preassociative,
@@ -247,6 +252,19 @@ def test_factorization_json(ab):
                                   "source-standard", "inner-standard"}
 
 
+@pytest.mark.parametrize("name", ["length-L12", "ofo-L5", "injective-tokens-L11", "fails"])
+def test_streamed_factorization_is_the_listed_one(ab, name):
+    fn = {"length-L12": lambda: length_fn(ab, 12),  # 8191 rows of H
+          "ofo-L5": lambda: ofo_fn(ab, 5),
+          "injective-tokens-L11": lambda: table_fn(ab, 11, Token, "token"),  # 4095 classes
+          "fails": lambda: length_of_fn(ofo_fn(ab, 6))}[name]()
+    fact = factorize(fn, fn.bound)
+    first, second = _Recorder(), _Recorder()
+    write_to_json(factorization_to_json(fact, streamed=True), first, second)
+    expected = json.dumps(factorization_to_json(fact), indent=2) + "\n"
+    assert first.getvalue() == second.getvalue() == expected
+
+
 def test_theta_class_json(ab):
     cls = theta_class("ab", ThetaSpec("a", "b", 0), 2, ab)
     assert theta_class_to_json(cls) == {
@@ -320,3 +338,154 @@ def test_load_rejects_bad_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(MalformedSpecError):
         load_function(path)
+
+
+# A string table over {a, b} at bound 2, as [input, output] rows in
+# length-lex order; each case edits the rows and expects the error (type
+# and message) the loader gives, whatever the order of the rows.
+_ROWS = [[s, s[:1]] for s in ("", "a", "b", "aa", "ab", "ba", "bb")]
+_TOKEN = {"token": 1}
+_BAD_TABLES = {
+    "repeated-input": (lambda rows: rows + [["ab", "a"]],
+                       MalformedSpecError, "table repeats the input 'ab'"),
+    "missing-entry": (lambda rows: [r for r in rows if r[0] != "ab"],
+                      MissingEntryError, "table source has no entry for 'ab'"),
+    "extra-entry": (lambda rows: rows + [["aba", "a"]],
+                    MalformedSpecError, "table has an entry for 'aba' outside X^<=2"),
+    "wrong-type": (lambda rows: _set(rows, b=_TOKEN), MalformedSpecError,
+                   "string-valued table produced Token(1) for 'b'"),
+    "foreign-letter": (lambda rows: _set(rows, ab="ac"), AlphabetError,
+                       "string 'ac' uses letter 'c' outside alphabet ('a', 'b')"),
+    "two-bad-values": (lambda rows: _set(rows, a="c", ba=_TOKEN), AlphabetError,
+                       "string 'c' uses letter 'c' outside alphabet ('a', 'b')"),
+    "two-bad-types": (lambda rows: _set(rows, b=_TOKEN, aa={"token": 2}),
+                      MalformedSpecError, "string-valued table produced Token(1) for 'b'"),
+    "missing-before-bad": (lambda rows: _set([r for r in rows if r[0] != "a"], bb="c"),
+                           MissingEntryError, "table source has no entry for 'a'"),
+    "bad-before-missing": (lambda rows: _set([r for r in rows if r[0] != "bb"], a="c"),
+                           AlphabetError,
+                           "string 'c' uses letter 'c' outside alphabet ('a', 'b')"),
+    "bad-before-extra": (lambda rows: _set(rows + [["aba", "a"]], bb=_TOKEN),
+                         MalformedSpecError, "string-valued table produced Token(1) for 'bb'"),
+}
+
+
+def _set(rows, **outputs):
+    """The rows with the outputs of some inputs (``ab=...``) replaced."""
+    return [[s, outputs.get(s, out)] for s, out in rows]
+
+
+def _length_table(ab, bound):
+    return table_fn(ab, bound, length_fn(ab, bound).value_map(), "token")
+
+
+def _table_obj(rows, codomain="string"):
+    return {"alphabet": ["a", "b"], "bound": 2,
+            "function": {"kind": "table", "codomain": codomain, "entries": rows}}
+
+
+@pytest.mark.parametrize("order", ["length-lex", "reversed", "shuffled"])
+@pytest.mark.parametrize("name", _BAD_TABLES)
+def test_bad_tables_raise_the_first_error_in_length_lex_order(tmp_path, name, order):
+    edit, error, message = _BAD_TABLES[name]
+    rows = edit(list(_ROWS))
+    rows = {"length-lex": rows, "reversed": rows[::-1],
+            "shuffled": rows[1::2] + rows[::2]}[order]
+    path = tmp_path / "bad.json"
+    path.write_text(to_text(_table_obj(rows)))
+    with pytest.raises(error) as caught:
+        load_function(path)
+    assert str(caught.value) == message
+
+
+def test_token_tables_reject_string_values(ab):
+    rows = [[s, {"token": len(s)}] for s, _ in _ROWS]
+    rows[3][1] = "aa"
+    for order in (rows, rows[::-1]):
+        with pytest.raises(MalformedSpecError) as caught:
+            function_from_json(_table_obj(order, "token"))
+        assert str(caught.value) == "token-valued table produced 'aa' for 'aa'"
+    assert function_from_json(_table_obj(rows[:3] + rows[4:] + [["aa", {"token": 2}]],
+                                         "token")) == _length_table(ab, 2)
+
+
+def test_a_short_table_with_a_huge_bound_fails_at_its_first_gap():
+    # The order test stops one string past the rows, so it never counts or
+    # enumerates X^{<=10**7}; the walk then names the first missing input.
+    rows = [["", ""], ["a", "a"]]
+    for order in (rows, rows[::-1]):
+        obj = _table_obj(order)
+        obj["bound"] = 10**7
+        with pytest.raises(MissingEntryError) as caught:
+            function_from_json(obj)
+        assert str(caught.value) == "table source has no entry for 'b'"
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_out_of_order_tables_load_in_length_lex_order(tmp_path, ab, order):
+    fn = ofo_fn(ab, 5)
+    rows = [[s, v] for s, v in fn.value_map().items()]
+    rows = rows[::-1] if order == "reversed" else rows[1::2] + rows[::2]
+    path = tmp_path / "fn.json"
+    path.write_text(to_text(_table_obj(rows) | {"bound": 5}))
+    loaded = load_function(path)
+    canonical = table_fn(ab, 5, fn.value_map())
+    assert loaded == canonical
+    assert list(loaded.definition.entries) == list(enumerate_strings(ab, 5))
+    assert loaded.definition.entries is loaded.domain().vals
+
+
+def test_a_canonical_table_is_its_own_domain(tmp_path, ab):
+    path = tmp_path / "fn.json"
+    for fn in (table_fn(ab, 5, ofo_fn(ab, 5).value_map()), _length_table(ab, 5)):
+        path.write_text(to_text(function_to_json(fn)))
+        loaded = load_function(path)
+        assert loaded == fn
+        assert loaded.definition.entries is loaded.domain().vals
+
+
+@pytest.mark.parametrize("order", ["length-lex", "reversed"])
+def test_table_fn_copies_its_mapping(ab, order):
+    strings = list(enumerate_strings(ab, 3))
+    source = {s: s[:1] for s in (strings if order == "length-lex" else strings[::-1])}
+    fn = table_fn(ab, 3, source)
+    expected = table_fn(ab, 3, lambda s: s[:1])
+    source["ab"] = "b"
+    del source["a"]
+    assert fn == expected
+    assert fn.definition.entries is not source
+
+
+@pytest.mark.parametrize("order", ["length-lex", "reversed"])
+def test_function_from_json_leaves_its_argument_as_it_was(ab, order):
+    rows = [[s, {"token": len(s)}] for s in enumerate_strings(ab, 3)]
+    obj = _table_obj(rows if order == "length-lex" else rows[::-1], "token") | {"bound": 3}
+    before = copy.deepcopy(obj)
+    fn = function_from_json(obj)
+    assert obj == before
+    assert fn == _length_table(ab, 3)
+
+
+@pytest.mark.parametrize("name,make", [
+    ("ofo-L13", lambda ab: table_fn(ab, 13, ofo_fn(ab, 13).value_map())),
+    ("length-L12", lambda ab: _length_table(ab, 12)),
+])
+def test_load_function_holds_the_table_once(tmp_path, ab, name, make):
+    """The loader's dict becomes the table, so loading peaks where
+    ``json.loads`` alone does; a second dict of the table took about half
+    the table's size more."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(to_text(function_to_json(make(ab))))
+    load_function(path)  # first-call set-up stays out of the figures
+    tracemalloc.start()
+    try:
+        json.loads(Path(path).read_text(encoding="utf-8"))
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        fn = load_function(path)
+        table, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fn.definition.entries is fn.domain().vals
+    assert load_peak - parse_peak < 0.1 * table
