@@ -26,8 +26,6 @@ from .errors import (
     UnevaluableError,
 )
 from .specio import (
-    _is_count,
-    _is_int,
     _read,
     alpha_to_json,
     factorization_to_json,
@@ -36,7 +34,6 @@ from .specio import (
     load_partial,
     report_to_json,
     reports_to_json,
-    structured_alpha_from_json,
     theta_class_to_json,
     to_text,
     value_to_json,
@@ -239,13 +236,9 @@ def _run_factorize(args: argparse.Namespace) -> int:
     })
 
 
-def _alpha_values(obj: Any) -> list[int]:
-    if isinstance(obj, Mapping):
-        obj = obj.get("values")
-    if not isinstance(obj, list) or not obj or not all(map(_is_count, obj)):
-        raise StrfnError("profile input must be a nonempty array of integers "
-                         ">= 0 (or an object with a 'values' array)")
-    return obj
+def _alpha_values(obj: Any) -> Any:
+    """A profile table, given bare or as an object's ``values``."""
+    return obj.get("values") if isinstance(obj, Mapping) else obj
 
 
 def _run_alpha(args: argparse.Namespace) -> int:
@@ -260,7 +253,7 @@ def _run_alpha(args: argparse.Namespace) -> int:
         if args.action == "classify":
             made = lengthbased.classify_alpha(_alpha_values(data))
         else:
-            made = structured_alpha_from_json(
+            made = lengthbased.synthesize_alpha(
                 fields.get("n1"), fields.get("ell"), fields.get("window"))
         if isinstance(made, lengthbased.AlphaRejection):
             _emit({"rejected": made.condition, "message": made.message},
@@ -269,15 +262,7 @@ def _run_alpha(args: argparse.Namespace) -> int:
         _emit(alpha_to_json(made), args,
               f"classified: {made.kind}" if args.action == "classify" else "synthesized")
         return 0
-    witnesses = fields.get("witnesses")
-    if not (isinstance(witnesses, list) and witnesses and all(
-            isinstance(w, list) and len(w) == 2 and all(map(_is_int, w))
-            for w in witnesses)):
-        raise StrfnError("minimize input must be {values, witnesses}, with "
-                         "witnesses a nonempty array of [start, period] pairs")
-    start, period = lengthbased.minimal_period(
-        _alpha_values(data), [tuple(w) for w in witnesses]
-    )
+    start, period = lengthbased.minimal_period(_alpha_values(data), fields.get("witnesses"))
     _emit({"start": start, "period": period}, args,
           f"minimal combined witness ({start}, {period})")
     return 0
@@ -286,8 +271,6 @@ def _run_alpha(args: argparse.Namespace) -> int:
 def _run_theta(args: argparse.Namespace) -> int:
     quotient = _layer(args)
     alphabet = Alphabet(tuple(args.alphabet))
-    if not args.x0 or not args.x1 or args.x0 == args.x1:
-        raise StrfnError("--x0 and --x1 must be distinct nonempty strings")
     spec = quotient.ThetaSpec(args.x0, args.x1, args.m_exp)
     if args.action == "class":
         if args.string is None:

@@ -27,6 +27,15 @@ STRING = "string"
 TOKEN = "token"
 
 
+def _is_int(v: object) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_count(v: object) -> bool:
+    return _is_int(v) and v >= 0
+
+
 class Record:
     """Equality, hash and repr read off the per-class field names ``_fields``.
 

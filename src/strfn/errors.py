@@ -20,8 +20,9 @@ class MissingEntryError(StrfnError):
     """A table or quasi-inverse has no entry for the requested key."""
 
 
-class MalformedSpecError(StrfnError):
-    """A JSON spec file does not match the documented format."""
+class MalformedSpecError(StrfnError, ValueError):
+    """An input value from a spec file, a command-line value or an API
+    argument does not fit: the layer that uses it raises this."""
 
 
 class PreconditionError(StrfnError):

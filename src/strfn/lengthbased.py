@@ -27,7 +27,9 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .core import STRING, TOKEN, Alphabet, BoundedFn, Domain, Record, Token, Value
+from .core import (
+    STRING, TOKEN, Alphabet, BoundedFn, Domain, Record, Token, Value, _is_count, _is_int,
+)
 from .errors import (
     InsufficientHorizonError, MalformedSpecError, MissingEntryError, PreconditionError,
     UnevaluableError, WitnessError,
@@ -90,11 +92,11 @@ def eval_alpha(alpha: AlphaFn, n: int) -> int:
 
 
 def _validate_table(values: Sequence[int]) -> None:
-    if not values:
-        raise ValueError("profile table must have at least one entry")
+    if not isinstance(values, Sequence) or not values:
+        raise MalformedSpecError("profile table must be a nonempty array of integers >= 0")
     for n, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"profile table entry {n} must be a nonnegative int")
+        if not _is_count(v):
+            raise MalformedSpecError(f"profile table entry {n} must be a nonnegative int")
 
 
 def _equations_hold(values: Sequence[int]) -> bool:
@@ -250,7 +252,7 @@ def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
     the window entry it returns when that entry is off its residue (no
     window entry grows, so this is the first failure
     :func:`_window_rejection` would report), else by the first period
-    break from n1, the failure :func:`_verify_period` would report.
+    break from n1, which :func:`_verify_period` finds.
     """
     n, ell, accepted = _shape(values)
     if not ell:
@@ -259,21 +261,21 @@ def _classify(values: Sequence[int]) -> AlphaFn | AlphaRejection:
         return AlphaFn(STRUCTURED, n, ell, tuple(values[: n + ell]))
     if (values[n] - n) % ell:
         return _residue_rejection(values, n, ell)
-    n = next(m for m in itertools.count(n) if values[m] != values[m + ell])
+    n, n2 = _verify_period(values, n, ell)
     return AlphaRejection(
-        "periodicity", f"alpha({n}) = {values[n]} but alpha({n + ell}) = {values[n + ell]}"
+        "periodicity", f"alpha({n}) = {values[n]} but alpha({n2}) = {values[n2]}"
     )
 
 
 def synthesize_alpha(n1: int, ell: int, window: Sequence[int]) -> AlphaFn | AlphaRejection:
     """Build a structured profile from its window, validating the shape."""
-    if isinstance(n1, bool) or n1 < 0:
-        raise ValueError(f"threshold must be a nonnegative int, got {n1!r}")
-    if isinstance(ell, bool) or ell < 1:
-        raise ValueError(f"period must be a positive int, got {ell!r}")
-    if len(window) != n1 + ell:
-        raise ValueError(f"window must have {n1 + ell} entries, got {len(window)}")
+    if not _is_count(n1):
+        raise MalformedSpecError(f"threshold must be a nonnegative int, got {n1!r}")
+    if not _is_count(ell) or ell < 1:
+        raise MalformedSpecError(f"period must be a positive int, got {ell!r}")
     _validate_table(window)
+    if len(window) != n1 + ell:
+        raise MalformedSpecError(f"window must have {n1 + ell} entries, got {len(window)}")
     for n in range(n1):
         if window[n] != n:
             return AlphaRejection(
@@ -295,11 +297,13 @@ def minimal_period(
     silently accepted.
     """
     _validate_table(values)
-    if not witnesses:
-        raise ValueError("at least one periodicity witness is required")
-    for start, period in witnesses:
-        if isinstance(start, bool) or isinstance(period, bool) or start < 0 or period < 1:
-            raise WitnessError(f"malformed witness ({start}, {period})")
+    if not isinstance(witnesses, Sequence) or not witnesses:
+        raise MalformedSpecError("at least one periodicity witness is required")
+    for w in witnesses:
+        if not (isinstance(w, Sequence) and len(w) == 2 and _is_count(w[0])
+                and _is_int(w[1]) and w[1] > 0):
+            raise WitnessError(f"malformed witness {w!r}")
+        start, period = w
         broke = _verify_period(values, start, period)
         if broke is not None:
             raise WitnessError(
@@ -322,22 +326,26 @@ def minimal_period(
 
 
 class PsiTable(Record):
-    """Partial map n -> string with |psi(n)| = n, given as sorted pairs."""
+    """Partial map n -> string with |psi(n)| = n, held as pairs sorted by n."""
 
     __slots__ = ("entries", "_map")
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[int, str], ...]) -> None:
+    def __init__(self, entries: Sequence[tuple[int, str]]) -> None:
+        if not isinstance(entries, Sequence):
+            raise MalformedSpecError("psi table must be an array of [n, string] pairs")
         mapping: dict[int, str] = {}
-        for n, s in entries:
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise ValueError(f"psi argument {n!r} must be an int")
+        for pair in entries:
+            if not (isinstance(pair, Sequence) and len(pair) == 2
+                    and _is_int(pair[0]) and isinstance(pair[1], str)):
+                raise MalformedSpecError(f"psi entry {pair!r} must be an [n, string] pair")
+            n, s = pair
             if len(s) != n:
-                raise ValueError(f"psi({n}) = {s!r} must have length {n}")
+                raise MalformedSpecError(f"psi({n}) = {s!r} must have length {n}")
             if n in mapping:
-                raise ValueError(f"psi has more than one entry for {n}")
+                raise MalformedSpecError(f"psi has more than one entry for {n}")
             mapping[n] = s
-        self.entries = entries
+        self.entries = tuple(sorted(mapping.items()))
         self._map = mapping
 
     def apply(self, n: int) -> str:
@@ -348,8 +356,7 @@ class PsiTable(Record):
 
 
 def psi_table(pairs: Mapping[int, str] | Sequence[tuple[int, str]]) -> PsiTable:
-    items = sorted(pairs.items() if isinstance(pairs, Mapping) else pairs)
-    return PsiTable(tuple(items))
+    return PsiTable(tuple(pairs.items()) if isinstance(pairs, Mapping) else pairs)
 
 
 def _psi_alpha_length(alpha: AlphaFn, psi: PsiTable, s: str) -> str:

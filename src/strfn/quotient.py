@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import STRING, Alphabet, BoundedFn, Record, Value, _total_table, enumerate_strings
-from .errors import OutOfDomainError, PreconditionError
+from .core import (
+    STRING, Alphabet, BoundedFn, Record, Value, _is_count, _total_table, enumerate_strings,
+)
+from .errors import MalformedSpecError, OutOfDomainError, PreconditionError
 
 
 class ThetaSpec(Record):
@@ -23,12 +25,12 @@ class ThetaSpec(Record):
     __slots__ = _fields = ("x0", "x1", "m")
 
     def __init__(self, x0: str, x1: str, m: int = 0) -> None:
-        if not x0 or not x1:
-            raise ValueError("substitution strings must be nonempty")
+        if not (isinstance(x0, str) and isinstance(x1, str) and x0 and x1):
+            raise MalformedSpecError("substitution strings must be nonempty strings")
         if x0 == x1:
-            raise ValueError("substitution strings must be distinct")
-        if m < 0:
-            raise ValueError(f"exponent index must be nonnegative, got {m}")
+            raise MalformedSpecError("substitution strings must be distinct")
+        if not _is_count(m):
+            raise MalformedSpecError(f"exponent index must be a nonnegative int, got {m!r}")
         self.x0 = x0
         self.x1 = x1
         self.m = m

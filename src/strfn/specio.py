@@ -32,6 +32,12 @@ from the rows, and when they list X^{<=L} in length-lex order (as every
 table strfn writes does), that dict becomes the table and its domain.
 Rows in any other order are reordered into a new dict, with the errors
 ``table_fn`` gives.
+
+The codecs check JSON shape only where no layer can: the fields that
+pick a decoder, a table's rows, token payloads, and the bound and ``m``,
+which the loaders use before any layer sees them.  Every other value
+goes to the layer that uses it as it was parsed, and that layer raises
+:class:`MalformedSpecError` when it does not fit.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from .builtins import (
     BUILTINS, FUNCTION, LETTER, ORDER, PROFILE, PSI, VALUE, BuiltinDef, build_builtin,
 )
 from .core import (
-    STRING, Alphabet, BoundedFn, TableDef, Token, Value, _canonical, _total_table, table_fn,
+    STRING, Alphabet, BoundedFn, TableDef, Token, Value, _canonical, _is_count, _is_int,
+    _total_table, table_fn,
 )
 from .errors import MalformedSpecError
 
@@ -54,7 +61,7 @@ from .errors import MalformedSpecError
 if TYPE_CHECKING:
     from .extension import PartialSpec
     from .factorization import Factorization
-    from .lengthbased import AlphaFn, AlphaRejection, PsiTable
+    from .lengthbased import AlphaFn, PsiTable
     from .quotient import ThetaClass
     from .reports import CheckReport, Witness
 
@@ -99,35 +106,15 @@ def alpha_to_json(alpha: AlphaFn) -> dict[str, Any]:
     }
 
 
-def _is_int(v: Any) -> bool:
-    """A JSON integer: ``true`` and ``false`` are not integers here."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_count(v: Any) -> bool:
-    return _is_int(v) and v >= 0
-
-
-def structured_alpha_from_json(n1: Any, ell: Any, window: Any) -> AlphaFn | AlphaRejection:
-    """``synthesize_alpha`` on JSON fields, once their shapes are checked."""
-    from .lengthbased import synthesize_alpha
-
-    if not (_is_count(n1) and _is_count(ell) and ell > 0 and isinstance(window, list)
-            and len(window) == n1 + ell and all(map(_is_count, window))):
-        raise MalformedSpecError("a structured profile needs n1 >= 0, ell >= 1 and "
-                                 "n1 + ell window entries >= 0")
-    return synthesize_alpha(n1, ell, window)
-
-
 def alpha_from_json(obj: Any) -> AlphaFn:
-    from .lengthbased import IDENTITY, STRUCTURED, AlphaFn, identity_alpha
+    from .lengthbased import IDENTITY, STRUCTURED, AlphaFn, identity_alpha, synthesize_alpha
 
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise MalformedSpecError(f"not a profile: {obj!r}")
     if obj["kind"] == IDENTITY:
         return identity_alpha()
     if obj["kind"] == STRUCTURED:
-        made = structured_alpha_from_json(obj.get("n1"), obj.get("ell"), obj.get("values"))
+        made = synthesize_alpha(obj.get("n1"), obj.get("ell"), obj.get("values"))
         if isinstance(made, AlphaFn):
             return made
         raise MalformedSpecError(f"invalid profile: {made.message}")
@@ -139,30 +126,13 @@ def psi_to_json(psi: PsiTable) -> list[list[Any]]:
 
 
 def psi_from_json(obj: Any) -> PsiTable:
-    if not (isinstance(obj, list) and all(
-            isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and isinstance(e[1], str)
-            for e in obj)):
-        raise MalformedSpecError("psi table must be an array of [n, string] pairs")
     from .lengthbased import psi_table
 
-    try:
-        return psi_table([(n, s) for n, s in obj])
-    except ValueError as exc:
-        raise MalformedSpecError(f"bad psi table: {exc}") from None
+    return psi_table(obj)
 
 
-def _string_from_json(obj: Any) -> str:
-    if not isinstance(obj, str):
-        raise MalformedSpecError(f"not a string: {obj!r}")
-    return obj
-
-
-def _order_from_json(obj: Any) -> list[str] | str | None:
-    """An order of letters; null stands for the alphabet order."""
-    if obj is not None and not (
-        isinstance(obj, (list, str)) and all(isinstance(c, str) for c in obj)
-    ):
-        raise MalformedSpecError(f"'order' must be an array of letters: {obj!r}")
+def _parsed(obj: Any) -> Any:
+    """A value as JSON parsed it, for the layer that uses it to check."""
     return obj
 
 
@@ -257,8 +227,8 @@ def _function_from_object(
 # One JSON codec per builtin param kind: (encode, decode).  Only the
 # function decoder takes the enclosing spec's alphabet and bound.
 _PARAM_CODECS: dict[str, tuple[Callable[..., Any], Callable[..., Any]]] = {
-    LETTER: (str, _string_from_json),
-    ORDER: (list, _order_from_json),
+    LETTER: (str, _parsed),
+    ORDER: (list, _parsed),
     VALUE: (value_to_json, value_from_json),
     PROFILE: (alpha_to_json, alpha_from_json),
     PSI: (psi_to_json, psi_from_json),
@@ -316,7 +286,7 @@ def partial_from_json(obj: Any) -> PartialSpec:
             raise MalformedSpecError(f"'parts' is missing arity {k}")
         entry = raw[str(k)]
         parts.append(entry if isinstance(entry, str) else
-                     _pairs_from_json(entry, f"arity-{k} table", _string_from_json))
+                     _pairs_from_json(entry, f"arity-{k} table", _parsed))
     if len(raw) != m + 2:  # every arity is present, so some other key is too
         extra = sorted(set(raw) - {str(k) for k in range(m + 2)})
         raise MalformedSpecError(f"'parts' keys must be arities 0..{m + 1}, got {extra!r}")
@@ -392,8 +362,12 @@ def write_to_json(obj: Any, *files: IO[str]) -> None:
 
 def _read(path: str | Path) -> Any:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedSpecError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(text)
+    # Besides JSONDecodeError, a ValueError is an integer past the interpreter's
+    # digit limit, and a RecursionError an array or object nested too deep.
+    except (RecursionError, ValueError) as exc:
         raise MalformedSpecError(f"{path}: not valid JSON ({exc})") from None

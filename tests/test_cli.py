@@ -33,6 +33,10 @@ from strfn import (
 )
 from strfn import quotient
 from strfn.cli import main
+from strfn.errors import MalformedSpecError, StrfnError
+from strfn.lengthbased import (
+    check_alpha_equations, classify_alpha, minimal_period, psi_table, synthesize_alpha,
+)
 from strfn.specio import factorization_to_json, function_to_json, partial_to_json, to_text
 
 
@@ -560,6 +564,9 @@ _EXTEND = ["extend", "--bound", "3"]
     (_CHECK, _profile_spec(psi=([0, ""], [1, "a"], [1, "b"], [4, "aaaa"]))),
     (_EXTEND, {"alphabet": ["a", "b"], "m": 0, "parts": {
         "0": "", "1": [["a", ""], ["b", ""]], "7": "garbage", "x": 1}}),
+    (["check", "assoc", "--bound", "2"], "[" * 200_000 + "]" * 200_000),
+    (["check", "assoc", "--bound", "2"], "1" * 5000),
+    (["alpha", "check"], "[" + "9" * 5000 + "]"),
 ], ids=["negative-bound", "equal-blocks", "negative-exponent", "null-synth",
         "sort-order-not-letters", "params-not-object", "eval-foreign-letter",
         "letter-not-a-string", "unknown-param", "builtin-table-name",
@@ -572,7 +579,8 @@ _EXTEND = ["extend", "--bound", "3"]
         "profile-window-bool", "psi-index-bool", "psi-entry-a-string",
         "psi-index-a-string", "alpha-values-bool", "minimize-witness-bool",
         "table-entry-outside-domain", "theta-foreign-block", "table-input-repeated",
-        "parts-input-repeated", "psi-index-repeated", "parts-unknown-arity"])
+        "parts-input-repeated", "psi-index-repeated", "parts-unknown-arity",
+        "json-nested-too-deep", "json-int-too-long", "alpha-int-too-long"])
 def test_input_errors_exit_2_with_one_line(tmp_path, argv, spec):
     if spec is not None:
         argv = argv + ["--input", write(tmp_path, "spec.json", spec)]
@@ -694,6 +702,38 @@ def test_fuzzed_specs_exit_with_a_code_and_one_error_line(capsys, tmp_path):
         assert code in (0, 1, 2, 3), (case, argv, spec)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (case, spec, err)
+
+
+# Each function that checks a value a spec or the command line hands it
+# straight through, with valid arguments to mutate.
+_API_CALLS = [
+    (synthesize_alpha, (2, 2, [0, 1, 4, 5])),
+    (check_alpha_equations, ([0, 1, 4, 5, 4, 5, 4],)),
+    (classify_alpha, ([0, 1, 4, 5, 4, 5, 4],)),
+    (minimal_period, ([0, 1, 4, 5, 4, 5], [[2, 2], [2, 4]])),
+    (psi_table, ([[0, ""], [1, "a"], [4, "aaaa"]],)),
+    (ThetaSpec, ("a", "b", 1)),
+]
+
+
+def test_fuzzed_api_arguments_raise_only_strfn_errors():
+    assert issubclass(MalformedSpecError, StrfnError)
+    assert issubclass(MalformedSpecError, ValueError)
+    rng = random.Random(20143)
+    outcomes = set()
+    for case in range(1000):
+        fn, valid = rng.choice(_API_CALLS)
+        args = list(valid)
+        i = rng.randrange(len(args))
+        args[i] = _mutated(args[i], rng) if rng.random() < 0.8 else _random_json(rng)
+        try:
+            fn(*args)
+            outcomes.add("result")
+        except StrfnError:
+            outcomes.add("error")
+        except Exception as exc:
+            pytest.fail(f"case {case}: {fn.__name__}{tuple(args)!r} raised {exc!r}")
+    assert outcomes == {"result", "error"}
 
 
 _THETA_VALUES = ["", "a", "b", "c", "|", "aa", "ab", "ba", "bb", "abc", "cab", "a|",
