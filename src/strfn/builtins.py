@@ -250,12 +250,16 @@ def build_builtin(
 ) -> BoundedFn:
     """Construct a builtin by its registry name, as used in spec files.
 
-    Raises MalformedSpecError for an unknown name, a missing or unknown
-    param, or a param whose type does not fit its kind.
+    Raises MalformedSpecError for an unknown name, params that are not a
+    mapping, a missing or unknown param, or a param whose type does not
+    fit its kind.
     """
-    entry = BUILTINS.get(name)
+    entry = BUILTINS.get(name) if isinstance(name, str) else None
     if entry is None:
         raise MalformedSpecError(f"unknown builtin {name!r}")
+    if params is not None and not isinstance(params, Mapping):
+        raise MalformedSpecError(f"builtin {name!r} params must be a mapping, "
+                                 f"got {type(params).__name__}")
     params = dict(params or {})
     for key, value in params.items():
         if key not in entry.params:

@@ -21,12 +21,12 @@ terminated, which is likewise deterministic.  The report records and
 ``strfn.reports``; the checkers here and the conditions of
 ``extension``, ``factorization`` and ``lengthbased`` report through it.
 The hot kernels count by hand with the same rule and end in
-``reports._finish``: ``_assoc_scan``, ``_preassoc_scan`` and
-``lengthbased.check_alpha_equations`` (``_preassoc_witness`` only
-searches).  The preassociativity check is the one exception: its
-counters come from its scan over kernel-class pairs up to the first
-failure it meets, while its witness is the least failing instance over
-the same pairs, found by walking the total length |x y y2 z| upward.
+``reports._finish``: ``_assoc_scan``, :func:`check_preassociative` and
+``lengthbased.check_alpha_equations``.  The preassociativity check is the
+one exception: its counters are those of the scan over kernel-class
+pairs up to the first failure that scan meets, while its witness is the
+least failing instance over the same pairs.  Both come from one walk
+over each string and the leader of its kernel class (:func:`_parting`).
 
 The shape of F picks one associativity decider (:func:`_run_assoc`),
 shared by the full and reduced checks and by (i) and (ii) of the
@@ -45,8 +45,9 @@ equivalent definitions:
   and else the scan (:func:`_assoc_scan`), which gives the counters and
   the witness.
 
-Preassociativity holds in closed form whenever the kernel is a
-congruence, and is scanned otherwise.  The equivalent definitions read
+Preassociativity holds in closed form exactly when the kernel is a
+congruence; otherwise its report is read off the leader pairs that part,
+and so is :func:`find_absorbed_string`.  The equivalent definitions read
 (ii) off (i); (iii) and (iv) are closed form when (i) holds with no
 skips, and scanned otherwise.  Every path gives the scan's report.
 
@@ -297,113 +298,105 @@ def check_associative_reduced(fn: BoundedFn, level: int) -> CheckReport:
 # preassociativity
 
 
-def _preassoc_witness(dom):
-    """The least failing preassociativity instance, found by total length.
+def _parting(dom, y: str, lead: str, budget: int) -> int | None:
+    """The index in ``dom.contexts`` of the first context (x, z) with
+    |x| + |z| <= ``budget`` at which F(x y z) != F(x lead z), or None.
 
-    Instances (x, y, y2, z) are ordered by length-lex on w = x+y+y2+z, then
-    by the split positions |x|, |x|+|y|, |x|+|y|+|y2|.  A failing instance
-    pairs y != y2 of one kernel class with a context of total length c that
-    both sides fit, c + max(|y|, |y2|) <= L, so it is exactly one tuple
-    (w, i, j, k) of that order, with |w| = n = |y| + |y2| + c.  Shorter w
-    come first, so the least failing tuple lies at the least n that has a
-    failing instance; within that n it is the least by (w letter by letter,
-    |x|, |y|, |y2|).  Class members are grouped into runs of one length, so
-    a big class is expanded only into the length pairs that reach n, never
-    into all its pairs at once.
+    Contexts are ordered by size, so that context's size is the least at
+    which y parts from ``lead``; a negative budget admits none.
     """
-    vals, level = dom.vals, dom.level
-    contexts, cum = dom.contexts, dom.context_counts
-    runs = [[(p, list(ys)) for p, ys in itertools.groupby(members, len)]
-            for members in dom.classes.values() if len(members) > 1]
-    for n in range(2 * level + 1):
-        failing = []
-        for groups in runs:
-            for (p, ys), (q, y2s) in itertools.product(groups, repeat=2):
-                c = n - p - q
-                if c < 0 or c + max(p, q) > level:
-                    continue
-                for x, z in contexts[cum[c - 1] if c else 0:cum[c]]:
-                    for y in ys:
-                        left = vals[x + y + z]
-                        failing.extend((x, y, y2, z) for y2 in y2s
-                                       if y2 != y and vals[x + y2 + z] != left)
-        if failing:
-            key = dom.alphabet.sort_key
-            x, y, y2, z = min(failing, key=lambda t: (
-                key("".join(t)), len(t[0]), len(t[1]), len(t[2])))
-            return Witness((("y", y), ("y2", y2), ("x", x), ("z", z)),
-                           vals[x + y + z], vals[x + y2 + z])
-
-
-def _preassoc_scan(dom) -> CheckReport:
-    """Each unordered pair within a kernel class against every context.
-
-    Contexts where only the shorter side fits are counted as skipped.
-    Stops at the first failing instance and reports the least failing
-    instance as the witness.
-    """
-    vals, level = dom.vals, dom.level
-    contexts, cum = dom.contexts, dom.context_counts
-
-    checked = 0
-    skipped = 0
-    for members in dom.classes.values():
-        for y, y2 in itertools.combinations(members, 2):
-            # Members are in length-lex order, so |y| <= |y2| <= level.
-            both = cum[level - len(y2)]
-            skipped += cum[level - len(y)] - both
-            for x, z in contexts[:both]:
-                checked += 1
-                if vals[x + y + z] != vals[x + y2 + z]:
-                    witness = _preassoc_witness(dom)
-                    return CheckReport(FAILS, witness, checked, skipped)
-    return _finish(None, checked, skipped)
+    if budget < 0:
+        return None
+    vals = dom.vals
+    for i, (x, z) in enumerate(itertools.islice(dom.contexts, dom.context_counts[budget])):
+        if vals[x + y + z] != vals[x + lead + z]:
+            return i
+    return None
 
 
 def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
     """Verify F(y) = F(y') implies F(xyz) = F(xy'z) on the bounded domain.
 
-    X^{<=level} is partitioned into kernel classes by value; each unordered
-    pair within a class is tested once against every context (x, z) for
-    which both sides stay within the bound.  Contexts where only the
-    shorter side fits are counted as skipped.  Any codomain is accepted.
+    Each unordered pair of one kernel class is an instance under every
+    context (x, z) that both sides fit; contexts where only the shorter
+    side fits are skipped.  Any codomain is accepted.  The report is the
+    pair scan's: classes in leader order, pairs (m_p, m_q), p < q, of the
+    members m_0 < m_1 < ... in length-lex order, contexts in the order of
+    ``dom.contexts``, up to the first failing instance.  One walk over the
+    classes gives it, visiting each non-leader y with its leader m = m_0.
 
-    When the kernel is a congruence (:func:`_is_congruence`) the law holds
-    and the counters are read off the classes.  Proof sketch: the
-    one-letter test is a set of instances of the law.  Conversely, take
-    y ~ y2 with |xyz|, |x y2 z| <= L and induct on |x| + |z|.  If x = x'a,
-    then |y|, |y2| < L, so ay ~ a lead ~ a y2 by the test, and
-    (x', ay, a y2, z) is an instance with a shorter context and the same
-    two sides (z = z'a likewise).  Every intermediate string a lead is no
-    longer than ay, so no step leaves the domain.  Counters: with members
-    m_0..m_{n-1} and c_p = cum[L - |m_p|], the pair (m_p, m_q), p < q, is
-    checked on c_q contexts and skipped on c_p - c_q, which sums to
-    checked = Σ p·c_p and skipped = Σ (n - 1 - 2p)·c_p per class.  One
-    pass over the domain counts both from two counters per class: when
-    m_q arrives, its pairs with m_0..m_{q-1} add q·c_q checked and
-    Σ_{p<q} c_p - q·c_q skipped.
+    Verdict.  The law holds exactly when the kernel is a congruence
+    (:func:`_is_congruence`), so no context is searched when it holds.
+    Proof sketch: the one-letter test is a set of instances of the law.
+    Conversely, take y ~ y2 with |xyz|, |x y2 z| <= L and induct on
+    |x| + |z|.  If x = x'a, then |y|, |y2| < L, so ay ~ a lead ~ a y2 by
+    the test, and (x', ay, a y2, z) has a shorter context and the same two
+    sides (z = z'a likewise); a lead is no longer than ay, so no step
+    leaves the domain.
 
-    Otherwise the pair scan runs.  On failure, ``checked`` and ``skipped``
-    count the pair scan up to the first failing instance it meets, while
-    the witness is the canonical first failure in length-lex order on
-    x+y+y2+z: the least failing instance over the same kernel-class pairs,
-    found by walking the total length |x y y2 z| upward.  The two need not
-    be the same instance.
+    Counters.  With c_p = cum[L - |m_p|], the pair (m_p, m_q) is checked
+    on c_q contexts and skipped on c_p - c_q, so a holding class adds
+    q·c_q checked and Σ_{p<q} c_p - q·c_q skipped as m_q arrives.  A class
+    fails exactly when some member parts from m_0 within its own budget
+    (:func:`_parting`): if every member agrees with m_0 up to its budget,
+    any two agree up to the longer one's.  The scan takes the pairs
+    (m_0, m_q) first, so it first fails at (m_0, m_q), q the first parting
+    member of the first failing class.  The classes before it count in
+    closed form; then each (m_0, m_p), p < q, adds c_p checked and
+    c_0 - c_p skipped, and (m_0, m_q) adds c_0 - c_q skipped and its
+    contexts up to the parting one checked.
+
+    Witness.  The least failing instance, in length-lex order on x y y2 z
+    and then by |x|, |y|, |y2|, contains the leader.  Exchange argument:
+    if (x, y, y2, z) fails with neither y nor y2 the leader m, F(xmz)
+    differs from F(xyz) or from F(x y2 z).  In the first case (x, y, m, z)
+    fails and fits, since |m| <= |y2|; it is no longer, and at equal
+    length m precedes y2.  The second gives (x, m, y2, z) likewise.  So
+    with c*(y) the size of y's first parting context, the witness has
+    total length n* = min |y| + |m| + c*(y) and is the least failing
+    (x, y, m, z) or (x, m, y, z) among the y that reach n*, over their
+    contexts of size c*(y).  Once some y reaches n*, each later search
+    stops at size n* - |y| - |m|.  The cap is exact: a y that parts only
+    beyond it has |y| + |m| + c*(y) above n*, which only falls.
     """
     dom = fn.domain(level)
-    if not _is_congruence(dom):
-        return _preassoc_scan(dom)
-    cum = dom.context_counts
-    seen: dict[Value, list[int]] = {}  # per class: members so far, their Σ c_p
-    checked = skipped = 0
-    for m, v in dom.vals.items():
-        c = cum[level - len(m)]
-        counts = seen.setdefault(v, [0, 0])
-        q, total = counts
-        checked += q * c
-        skipped += total - q * c
-        counts[0], counts[1] = q + 1, total + c
-    return _finish(None, checked, skipped)
+    holds = _is_congruence(dom)
+    vals, cum = dom.vals, dom.context_counts
+    checked = skipped = 0  # over the classes before this one, in closed form
+    counted = None  # the pair scan's (checked, skipped), once it fails
+    best, reach = 2 * level + 1, []  # n*, and (y, m, start, end) of the contexts reaching it
+    for members in dom.classes.values():
+        lead = members[0]
+        c0 = total = cum[level - len(lead)]  # total: Σ c_p over the members so far
+        here_checked = here_skipped = 0
+        for q, y in enumerate(members[1:], 1):
+            c = cum[level - len(y)]
+            if not holds:
+                i = _parting(dom, y, lead, min(level - len(y), best - len(y) - len(lead)))
+                if i is not None:
+                    x, z = dom.contexts[i]
+                    size = len(x) + len(z)
+                    if size + len(y) + len(lead) < best:
+                        best, reach = size + len(y) + len(lead), []
+                    reach.append((y, lead, i, cum[size]))
+                    if counted is None:  # (m_0, m_p) for p < q, then (m_0, m_q) to i
+                        counted = (checked + total - c0 + i + 1,
+                                   skipped + (q + 1) * c0 - total - c)
+            here_checked += q * c
+            here_skipped += total - q * c
+            total += c
+        checked += here_checked
+        skipped += here_skipped
+    if counted is None:
+        return _finish(None, checked, skipped)
+    failing = [t for y, lead, start, end in reach
+               for x, z in itertools.islice(dom.contexts, start, end)
+               if vals[x + y + z] != vals[x + lead + z]
+               for t in ((x, y, lead, z), (x, lead, y, z))]
+    key = dom.alphabet.sort_key
+    x, y, y2, z = min(failing, key=lambda t: (key("".join(t)), len(t[0]), len(t[1]), len(t[2])))
+    return CheckReport(FAILS, Witness((("y", y), ("y2", y2), ("x", x), ("z", z)),
+                                      vals[x + y + z], vals[x + y2 + z]), *counted)
 
 
 # ---------------------------------------------------------------------------
@@ -574,21 +567,19 @@ def check_injective_rigidity(fn: BoundedFn, level: int) -> CheckReport:
 def find_absorbed_string(fn: BoundedFn, level: int) -> str | None:
     """Search for a nonempty string whose insertion anywhere never changes F.
 
-    Candidates are the kernel-mates of the empty string, tried in
+    Candidates are the kernel-mates a of the empty string, tried in
     length-lex order; each must verify F(xz) = F(x a z) for every context
-    with |x a z| <= level.  Returns None when no candidate verifies.
-    Raises NotApplicableError when F is standard on the domain.
+    with |x a z| <= level.  Returns the first that does, or None when none
+    does.  Raises NotApplicableError when F is standard on the domain.
+
+    This reads the leader pairs of :func:`check_preassociative`: the empty
+    string leads its class, and a mate a is absorbed exactly when it never
+    parts from that leader within its budget L - |a| (:func:`_parting`).
     """
     dom = fn.domain(level)
-    vals = dom.vals
-    mates = dom.classes[vals[""]][1:]
+    mates = dom.classes[dom.vals[""]][1:]
     if not mates:
         raise NotApplicableError(
             "function is standard on the bounded domain; nothing is absorbed"
         )
-    contexts, cum = dom.contexts, dom.context_counts
-    for a in mates:
-        if all(vals[x + z] == vals[x + a + z]
-               for x, z in contexts[: cum[level - len(a)]]):
-            return a
-    return None
+    return next((a for a in mates if _parting(dom, a, "", level - len(a)) is None), None)

@@ -583,10 +583,10 @@ def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSwee
     entry exceeds the horizon (possible when max_value > horizon), where
     the equations cannot be evaluated.  Deterministic for any worker count.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if max_value < 0:
-        raise ValueError("max_value must be nonnegative")
+    if not _is_count(horizon):
+        raise MalformedSpecError(f"horizon must be a nonnegative int, got {horizon!r}")
+    if not _is_count(max_value):
+        raise MalformedSpecError(f"max_value must be a nonnegative int, got {max_value!r}")
     from .forkmap import starmap
 
     chunks = starmap(

@@ -176,8 +176,12 @@ def theta_chain(alphabet: Alphabet, bound: int, x0: str, x1: str,
     and each pair from m* on is equivalent.  Each F^m is built once; only
     the pair being compared is kept alive.
     """
+    ThetaSpec(x0, x1)  # the blocks' checks, before their lengths divide the bound
     alphabet.validate(x0)
     alphabet.validate(x1)
+    if not (_is_count(bound) and _is_count(last)):
+        raise MalformedSpecError(
+            f"bound and last must be nonnegative ints, got {bound!r} and {last!r}")
     identity_from = (bound // max(len(x0), len(x1))).bit_length()
     rows = []
     hi = None

@@ -75,7 +75,7 @@ def value_to_json(v: Value) -> Any:
 def value_from_json(obj: Any) -> Value:
     if isinstance(obj, str):
         return obj
-    if isinstance(obj, Mapping) and set(obj) == {"token"}:
+    if isinstance(obj, dict) and set(obj) == {"token"}:  # json gives only dicts
         payload = obj["token"]
         if not (_is_int(payload) or isinstance(payload, str)):
             raise MalformedSpecError(f"token payload must be int or string: {obj!r}")

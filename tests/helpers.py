@@ -11,8 +11,8 @@ import itertools
 
 from strfn import (
     FAILS, HOLDS, VACUOUS, AlphaFn, AlphaRejection, BoundedFn, CheckReport,
-    InsufficientHorizonError, Token, UnevaluableError, Witness, enumerate_strings,
-    identity_alpha,
+    InsufficientHorizonError, NotApplicableError, Token, UnevaluableError, Witness,
+    enumerate_strings, identity_alpha,
 )
 from strfn.checkers import _assoc_scan, _finish
 
@@ -105,6 +105,86 @@ def oracle_preassoc_first_witness(alphabet, vals, level):
                                 left,
                                 right,
                             )
+    return None
+
+
+def oracle_preassoc_witness(dom):
+    """The least failing preassociativity instance, found by total length.
+
+    Instances (x, y, y2, z) are ordered by length-lex on w = x+y+y2+z, then
+    by the split positions |x|, |x|+|y|, |x|+|y|+|y2|.  A failing instance
+    pairs y != y2 of one kernel class with a context of total length c that
+    both sides fit, c + max(|y|, |y2|) <= L, so it is exactly one tuple
+    (w, i, j, k) of that order, with |w| = n = |y| + |y2| + c.  Shorter w
+    come first, so the least failing tuple lies at the least n that has a
+    failing instance; within that n it is the least by (w letter by letter,
+    |x|, |y|, |y2|).  Every pair of class members is tried, one length
+    pair at a time.
+    """
+    vals, level = dom.vals, dom.level
+    contexts, cum = dom.contexts, dom.context_counts
+    runs = [[(p, list(ys)) for p, ys in itertools.groupby(members, len)]
+            for members in dom.classes.values() if len(members) > 1]
+    for n in range(2 * level + 1):
+        failing = []
+        for groups in runs:
+            for (p, ys), (q, y2s) in itertools.product(groups, repeat=2):
+                c = n - p - q
+                if c < 0 or c + max(p, q) > level:
+                    continue
+                for x, z in contexts[cum[c - 1] if c else 0:cum[c]]:
+                    for y in ys:
+                        left = vals[x + y + z]
+                        failing.extend((x, y, y2, z) for y2 in y2s
+                                       if y2 != y and vals[x + y2 + z] != left)
+        if failing:
+            key = dom.alphabet.sort_key
+            x, y, y2, z = min(failing, key=lambda t: (
+                key("".join(t)), len(t[0]), len(t[1]), len(t[2])))
+            return Witness((("y", y), ("y2", y2), ("x", x), ("z", z)),
+                           vals[x + y + z], vals[x + y2 + z])
+    return None
+
+
+def oracle_preassoc_scan(dom) -> CheckReport:
+    """``check_preassociative``'s report by the quadratic pair scan.
+
+    Each unordered pair within a kernel class, classes in leader order and
+    pairs in ``itertools.combinations`` order, against every context both
+    sides fit, stopping at the first failing instance.  Contexts where
+    only the shorter side fits are counted as skipped.  The witness is
+    :func:`oracle_preassoc_witness`'s.
+    """
+    vals, level = dom.vals, dom.level
+    contexts, cum = dom.contexts, dom.context_counts
+    checked = skipped = 0
+    for members in dom.classes.values():
+        for y, y2 in itertools.combinations(members, 2):
+            # Members are in length-lex order, so |y| <= |y2| <= level.
+            both = cum[level - len(y2)]
+            skipped += cum[level - len(y)] - both
+            for x, z in contexts[:both]:
+                checked += 1
+                if vals[x + y + z] != vals[x + y2 + z]:
+                    return CheckReport(FAILS, oracle_preassoc_witness(dom), checked, skipped)
+    return _finish(None, checked, skipped)
+
+
+def oracle_absorbed_string(fn: BoundedFn, level: int) -> str | None:
+    """``find_absorbed_string`` straight from the definition.
+
+    Every nonempty a with F(a) = F(empty), in length-lex order, against
+    every x and z of X^{<=level} with |x a z| <= level.  Raises
+    NotApplicableError when no nonempty string shares F(empty).
+    """
+    strings = list(enumerate_strings(fn.alphabet, level))
+    mates = [a for a in strings[1:] if fn.eval(a) == fn.eval("")]
+    if not mates:
+        raise NotApplicableError("no nonempty string shares the value of the empty string")
+    for a in mates:
+        if all(fn.eval(x + z) == fn.eval(x + a + z)
+               for x in strings for z in strings if len(x + a + z) <= level):
+            return a
     return None
 
 

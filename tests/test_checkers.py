@@ -14,7 +14,9 @@ from helpers import (
     oracle_decompositions_agree,
     oracle_associative_reduced,
     oracle_equiv_scan,
+    oracle_absorbed_string,
     oracle_preassoc_first_witness,
+    oracle_preassoc_scan,
     oracle_preassociative,
     oracle_standard,
     random_string_table,
@@ -62,7 +64,6 @@ from strfn.checkers import (
     _finish,
     _is_congruence,
     _never_lengthens,
-    _preassoc_scan,
 )
 from strfn.factorization import factorize
 from strfn.forkmap import starmap
@@ -419,6 +420,35 @@ def test_preassociative_witness_matches_the_oracle():
     assert digest == "4d6a9ca5ddb58ced3c6d327954490149187ecc4e3220a4f119bfa973dde32a5b"
 
 
+def test_leader_pairs_match_the_pair_scan_and_the_definition():
+    # check_preassociative against the quadratic pair scan, report for
+    # report, and find_absorbed_string against its definition, over every
+    # kind of the corpus.  A merged table always fails, at a one-letter
+    # context of its merged pair, and leaves the empty string alone in
+    # its class, so only its failing and not-applicable outcomes occur.
+    rng = random.Random(2027)
+    seen = Counter()
+    for kind, fn in itertools.islice(preassoc_corpus(rng), 4000):
+        level = fn.bound
+        report = check_preassociative(fn, level)
+        assert report == oracle_preassoc_scan(fn.domain(level)), kind
+        seen[kind, report.verdict] += 1
+        try:
+            absorbed = find_absorbed_string(fn, level)
+        except NotApplicableError:
+            with pytest.raises(NotApplicableError):
+                oracle_absorbed_string(fn, level)
+            seen[kind, "not applicable"] += 1
+            continue
+        assert absorbed == oracle_absorbed_string(fn, level), kind
+        seen[kind, "none" if absorbed is None else "found"] += 1
+    for kind in ("string", "token", "perturbed"):
+        for outcome in (HOLDS, FAILS, "found"):
+            assert seen[kind, outcome] >= 100, (kind, outcome)
+        assert seen[kind, "none"] >= 25, kind
+    assert seen["merged", FAILS] == seen["merged", "not applicable"] == 1000
+
+
 def test_preassociative_witness_breaks_ties_by_split(ab):
     # Injective but for b ~ aaa and aa ~ ab.  Both pairs first fail at
     # w = aaaab with x = a; the class of b is met first, but y = aa is the
@@ -643,7 +673,7 @@ def test_deciders_match_the_scans():
     for kind, fn in itertools.islice(decider_corpus(rng), 2500):
         level, dom = fn.bound, fn.domain(fn.bound)
         report = check_preassociative(fn, level)
-        assert report == _preassoc_scan(dom), kind
+        assert report == oracle_preassoc_scan(dom), kind
         seen["preassoc", _is_congruence(dom), report.verdict, report.incomplete] += 1
         if not fn.string_valued:
             continue
@@ -692,7 +722,7 @@ def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
         raise AssertionError("a decided input was scanned")
 
     monkeypatch.setattr("strfn.checkers._assoc_scan", no_scan)
-    monkeypatch.setattr("strfn.checkers._preassoc_scan", no_scan)
+    monkeypatch.setattr("strfn.checkers._parting", no_scan)
     ofo = ofo_fn(ab3, 5)
     assert check_associative_full(ofo, 5).verdict == HOLDS
     assert check_associative_reduced(ofo, 5).verdict == HOLDS

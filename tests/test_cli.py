@@ -34,8 +34,10 @@ from strfn import (
 from strfn import quotient
 from strfn.cli import main
 from strfn.errors import MalformedSpecError, StrfnError
+from strfn.builtins import build_builtin
 from strfn.lengthbased import (
-    check_alpha_equations, classify_alpha, minimal_period, psi_table, synthesize_alpha,
+    check_alpha_equations, classify_alpha, minimal_period, psi_table, sweep_alpha_tables,
+    synthesize_alpha,
 )
 from strfn.specio import factorization_to_json, function_to_json, partial_to_json, to_text
 
@@ -704,8 +706,17 @@ def test_fuzzed_specs_exit_with_a_code_and_one_error_line(capsys, tmp_path):
             assert err.startswith("error: ") and err.count("\n") == 1, (case, spec, err)
 
 
+def _theta_chain_ab(bound, x0, x1, last):
+    return quotient.theta_chain(Alphabet(("a", "b")), bound, x0, x1, last)
+
+
+def _build_builtin_ab(name, params):
+    return build_builtin(name, Alphabet(("a", "b")), 2, params)
+
+
 # Each function that checks a value a spec or the command line hands it
-# straight through, with valid arguments to mutate.
+# straight through, with valid arguments to mutate.  An alphabet is not
+# JSON, so the calls that take one fix it.
 _API_CALLS = [
     (synthesize_alpha, (2, 2, [0, 1, 4, 5])),
     (check_alpha_equations, ([0, 1, 4, 5, 4, 5, 4],)),
@@ -713,6 +724,9 @@ _API_CALLS = [
     (minimal_period, ([0, 1, 4, 5, 4, 5], [[2, 2], [2, 4]])),
     (psi_table, ([[0, ""], [1, "a"], [4, "aaaa"]],)),
     (ThetaSpec, ("a", "b", 1)),
+    (_theta_chain_ab, (3, "a", "b", 2)),
+    (_build_builtin_ab, ("letter_remove", {"letter": "a"})),
+    (sweep_alpha_tables, (1, 1)),
 ]
 
 
@@ -734,6 +748,20 @@ def test_fuzzed_api_arguments_raise_only_strfn_errors():
         except Exception as exc:
             pytest.fail(f"case {case}: {fn.__name__}{tuple(args)!r} raised {exc!r}")
     assert outcomes == {"result", "error"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quotient.theta_chain(Alphabet(("a", "b")), 3, "", "", 2),
+    lambda: quotient.theta_chain(Alphabet(("a", "b")), 1, "aa", "aa", 2),
+    lambda: quotient.theta_chain(Alphabet(("a", "b")), "3", "a", "b", 2),
+    lambda: build_builtin("ofo", Alphabet(("a",)), 2, 5),
+    lambda: build_builtin(["ofo"], Alphabet(("a",)), 2),
+    lambda: sweep_alpha_tables("x", 1),
+], ids=["theta-empty-blocks", "theta-equal-blocks", "theta-str-bound", "builtin-int-params",
+        "builtin-list-name", "sweep-str-horizon"])
+def test_bad_api_arguments_raise_malformed_spec_errors(call):
+    with pytest.raises(MalformedSpecError):
+        call()
 
 
 _THETA_VALUES = ["", "a", "b", "c", "|", "aa", "ab", "ba", "bb", "abc", "cab", "a|",
