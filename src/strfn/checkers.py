@@ -361,7 +361,7 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
     """
     dom = fn.domain(level)
     holds = _is_congruence(dom)
-    vals, cum = dom.vals, dom.context_counts
+    cum = dom.context_counts
     checked = skipped = 0  # over the classes before this one, in closed form
     counted = None  # the pair scan's (checked, skipped), once it fails
     best, reach = 2 * level + 1, []  # n*, and (y, m, start, end) of the contexts reaching it
@@ -389,14 +389,21 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
         skipped += here_skipped
     if counted is None:
         return _finish(None, checked, skipped)
-    failing = [t for y, lead, start, end in reach
-               for x, z in itertools.islice(dom.contexts, start, end)
-               if vals[x + y + z] != vals[x + lead + z]
-               for t in ((x, y, lead, z), (x, lead, y, z))]
+    return CheckReport(FAILS, _least_failing(dom, reach), *counted)
+
+
+def _least_failing(dom, reach) -> Witness:
+    """The least failing instance (x, y, m, z) or (x, m, y, z) over the
+    contexts [start, end) of each (y, m, start, end) in ``reach``."""
+    vals = dom.vals
+    failing = []
+    for y, lead, start, end in reach:
+        for x, z in itertools.islice(dom.contexts, start, end):
+            if vals[x + y + z] != vals[x + lead + z]:
+                failing += [(x, y, lead, z), (x, lead, y, z)]
     key = dom.alphabet.sort_key
     x, y, y2, z = min(failing, key=lambda t: (key("".join(t)), len(t[0]), len(t[1]), len(t[2])))
-    return CheckReport(FAILS, Witness((("y", y), ("y2", y2), ("x", x), ("z", z)),
-                                      vals[x + y + z], vals[x + y2 + z]), *counted)
+    return Witness((("y", y), ("y2", y2), ("x", x), ("z", z)), vals[x + y + z], vals[x + y2 + z])
 
 
 # ---------------------------------------------------------------------------
