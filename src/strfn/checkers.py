@@ -393,8 +393,9 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
 
 
 def _least_failing(dom, reach) -> Witness:
-    """The least failing instance (x, y, m, z) or (x, m, y, z) over the
-    contexts [start, end) of each (y, m, start, end) in ``reach``."""
+    """The witness of :func:`check_preassociative`: the least failing
+    (x, y, m, z) or (x, m, y, z) over the contexts [start, end) of each
+    (y, m, start, end) in ``reach``."""
     vals = dom.vals
     failing = []
     for y, lead, start, end in reach:

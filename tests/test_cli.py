@@ -32,9 +32,9 @@ from strfn import (
     theta_rep_fn,
 )
 from strfn import quotient
+from strfn.builtins import build_builtin
 from strfn.cli import main
 from strfn.errors import MalformedSpecError, StrfnError
-from strfn.builtins import build_builtin
 from strfn.lengthbased import (
     check_alpha_equations, classify_alpha, minimal_period, psi_table, sweep_alpha_tables,
     synthesize_alpha,
