@@ -272,7 +272,7 @@ def _run_assoc(fn: BoundedFn, level: int, reduced: bool) -> tuple[CheckReport, i
     decided = _assoc_by_congruence(dom, 1 if reduced else level)
     if decided is not None:
         return decided, len(dom.vals)
-    witness, checked, skipped, entered = _assoc_scan(dom.strings, dom.vals, level, reduced)
+    witness, checked, skipped, entered = _assoc_scan(dom.vals, dom.vals, level, reduced)
     return _finish(witness, checked, skipped), entered
 
 
@@ -298,19 +298,24 @@ def check_associative_reduced(fn: BoundedFn, level: int) -> CheckReport:
 # preassociativity
 
 
-def _parting(dom, y: str, lead: str, budget: int) -> int | None:
-    """The index in ``dom.contexts`` of the first context (x, z) with
-    |x| + |z| <= ``budget`` at which F(x y z) != F(x lead z), or None.
+def _parting(dom, y: str, lead: str, budget: int) -> tuple[int, int] | None:
+    """The first context (x, z) with |x| + |z| <= ``budget`` at which
+    F(x y z) != F(x lead z), as (its size, its position), or None.
 
-    Contexts are ordered by size, so that context's size is the least at
+    Contexts come by size, then by |x|, then x and z in length-lex order,
+    and the position counts those before it.  So the size is the least at
     which y parts from ``lead``; a negative budget admits none.
     """
-    if budget < 0:
-        return None
-    vals = dom.vals
-    for i, (x, z) in enumerate(itertools.islice(dom.contexts, dom.context_counts[budget])):
-        if vals[x + y + z] != vals[x + lead + z]:
-            return i
+    vals, words, cum = dom.vals, dom.words, dom.context_counts
+    for size in range(budget + 1):
+        for t in range(size + 1):
+            xs, zs = words[t], words[size - t]
+            for x in xs:
+                xy, xl = x + y, x + lead
+                for z in zs:
+                    if vals[xy + z] != vals[xl + z]:
+                        before = (cum[size - 1] if size else 0) + t * len(words[size])
+                        return size, before + xs.index(x) * len(zs) + zs.index(z)
     return None
 
 
@@ -322,7 +327,7 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
     side fits are skipped.  Any codomain is accepted.  The report is the
     pair scan's: classes in leader order, pairs (m_p, m_q), p < q, of the
     members m_0 < m_1 < ... in length-lex order, contexts in the order of
-    ``dom.contexts``, up to the first failing instance.  One walk over the
+    :func:`_parting`, up to the first failing instance.  One walk over the
     classes gives it, visiting each non-leader y with its leader m = m_0.
 
     Verdict.  The law holds exactly when the kernel is a congruence
@@ -357,36 +362,40 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
     (x, y, m, z) or (x, m, y, z) among the y that reach n*, over their
     contexts of size c*(y).  Once some y reaches n*, each later search
     stops at size n* - |y| - |m|.  The cap is exact: a y that parts only
-    beyond it has |y| + |m| + c*(y) above n*, which only falls.
+    beyond it has |y| + |m| + c*(y) above n*, which only falls.  Once the
+    counters are known, the walk leaves a class at its first y with
+    |y| + |m| > n*, and stops at the first leader with 2|m| > n*: members
+    and leaders come in length-lex order, so no later y reaches n*.
     """
     dom = fn.domain(level)
     holds = _is_congruence(dom)
     cum = dom.context_counts
-    checked = skipped = 0  # over the classes before this one, in closed form
+    checked = skipped = 0  # over the pairs walked so far, in closed form
     counted = None  # the pair scan's (checked, skipped), once it fails
-    best, reach = 2 * level + 1, []  # n*, and (y, m, start, end) of the contexts reaching it
+    best, reach = 2 * level + 1, []  # n*, and (y, m, c*(y)) of the y reaching it
     for members in dom.classes.values():
         lead = members[0]
+        if counted is not None and 2 * len(lead) > best:
+            break
         c0 = total = cum[level - len(lead)]  # total: Σ c_p over the members so far
-        here_checked = here_skipped = 0
+        before = checked, skipped  # over the classes before this one
         for q, y in enumerate(members[1:], 1):
+            if counted is not None and len(y) + len(lead) > best:
+                break
             c = cum[level - len(y)]
             if not holds:
-                i = _parting(dom, y, lead, min(level - len(y), best - len(y) - len(lead)))
-                if i is not None:
-                    x, z = dom.contexts[i]
-                    size = len(x) + len(z)
+                part = _parting(dom, y, lead, min(level - len(y), best - len(y) - len(lead)))
+                if part is not None:
+                    size, i = part
                     if size + len(y) + len(lead) < best:
                         best, reach = size + len(y) + len(lead), []
-                    reach.append((y, lead, i, cum[size]))
+                    reach.append((y, lead, size))
                     if counted is None:  # (m_0, m_p) for p < q, then (m_0, m_q) to i
-                        counted = (checked + total - c0 + i + 1,
-                                   skipped + (q + 1) * c0 - total - c)
-            here_checked += q * c
-            here_skipped += total - q * c
+                        counted = (before[0] + total - c0 + i + 1,
+                                   before[1] + (q + 1) * c0 - total - c)
+            checked += q * c
+            skipped += total - q * c
             total += c
-        checked += here_checked
-        skipped += here_skipped
     if counted is None:
         return _finish(None, checked, skipped)
     return CheckReport(FAILS, _least_failing(dom, reach), *counted)
@@ -394,14 +403,16 @@ def check_preassociative(fn: BoundedFn, level: int) -> CheckReport:
 
 def _least_failing(dom, reach) -> Witness:
     """The witness of :func:`check_preassociative`: the least failing
-    (x, y, m, z) or (x, m, y, z) over the contexts [start, end) of each
-    (y, m, start, end) in ``reach``."""
-    vals = dom.vals
+    (x, y, m, z) or (x, m, y, z) over the contexts of size c*(y) of each
+    (y, m, c*(y)) in ``reach``."""
+    vals, words = dom.vals, dom.words
     failing = []
-    for y, lead, start, end in reach:
-        for x, z in itertools.islice(dom.contexts, start, end):
-            if vals[x + y + z] != vals[x + lead + z]:
-                failing += [(x, y, lead, z), (x, lead, y, z)]
+    for y, lead, size in reach:
+        for t in range(size + 1):
+            for x in words[t]:
+                for z in words[size - t]:
+                    if vals[x + y + z] != vals[x + lead + z]:
+                        failing += [(x, y, lead, z), (x, lead, y, z)]
     key = dom.alphabet.sort_key
     x, y, y2, z = min(failing, key=lambda t: (key("".join(t)), len(t[0]), len(t[1]), len(t[2])))
     return Witness((("y", y), ("y2", y2), ("x", x), ("z", z)), vals[x + y + z], vals[x + y2 + z])
@@ -413,11 +424,10 @@ def _least_failing(dom, reach) -> Witness:
 
 def check_standard(fn: BoundedFn, level: int) -> CheckReport:
     """Verify F(x) = F(empty) only for x = empty."""
-    dom = fn.domain(level)
-    vals = dom.vals
+    vals = fn.domain(level).vals
     base = vals[""]
     return _scan(None if vals[s] != base else Witness((("x", s),), vals[s], base)
-                 for s in dom.strings[1:])
+                 for s in itertools.islice(vals, 1, None))
 
 
 def check_idempotent(fn: BoundedFn, level: int) -> CheckReport:
@@ -452,12 +462,11 @@ def check_m_determined_range(fn: BoundedFn, m: int, level: int) -> CheckReport:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m > level:
         raise PreconditionError(f"m = {m} exceeds the check bound {level}")
-    dom = fn.domain(level)
-    vals = dom.vals
+    vals = fn.domain(level).vals
     cut = count_strings(fn.alphabet, m)
-    low = {vals[s] for s in dom.strings[:cut]}
+    low = {vals[s] for s in itertools.islice(vals, cut)}
     return _scan((None if vals[s] in low else Witness((("x", s),), vals[s], None)
-                  for s in dom.strings[cut:]),
+                  for s in itertools.islice(vals, cut, None)),
                  detail=f"value not attained at arity <= {m}")
 
 
@@ -516,7 +525,7 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
 def _assoc_iii(dom):
     """(iii): F(F(xy) z) = F(x F(yz)), one outcome per split (x, y, z)."""
     vals, level = dom.vals, dom.level
-    for w in dom.strings:
+    for w in vals:
         n = len(w)
         for i in range(n + 1):
             for j in range(i, n + 1):
@@ -532,7 +541,7 @@ def _assoc_iii(dom):
 def _assoc_iv(dom):
     """(iv): F(xy) = F(F(x) F(y)), one outcome per split (x, y)."""
     vals, level = dom.vals, dom.level
-    for w in dom.strings:
+    for w in vals:
         for i in range(len(w) + 1):
             u, v = vals[w[:i]], vals[w[i:]]
             yield (SKIPPED if len(u) + len(v) > level

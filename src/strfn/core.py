@@ -200,8 +200,8 @@ class BoundedFn(Record):
     _fields = ("alphabet", "bound", "definition")
 
     def __init__(self, alphabet: Alphabet, bound: int, definition: object) -> None:
-        if bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {bound}")
+        if not _is_count(bound):
+            raise MalformedSpecError(f"bound must be a nonnegative int, got {bound!r}")
         self.alphabet = alphabet
         self.bound = bound
         self.definition = definition
@@ -233,6 +233,12 @@ class BoundedFn(Record):
         constructions run on one function evaluate each string once.
         """
         level = self.bound if level is None else level
+        if not _is_count(level):
+            raise MalformedSpecError(f"check bound must be a nonnegative int, got {level!r}")
+        if level > self.bound:
+            raise OutOfDomainError(
+                f"check bound {level} exceeds the function's evaluation bound {self.bound}"
+            )
         dom = self._domain
         if dom is None or dom.level != level:
             dom = self._domain = Domain(self, level)
@@ -251,20 +257,14 @@ class Domain:
 
     ``vals`` is the only thing built eagerly; its keys are in length-lex
     order.  It is given as ``vals`` when the caller already holds it (a
-    total table at its bound), else evaluated.  The string list, the
-    kernel classes and the context pool are derived from it on first use.
-    Everything here is shared by every caller of :meth:`BoundedFn.domain`,
-    so callers must not mutate it.
+    total table at its bound), else evaluated.  The strings by length and
+    the kernel classes are derived from it on first use.  Everything here
+    is shared by every caller of :meth:`BoundedFn.domain`, so callers
+    must not mutate it.  :meth:`BoundedFn.domain` checks the level.
     """
 
     def __init__(self, fn: BoundedFn, level: int,
                  vals: dict[str, Value] | None = None) -> None:
-        if level < 0:
-            raise ValueError(f"check bound must be nonnegative, got {level}")
-        if level > fn.bound:
-            raise OutOfDomainError(
-                f"check bound {level} exceeds the function's evaluation bound {fn.bound}"
-            )
         self.alphabet = fn.alphabet
         self.level = level
         if vals is None:
@@ -273,13 +273,10 @@ class Domain:
         self.vals: dict[str, Value] = vals
 
     @cached_property
-    def strings(self) -> list[str]:
-        return list(self.vals)
-
-    def of_length(self, k: int) -> list[str]:
-        """The strings of length exactly ``k``, in length-lex order."""
-        start = count_strings(self.alphabet, k - 1)
-        return self.strings[start:start + len(self.alphabet) ** k]
+    def words(self) -> list[list[str]]:
+        """``words[t]``, the strings of length t in length-lex order."""
+        keys, k = iter(self.vals), len(self.alphabet)
+        return [list(itertools.islice(keys, k**t)) for t in range(self.level + 1)]
 
     @cached_property
     def classes(self) -> dict[Value, list[str]]:
@@ -303,17 +300,6 @@ class Domain:
         """
         k = len(self.alphabet)
         return list(itertools.accumulate((t + 1) * k**t for t in range(self.level + 1)))
-
-    @cached_property
-    def contexts(self) -> list[tuple[str, str]]:
-        """All context pairs (x, z) with |x|+|z| <= level.
-
-        Ordered by total length, then x in length-lex order, then z, so
-        the contexts within a budget b are the prefix ``context_counts[b]``.
-        """
-        words = [self.of_length(t) for t in range(self.level + 1)]
-        return [(x, z) for total in range(self.level + 1) for i in range(total + 1)
-                for x in words[i] for z in words[total - i]]
 
 
 def table_fn(

@@ -163,7 +163,7 @@ def check_quasi_inverse_conditions(
     low = {vals[s] for s in enumerate_strings(fn.alphabet, m)}
     reports["range"] = _scan(
         (None if vals[x] in low else Witness((("x", x),), vals[x], None)
-         for x in dom.of_length(m + 1)),
+         for x in enumerate_strings(fn.alphabet, m + 1, m + 1)),
         "value not attained at arity <= m",
     )
     reports["a"] = _finish(None, len(fn.alphabet), 0)

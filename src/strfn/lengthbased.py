@@ -394,9 +394,9 @@ def _constant_per_length(
     vals = dom.vals
 
     def outcomes():
-        for k in range(dom.level + 1):
-            first, *rest = dom.of_length(k)
-            for s in rest:
+        for _, same_length in itertools.groupby(vals, len):
+            first = next(same_length)
+            for s in same_length:
                 same = key(vals[s]) == key(vals[first])
                 yield None if same else Witness((("x", first), ("y", s)), vals[first], vals[s])
 
@@ -587,6 +587,8 @@ def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSwee
         raise MalformedSpecError(f"horizon must be a nonnegative int, got {horizon!r}")
     if not _is_count(max_value):
         raise MalformedSpecError(f"max_value must be a nonnegative int, got {max_value!r}")
+    if not (_is_int(jobs) and jobs > 0):
+        raise MalformedSpecError(f"jobs must be a positive int, got {jobs!r}")
     from .forkmap import starmap
 
     chunks = starmap(

@@ -132,6 +132,8 @@ def theta_rep_fn(alphabet: Alphabet, bound: int, spec: ThetaSpec) -> BoundedFn:
     """
     alphabet.validate(spec.x0)
     alphabet.validate(spec.x1)
+    if not _is_count(bound):
+        raise MalformedSpecError(f"bound must be a nonnegative int, got {bound!r}")
     block0, block1 = _blocks(spec, bound)
     entries = {s: s for s in enumerate_strings(alphabet, bound)}
     for s, rep in entries.items():  # only values change, so the loop is safe

@@ -7,6 +7,7 @@ behind the same bug in the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from strfn import (
@@ -108,6 +109,18 @@ def oracle_preassoc_first_witness(alphabet, vals, level):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_contexts(alphabet, level) -> tuple[tuple[str, str], ...]:
+    """Every context (x, z) with |x| + |z| <= level, in the order the
+    preassociativity check searches them: by size |x| + |z|, then by |x|,
+    then x and z in length-lex order.
+    """
+    strings = list(enumerate_strings(alphabet, level))
+    key = alphabet.length_lex_key
+    return tuple(sorted(((x, z) for x in strings for z in strings if len(x) + len(z) <= level),
+                        key=lambda c: (len(c[0]) + len(c[1]), key(c[0]), key(c[1]))))
+
+
 def oracle_preassoc_witness(dom):
     """The least failing preassociativity instance, found by total length.
 
@@ -122,7 +135,7 @@ def oracle_preassoc_witness(dom):
     pair at a time.
     """
     vals, level = dom.vals, dom.level
-    contexts, cum = dom.contexts, dom.context_counts
+    contexts, cum = oracle_contexts(dom.alphabet, level), dom.context_counts
     runs = [[(p, list(ys)) for p, ys in itertools.groupby(members, len)]
             for members in dom.classes.values() if len(members) > 1]
     for n in range(2 * level + 1):
@@ -156,7 +169,7 @@ def oracle_preassoc_scan(dom) -> CheckReport:
     :func:`oracle_preassoc_witness`'s.
     """
     vals, level = dom.vals, dom.level
-    contexts, cum = dom.contexts, dom.context_counts
+    contexts, cum = oracle_contexts(dom.alphabet, level), dom.context_counts
     checked = skipped = 0
     for members in dom.classes.values():
         for y, y2 in itertools.combinations(members, 2):
@@ -231,7 +244,7 @@ def oracle_equiv_scan(dom) -> dict[str, CheckReport]:
     are counted by hand, loop by loop.  Returns the reports
     ``check_equivalent_definitions`` gives.
     """
-    strings, vals, level = dom.strings, dom.vals, dom.level
+    strings, vals, level = list(dom.vals), dom.vals, dom.level
     witness, checked, skipped, entered = _assoc_scan(strings, vals, level, False)
     split = None
     if witness is not None:

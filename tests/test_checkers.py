@@ -64,6 +64,7 @@ from strfn.checkers import (
     _finish,
     _is_congruence,
     _never_lengthens,
+    _parting,
 )
 from strfn.factorization import factorize
 from strfn.forkmap import starmap
@@ -461,6 +462,27 @@ def test_preassociative_witness_breaks_ties_by_split(ab):
     assert report.witness == oracle_preassoc_first_witness(ab, fn.value_map(), 4)
 
 
+def test_a_failing_preassociativity_check_searches_only_what_can_reach_n_star(
+        ab, monkeypatch):
+    # length_of(ofo) at L=8 first fails at n* = 3, at (y, y2) = (a, b) in
+    # the context (a, empty), once b has parted from its leader a.  After
+    # that only a y with |y| + |m| <= n* is searched, with the budget
+    # n* - |y| - |m|: aa and bb, of the same class.  The walk reads no
+    # other non-leader of the 508.
+    calls = []
+
+    def counting(dom, y, lead, budget):
+        calls.append((y, lead, budget))
+        return _parting(dom, y, lead, budget)
+
+    monkeypatch.setattr("strfn.checkers._parting", counting)
+    fn = length_of_fn(ofo_fn(ab, 8))
+    report = check_preassociative(fn, 8)
+    assert report.witness.bindings == (("y", "a"), ("y2", "b"), ("x", "a"), ("z", ""))
+    assert calls == [("b", "a", 7), ("aa", "a", 0), ("bb", "a", 0)]
+    assert sum(len(members) - 1 for members in fn.domain(8).classes.values()) == 508
+
+
 def test_preassociative_counts_skips(ab):
     # constant function: every pair of strings is a kernel pair, so long
     # partners get skipped at the boundary.
@@ -684,7 +706,7 @@ def test_deciders_match_the_scans():
         strings = {}
         for reduced, check in ((False, check_associative_full),
                                (True, check_associative_reduced)):
-            witness, checked, skipped, entered = _assoc_scan(dom.strings, dom.vals, level,
+            witness, checked, skipped, entered = _assoc_scan(list(dom.vals), dom.vals, level,
                                                              reduced)
             report = check(fn, level)
             assert report == _finish(witness, checked, skipped), kind
@@ -762,7 +784,7 @@ def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
         dom = fn.domain(level)
         for reduced, check, string in ((False, check_associative_full, failing),
                                        (True, check_associative_reduced, first)):
-            witness, checked, skipped, _ = _assoc_scan(dom.strings, dom.vals, level, reduced)
+            witness, checked, skipped, _ = _assoc_scan(list(dom.vals), dom.vals, level, reduced)
             report = check(fn, level)
             assert report == _finish(witness, checked, skipped)
             assert "".join(v for _, v in report.witness.bindings) == string

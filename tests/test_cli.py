@@ -20,6 +20,7 @@ import strfn
 from strfn import (
     Alphabet,
     ThetaSpec,
+    check_associative_full,
     extend,
     factorize,
     length_fn,
@@ -757,8 +758,18 @@ def test_fuzzed_api_arguments_raise_only_strfn_errors():
     lambda: build_builtin("ofo", Alphabet(("a",)), 2, 5),
     lambda: build_builtin(["ofo"], Alphabet(("a",)), 2),
     lambda: sweep_alpha_tables("x", 1),
+    lambda: build_builtin("ofo", Alphabet(("a", "b")), -1),
+    lambda: build_builtin("ofo", Alphabet(("a", "b")), "x"),
+    lambda: build_builtin("ofo", Alphabet(("a", "b")), True),
+    lambda: theta_rep_fn(Alphabet(("a", "b")), "x", ThetaSpec("a", "b", 1)),
+    lambda: check_associative_full(ofo_fn(Alphabet(("a", "b")), 3), "3"),
+    lambda: check_associative_full(ofo_fn(Alphabet(("a", "b")), 3), True),
+    lambda: sweep_alpha_tables(1, 1, jobs="x"),
+    lambda: sweep_alpha_tables(1, 1, jobs=None),
 ], ids=["theta-empty-blocks", "theta-equal-blocks", "theta-str-bound", "builtin-int-params",
-        "builtin-list-name", "sweep-str-horizon"])
+        "builtin-list-name", "sweep-str-horizon", "builtin-negative-bound", "builtin-str-bound",
+        "builtin-bool-bound", "theta-rep-str-bound", "check-str-level", "check-bool-level",
+        "sweep-str-jobs", "sweep-none-jobs"])
 def test_bad_api_arguments_raise_malformed_spec_errors(call):
     with pytest.raises(MalformedSpecError):
         call()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import pickle
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -36,6 +37,8 @@ from strfn import (
     table_fn,
     theta_rep_fn,
 )
+from strfn.checkers import _parting
+from helpers import oracle_contexts, random_string_table, random_token_table
 
 
 def test_alphabet_basics(ab):
@@ -240,19 +243,53 @@ def test_domain_is_memoized_for_the_latest_level(ab):
     fn = ofo_fn(ab, 3)
     dom = fn.domain(2)
     assert fn.domain(2) is dom
-    assert dom.of_length(2) == ["aa", "ab", "ba", "bb"]
+    assert dom.words[2] == ["aa", "ab", "ba", "bb"]
     assert dom.classes["ab"] == ["ab"]
     assert fn.domain() is not dom and fn.domain().level == 3
     assert fn.domain(3).classes["ab"] == ["ab", "aab", "aba", "abb"]
     with pytest.raises(OutOfDomainError):
         fn.domain(4)
+    fn.domain(1)
+    with pytest.raises(MalformedSpecError):
+        fn.domain(True)  # equal to the memoized level 1, and still refused
 
 
 def test_context_counts_index_the_context_prefixes(ab):
+    # context_counts[b] counts the contexts within budget b, so they are a
+    # prefix of the search order; _parting's (size, index) is the place of
+    # the first parting context in that order, within its budget.
     dom = ofo_fn(ab, 3).domain(2)
     assert dom.context_counts == [1, 5, 17]
-    assert [len(x) + len(z) for x, z in dom.contexts] == [0] + [1] * 4 + [2] * 12
-    assert dom.contexts[:5] == [("", ""), ("", "a"), ("", "b"), ("a", ""), ("b", "")]
+    contexts = oracle_contexts(ab, 2)
+    assert [len(x) + len(z) for x, z in contexts] == [0] + [1] * 4 + [2] * 12
+    assert contexts[:5] == (("", ""), ("", "a"), ("", "b"), ("a", ""), ("b", ""))
+    rng = random.Random(27)
+    found = Counter()
+    for _ in range(1000):
+        alphabet = Alphabet(tuple(rng.choice(["a", "ab", "ba", "abc"])))
+        level = rng.randint(0, {1: 6, 2: 4, 3: 3}[len(alphabet)])
+        if rng.random() < 0.5:
+            fn = random_string_table(alphabet, level, rng)
+        else:
+            pool = [Token(i) for i in range(rng.randint(2, 4))]
+            fn = random_token_table(alphabet, level, rng, pool)
+        dom, contexts = fn.domain(level), oracle_contexts(alphabet, level)
+        cum, vals = dom.context_counts, dom.vals
+        assert cum == [sum(len(x) + len(z) <= b for x, z in contexts) for b in range(level + 1)]
+        for members in dom.classes.values():
+            for y in members[1:]:
+                lead, budget = members[0], rng.randint(-1, level - len(y))
+                first = next((i for i, (x, z) in enumerate(contexts[:cum[budget] if budget >= 0
+                                                                     else 0])
+                              if vals[x + y + z] != vals[x + lead + z]), None)
+                part = _parting(dom, y, lead, budget)
+                if first is None:
+                    assert part is None
+                else:
+                    x, z = contexts[first]
+                    assert part == (len(x) + len(z), first)
+                found[first is not None] += 1
+    assert found[True] >= 900 and found[False] >= 900, found
 
 
 def test_package_imports_only_the_standard_library():
