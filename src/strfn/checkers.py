@@ -302,9 +302,8 @@ def _parting(dom, y: str, lead: str, budget: int) -> tuple[int, int] | None:
     """The first context (x, z) with |x| + |z| <= ``budget`` at which
     F(x y z) != F(x lead z), as (its size, its position), or None.
 
-    Contexts come by size, then by |x|, then x and z in length-lex order,
-    and the position counts those before it.  So the size is the least at
-    which y parts from ``lead``; a negative budget admits none.
+    Contexts come by size, then by |x|, then x and z in length-lex order;
+    the position counts those before it.  A negative budget admits none.
     """
     vals, words, cum = dom.vals, dom.words, dom.context_counts
     for size in range(budget + 1):
