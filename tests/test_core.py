@@ -279,8 +279,8 @@ def test_context_counts_index_the_context_prefixes(ab):
         for members in dom.classes.values():
             for y in members[1:]:
                 lead, budget = members[0], rng.randint(-1, level - len(y))
-                first = next((i for i, (x, z) in enumerate(contexts[:cum[budget] if budget >= 0
-                                                                     else 0])
+                within = contexts[:cum[budget]] if budget >= 0 else ()
+                first = next((i for i, (x, z) in enumerate(within)
                               if vals[x + y + z] != vals[x + lead + z]), None)
                 part = _parting(dom, y, lead, budget)
                 if first is None:
