@@ -28,22 +28,20 @@ pairs up to the first failure that scan meets, while its witness is the
 least failing instance over the same pairs.  Both come from one walk
 over each string and the leader of its kernel class (:func:`_parting`).
 
-The shape of F picks one associativity decider (:func:`_run_assoc`),
-shared by the full and reduced checks and by (i) and (ii) of the
+Associativity is one law with a cap on the context size |x| + |z|: the
+full check has cap L and the reduced one cap 1.  The splits within a cap
+are defined once (:func:`_splits`).  The shape of F picks one decider
+(:func:`_run_assoc`), shared by both checks and by (i) and (ii) of the
 equivalent definitions:
 
 - an F that never lengthens a string takes
-  :func:`_assoc_by_one_letter_splits` for either verdict.  No instance
-  is skipped, so one pass finds the first length at which a string fails
-  a one-letter split; the failing strings of that length lead to the
-  least failing string, and only that string's splits are scanned for
-  the witness.  With no failure, the law holds and the counters are
-  closed form.
-- any other F takes the congruence decider (:func:`_assoc_by_congruence`),
-  which proves the law in closed form when F(v) = v for every value v
-  with |v| <= L and the kernel is a congruence (:func:`_is_congruence`),
-  and else the scan (:func:`_assoc_scan`), which gives the counters and
-  the witness.
+  :func:`_assoc_by_one_letter_splits`: one pass finds the first length
+  at which a string fails a one-letter split, and only the least failing
+  string of that length is scanned; with none, the counters are closed
+  form.
+- any other F takes :func:`_assoc_by_congruence`, closed form when F(v) =
+  v for every value v with |v| <= L and the kernel is a congruence, and
+  else the scan (:func:`_assoc_scan`).
 
 Preassociativity holds in closed form exactly when the kernel is a
 congruence; otherwise its report is read off the leader pairs that part,
@@ -59,8 +57,8 @@ from __future__ import annotations
 
 import itertools
 
-from .core import BoundedFn, Value, count_strings
-from .errors import NotApplicableError, PreconditionError
+from .core import BoundedFn, Value, _is_count, count_strings
+from .errors import MalformedSpecError, NotApplicableError, PreconditionError
 # The report records are re-exported: a report pickled when they lived
 # here still loads, and ``strfn.checkers.CheckReport`` stays one class.
 from .reports import (  # noqa: F401
@@ -141,28 +139,34 @@ def _assoc_by_congruence(dom, cap: int) -> CheckReport | None:
 # associativity
 
 
-def _assoc_scan(strings, vals, level, reduced):
-    """Scan the splits of each string in ``strings``, in order.
-
-    Every split (x, y, z) of w, or with ``reduced`` only those with
-    |xz| <= 1.  Returns the first failure (or None), the counters up to it
-    and the number of strings entered, the failing one included.  An F
-    that lengthens passes the whole domain; the one-letter pass passes one
-    string.
+def _splits(level: int, cap: int) -> list[list[tuple[int, int]]]:
+    """``splits[n]``, the splits (i, j) of a string w of length n <= level
+    into x = w[:i], y = w[i:j] and z = w[j:] with |x| + |z| <= cap, in scan
+    order: by i, then by j.  There are (m+1)(m+2)/2 of them, m = min(cap, n).
     """
-    checked = 0
-    skipped = 0
-    for entered, w in enumerate(strings, 1):
+    return [[(i, j) for i in range(min(cap, n) + 1) for j in range(max(i, n - cap + i), n + 1)]
+            for n in range(level + 1)]
+
+
+def _position(alphabet, w: str) -> int:
+    """The number of strings before w in length-lex order."""
+    rank = 0
+    for d in alphabet.sort_key(w):
+        rank = rank * len(alphabet) + d
+    return count_strings(alphabet, len(w) - 1) + rank
+
+
+def _assoc_scan(strings, vals, level, cap):
+    """Scan the splits within ``cap`` of each string in ``strings``, in
+    order; return the first failure (or None) and the counters up to it.
+    An F that lengthens passes the whole domain, the one-letter pass one
+    string."""
+    checked = skipped = 0
+    splits = _splits(level, cap)
+    for w in strings:
         n = len(w)
         lhs = vals[w]
-        if reduced:
-            if n == 0:
-                splits = ((0, 0),)
-            else:
-                splits = ((0, n - 1), (0, n), (1, n))
-        else:
-            splits = ((i, j) for i in range(n + 1) for j in range(i, n + 1))
-        for i, j in splits:
+        for i, j in splits[n]:
             y = w[i:j]
             v = vals[y]
             if i + len(v) + (n - j) > level:
@@ -171,28 +175,24 @@ def _assoc_scan(strings, vals, level, reduced):
             checked += 1
             rhs = vals[w[:i] + v + w[j:]]
             if lhs != rhs:
-                witness = Witness(
-                    (("x", w[:i]), ("y", y), ("z", w[j:])), lhs, rhs
-                )
-                return witness, checked, skipped, entered
-    return None, checked, skipped, len(strings)
+                return Witness((("x", w[:i]), ("y", y), ("z", w[j:])), lhs, rhs), checked, skipped
+    return None, checked, skipped
 
 
-def _assoc_by_one_letter_splits(dom, reduced: bool) -> tuple[CheckReport, int]:
-    """The associativity report of an F that never lengthens a string, and
-    the number of strings the scan enters.
+def _assoc_by_one_letter_splits(dom, cap: int) -> CheckReport:
+    """The associativity report of an F that never lengthens a string.
 
-    Proof sketch.  No instance leaves the bound, so none is skipped, and
-    F(empty) = empty passes the one split of the empty string.  Let every
-    string shorter than n pass every split, and let w, |w| = n, pass its
-    one-letter splits (0, n-1), (0, n) and (1, n).  Take a split (x, y, z)
-    of w with x = a x', and u = x F(y) z, so |u| <= n.  The shorter x'yz
-    passes (x', y, z), so F(w) = F(a F(x'yz)) = F(a F(x' F(y) z)).  If
-    |u| < n, u passes its split (a, x' F(y) z, empty), which says F(u) is
-    that same value; if |u| = n, that split is u's (1, n).  So w passes
-    (x, y, z) unless |F(y)| = |y| and u fails (1, n).  With x = empty and
-    z = z'b the same holds with (0, n-1) in place of (1, n).  By induction
-    on n:
+    Proof sketch, for cap >= 1 (cap = 0 only at L = 0).  No instance
+    leaves the bound, so none is skipped, and F(empty) = empty passes the
+    one split of the empty string.  Let every string shorter than n pass
+    every split, and let w, |w| = n, pass its one-letter splits (0, n-1),
+    (0, n) and (1, n).  Take a split (x, y, z) of w with x = a x', and
+    u = x F(y) z, so |u| <= n.  The shorter x'yz passes (x', y, z), so
+    F(w) = F(a F(x'yz)) = F(a F(x' F(y) z)).  If |u| < n, u passes its
+    split (a, x' F(y) z, empty), which says F(u) is that same value; if
+    |u| = n, that split is u's (1, n).  So w passes (x, y, z) unless
+    |F(y)| = |y| and u fails (1, n).  With x = empty and z = z'b the same
+    holds with (0, n-1) in place of (1, n).  By induction on n:
 
     - the first failing length n is that of the first string that fails a
       one-letter split, found in one pass; with none, the law holds and
@@ -202,18 +202,16 @@ def _assoc_by_one_letter_splits(dom, reduced: bool) -> tuple[CheckReport, int]:
       x is not empty, (0, n-1) when it is.
 
     So each failing w is a failing u whose substring s = F(y), |s| < n, is
-    put back as y.  Only the least same-length preimage y != s of each s
-    is needed: y = s gives u itself, and a larger y gives a larger w.  The
-    span (1, n) of a u failing (1, n) is never looked up: s = u[1:] would
-    be a value of a shorter string, so F(s) = s, and then F(u[0] F(s)) =
-    F(u), against the failure.  The span (0, n-1) of a u failing (0, n-1)
-    is the mirror case.  The witness is the first failing split of the
-    least such string, scanned alone.  The reduced check scans exactly
-    the one split of the empty string and the one-letter splits of every
-    other string, so its witness string is the first one to fail a
-    one-letter split.  Each string of length t before the witness string
-    counts its splits as checked: (t+1)(t+2)/2 of them, or 3 (1 for t = 0)
-    when reduced.
+    put back as y at a split within the cap.  Only the least same-length
+    preimage y != s of each s is needed: y = s gives u itself, and a
+    larger y gives a larger w.  The span (1, n) of a u failing (1, n) is
+    never looked up: s = u[1:] would be a value of a shorter string, so
+    F(s) = s, and then F(u[0] F(s)) = F(u), against the failure.  The
+    span (0, n-1) of a u failing (0, n-1) is the mirror case.  With cap 1
+    there is no other split, so the witness string is the first one to
+    fail a one-letter split.  The witness is the first failing split of
+    the least failing string, scanned alone.  Each string of length t
+    before it counts its (m+1)(m+2)/2 splits, m = min(cap, t), as checked.
     """
     vals, alphabet, level = dom.vals, dom.alphabet, dom.level
     n, first = level, None  # the first string failing a one-letter split
@@ -231,34 +229,29 @@ def _assoc_by_one_letter_splits(dom, reduced: bool) -> tuple[CheckReport, int]:
             if fails_right:
                 right.append(w)
     k = len(alphabet)
-    # per string of length t
-    splits = [3 if reduced and t else (t + 1) * (t + 2) // 2 for t in range(level + 1)]
+    counts = [(min(cap, t) + 1) * (min(cap, t) + 2) // 2 for t in range(level + 1)]
     if first is None:
-        return _finish(None, sum(k**t * c for t, c in enumerate(splits)), 0), len(vals)
+        return _finish(None, sum(k**t * c for t, c in enumerate(counts)), 0)
     shorter = count_strings(alphabet, n - 1)
     w = first
-    if not reduced:
+    if cap > 1:
         preimage: dict[str, str] = {}  # s -> the least y != s, |y| = |s|, F(y) = s
         for y, v in itertools.islice(vals.items(), shorter):
             if len(v) == len(y) and v != y:
                 preimage.setdefault(v, y)
-        spans = itertools.chain(
-            ((u, i, j) for u in left for i in range(1, n) for j in range(i + 1, n + (i > 1))),
-            ((u, 0, j) for u in right for j in range(1, n - 1)),
-        )
+        spans = [(i, j) for i, j in _splits(n, cap)[n] if i + n - j > 1]  # beyond one letter
         w = min(itertools.chain((first,), (u[:i] + preimage[u[i:j]] + u[j:]
-                                           for u, i, j in spans if u[i:j] in preimage)),
+                                           for i, j in spans for u in (left if i else right)
+                                           if u[i:j] in preimage)),
                 key=alphabet.sort_key)
-    rank = 0  # of w among the strings of length n
-    for d in alphabet.sort_key(w):
-        rank = rank * k + d
-    before = sum(k**t * splits[t] for t in range(n)) + rank * splits[n]
-    witness, checked, skipped, _ = _assoc_scan([w], vals, level, reduced)
-    return _finish(witness, before + checked, skipped), shorter + rank + 1
+    rank = _position(alphabet, w) - shorter  # of w among the strings of length n
+    before = sum(k**t * counts[t] for t in range(n)) + rank * counts[n]
+    witness, checked, skipped = _assoc_scan([w], vals, level, cap)
+    return _finish(witness, before + checked, skipped)
 
 
-def _run_assoc(fn: BoundedFn, level: int, reduced: bool) -> tuple[CheckReport, int]:
-    """The associativity report and the number of strings its scan enters.
+def _run_assoc(fn: BoundedFn, level: int, cap: int) -> CheckReport:
+    """The associativity report over the contexts with |x| + |z| <= ``cap``.
 
     The shape of F picks the one decider that runs: an F that never
     lengthens a string takes :func:`_assoc_by_one_letter_splits` for
@@ -268,12 +261,11 @@ def _run_assoc(fn: BoundedFn, level: int, reduced: bool) -> tuple[CheckReport, i
     dom = fn.domain(level)
     _require_string_valued(fn, "associativity check")
     if _never_lengthens(dom.vals):
-        return _assoc_by_one_letter_splits(dom, reduced)
-    decided = _assoc_by_congruence(dom, 1 if reduced else level)
+        return _assoc_by_one_letter_splits(dom, cap)
+    decided = _assoc_by_congruence(dom, cap)
     if decided is not None:
-        return decided, len(dom.vals)
-    witness, checked, skipped, entered = _assoc_scan(dom.vals, dom.vals, level, reduced)
-    return _finish(witness, checked, skipped), entered
+        return decided
+    return _finish(*_assoc_scan(dom.vals, dom.vals, level, cap))
 
 
 def check_associative_full(fn: BoundedFn, level: int) -> CheckReport:
@@ -282,16 +274,16 @@ def check_associative_full(fn: BoundedFn, level: int) -> CheckReport:
     Instances where the inner value makes |x F(y) z| exceed the bound are
     skipped and counted.
     """
-    return _run_assoc(fn, level, False)[0]
+    return _run_assoc(fn, level, level)
 
 
 def check_associative_reduced(fn: BoundedFn, level: int) -> CheckReport:
-    """Like the full check but restricted to contexts with |xz| <= 1.
+    """Like the full check but with the cap 1: contexts with |xz| <= 1.
 
     For m-bounded functions this restriction is decisive; for anything
     else a ``holds`` verdict with skips is advisory only.
     """
-    return _run_assoc(fn, level, True)[0]
+    return _run_assoc(fn, level, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +433,14 @@ def check_idempotent(fn: BoundedFn, level: int) -> CheckReport:
     )
 
 
+def _require_m(m: object) -> None:
+    if not _is_count(m):
+        raise MalformedSpecError(f"m must be a nonnegative int, got {m!r}")
+
+
 def check_m_bounded(fn: BoundedFn, m: int, level: int) -> CheckReport:
     """Verify |F(x)| <= m on the bounded domain."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _require_m(m)
     vals = fn.domain(level).vals
     _require_string_valued(fn, "boundedness check")
     report = _scan(None if len(v) <= m else Witness((("x", s),), v, None)
@@ -457,8 +453,7 @@ def check_m_bounded(fn: BoundedFn, m: int, level: int) -> CheckReport:
 
 def check_m_determined_range(fn: BoundedFn, m: int, level: int) -> CheckReport:
     """Verify every value on X^{<=level} is already attained on X^{<=m}."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _require_m(m)
     if m > level:
         raise PreconditionError(f"m = {m} exceeds the check bound {level}")
     vals = fn.domain(level).vals
@@ -483,14 +478,16 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
     - "iii": F(F(xy) z) = F(x F(yz))
     - "iv":  F(xy) = F(F(x) F(y))
 
-    (i) is the full associativity check, by its one decider
+    (i) is the full associativity check, with cap L, by its one decider
     (:func:`_run_assoc`), and (ii) is read off it on every path.  (ii)
     compares every split of w with the first one not skipped.  As
     F(empty) = empty, that is x = y = empty, with value F(w), so each
     comparison is the one (i) makes at that split.  Hence (ii) fails at
     (i)'s instance with the same sides (bindings x = y = empty, z = w, and
     (i)'s x, y, z as x2, y2, z2), skips the same instances and checks one
-    fewer per string entered.
+    fewer per string (i)'s scan enters: every string when (i) holds, else
+    the strings up to and including (i)'s failing string x y z in
+    length-lex order, which its position gives.
 
     When (i) holds with no skips, F never lengthens a string (a y with
     |F(y)| > |y| is skipped at the split (empty, y, z), |yz| = L), and
@@ -507,10 +504,11 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
         raise PreconditionError(
             "equivalent-definitions check requires F(empty) = empty"
         )
-    full, entered = _run_assoc(fn, level, False)
-    split = full.witness
+    full = _run_assoc(fn, level, level)
+    split, entered = full.witness, len(dom.vals)
     if split is not None:
         x, y, z = (v for _, v in split.bindings)
+        entered = _position(dom.alphabet, x + y + z) + 1
         split = Witness((("x", ""), ("y", ""), ("z", x + y + z), ("x2", x), ("y2", y),
                          ("z2", z)), split.lhs, split.rhs)
     if full.ok and not full.skipped:
@@ -524,17 +522,17 @@ def check_equivalent_definitions(fn: BoundedFn, level: int) -> dict[str, CheckRe
 def _assoc_iii(dom):
     """(iii): F(F(xy) z) = F(x F(yz)), one outcome per split (x, y, z)."""
     vals, level = dom.vals, dom.level
+    splits = _splits(level, level)
     for w in vals:
         n = len(w)
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                u, v = vals[w[:j]], vals[w[i:]]
-                if len(u) + (n - j) > level or i + len(v) > level:
-                    yield SKIPPED
-                    continue
-                left, right = vals[u + w[j:]], vals[w[:i] + v]
-                yield None if left == right else Witness(
-                    (("x", w[:i]), ("y", w[i:j]), ("z", w[j:])), left, right)
+        for i, j in splits[n]:
+            u, v = vals[w[:j]], vals[w[i:]]
+            if len(u) + (n - j) > level or i + len(v) > level:
+                yield SKIPPED
+                continue
+            left, right = vals[u + w[j:]], vals[w[:i] + v]
+            yield None if left == right else Witness(
+                (("x", w[:i]), ("y", w[i:j]), ("z", w[j:])), left, right)
 
 
 def _assoc_iv(dom):

@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .checkers import (
+    _require_m,
     check_associative_full,
     check_m_determined_range,
     check_preassociative,
@@ -147,6 +148,7 @@ def check_quasi_inverse_conditions(
     because the empty string leads its own kernel class, so each instance
     compares F(x) with itself.
     """
+    _require_m(m)
     dom = fn.domain(level)
     if m + 1 > level:
         raise PreconditionError(

@@ -15,7 +15,12 @@ from strfn import (
     InsufficientHorizonError, NotApplicableError, Token, UnevaluableError, Witness,
     enumerate_strings, identity_alpha,
 )
-from strfn.checkers import _assoc_scan, _finish
+
+
+def _finish(witness, checked: int, skipped: int) -> CheckReport:
+    """The report of a scan that stopped at ``witness``, or ran through."""
+    verdict = FAILS if witness is not None else HOLDS if checked else VACUOUS
+    return CheckReport(verdict, witness, checked, skipped)
 
 
 def oracle_associative(fn: BoundedFn, level: int) -> tuple[bool, int]:
@@ -237,6 +242,35 @@ def oracle_decompositions_agree(fn: BoundedFn, level: int) -> CheckReport:
     return CheckReport(HOLDS if checked else VACUOUS, None, checked, skipped)
 
 
+def oracle_assoc_scan(dom, cap: int) -> tuple[CheckReport, int]:
+    """Associativity over the contexts with |x| + |z| <= ``cap``, by scan.
+
+    Every string w in length-lex order, every split (x, y, z) of w by |x|
+    and then by |x y|, stopping at the first failing instance.  Returns
+    the report and the number of strings entered, the failing one
+    included.
+    """
+    vals, level = dom.vals, dom.level
+    checked = skipped = entered = 0
+    for w in vals:
+        entered += 1
+        n = len(w)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                x, y, z = w[:i], w[i:j], w[j:]
+                if len(x) + len(z) > cap:
+                    continue
+                inner = vals[y]
+                if len(x) + len(inner) + len(z) > level:
+                    skipped += 1
+                    continue
+                checked += 1
+                if vals[w] != vals[x + inner + z]:
+                    witness = Witness((("x", x), ("y", y), ("z", z)), vals[w], vals[x + inner + z])
+                    return _finish(witness, checked, skipped), entered
+    return _finish(None, checked, skipped), entered
+
+
 def oracle_equiv_scan(dom) -> dict[str, CheckReport]:
     """The four equivalent definitions by scanning the whole domain.
 
@@ -245,15 +279,15 @@ def oracle_equiv_scan(dom) -> dict[str, CheckReport]:
     ``check_equivalent_definitions`` gives.
     """
     strings, vals, level = list(dom.vals), dom.vals, dom.level
-    witness, checked, skipped, entered = _assoc_scan(strings, vals, level, False)
+    full, entered = oracle_assoc_scan(dom, level)
     split = None
-    if witness is not None:
-        x, y, z = (v for _, v in witness.bindings)
+    if full.witness is not None:
+        x, y, z = (v for _, v in full.witness.bindings)
         split = Witness((("x", ""), ("y", ""), ("z", x + y + z), ("x2", x), ("y2", y),
-                         ("z2", z)), witness.lhs, witness.rhs)
+                         ("z2", z)), full.witness.lhs, full.witness.rhs)
     return {
-        "i": _finish(witness, checked, skipped),
-        "ii": _finish(split, checked - entered, skipped),
+        "i": full,
+        "ii": _finish(split, full.checked - entered, full.skipped),
         "iii": _oracle_iii(strings, vals, level),
         "iv": _oracle_iv(strings, vals, level),
     }

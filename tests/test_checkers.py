@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    oracle_assoc_scan,
     oracle_associative,
     oracle_decompositions_agree,
     oracle_associative_reduced,
@@ -61,10 +62,10 @@ from strfn.checkers import (
     _assoc_by_congruence,
     _assoc_by_one_letter_splits,
     _assoc_scan,
-    _finish,
     _is_congruence,
     _never_lengthens,
     _parting,
+    _splits,
 )
 from strfn.factorization import factorize
 from strfn.forkmap import starmap
@@ -704,22 +705,17 @@ def test_deciders_match_the_scans():
                 else "congruence" if _assoc_by_congruence(dom, level) is not None
                 else "scan")
         strings = {}
-        for reduced, check in ((False, check_associative_full),
-                               (True, check_associative_reduced)):
-            witness, checked, skipped, entered = _assoc_scan(list(dom.vals), dom.vals, level,
-                                                             reduced)
+        for cap, check in ((level, check_associative_full), (1, check_associative_reduced)):
             report = check(fn, level)
-            assert report == _finish(witness, checked, skipped), kind
+            assert report == oracle_assoc_scan(dom, cap)[0], kind
             seen[check.__name__, path, report.verdict, report.incomplete] += 1
-            if shrinks:
-                # The one-letter pass also counts the strings the scan enters.
-                assert _assoc_by_one_letter_splits(dom, reduced) == (report, entered), kind
-            if witness is not None:
-                strings[reduced] = "".join(v for _, v in witness.bindings)
+            if report.witness is not None:
+                strings[check] = "".join(v for _, v in report.witness.bindings)
         # With no skips, the reduced witness is the first string to fail a
         # one-letter split; a full witness before it came from another
         # failing string.
-        if shrinks and strings and strings[False] != strings[True]:
+        if shrinks and strings and (strings[check_associative_full]
+                                    != strings[check_associative_reduced]):
             seen["witness before the first one-letter failure"] += 1
         if dom.vals[""] == "":
             reports = check_equivalent_definitions(fn, level)
@@ -736,6 +732,22 @@ def test_deciders_match_the_scans():
     assert seen["witness before the first one-letter failure"] >= 10
     assert seen["equiv", "one-letter", HOLDS] >= 100
     assert seen["equiv", "one-letter", FAILS] >= 100
+
+
+def test_the_splits_within_a_cap_follow_their_definition():
+    # splits[t] is every (i, j), 0 <= i <= j <= t, with i + (t - j) <= cap,
+    # by i and then by j.  The identity over one letter holds with one
+    # string per length, so each length adds the one-letter pass's count
+    # per string to ``checked``.
+    a = Alphabet(("a",))
+    for n in range(8):
+        for cap in range(n + 2):
+            splits = _splits(n, cap)
+            assert splits == [[(i, j) for i in range(t + 1) for j in range(i, t + 1)
+                               if i + (t - j) <= cap] for t in range(n + 1)], (n, cap)
+            checked = [_assoc_by_one_letter_splits(identity_fn(a, t).domain(t), cap).checked
+                       for t in range(n + 1)]
+            assert checked[n] - (checked[n - 1] if n else 0) == len(splits[n]), (n, cap)
 
 
 def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
@@ -782,11 +794,10 @@ def test_holding_inputs_take_the_deciders(ab, ab3, monkeypatch):
             (ab, 6, reversed_sort, "abbbbb", "bbbabb")):
         fn = table_fn(alphabet, level, entries)
         dom = fn.domain(level)
-        for reduced, check, string in ((False, check_associative_full, failing),
-                                       (True, check_associative_reduced, first)):
-            witness, checked, skipped, _ = _assoc_scan(list(dom.vals), dom.vals, level, reduced)
+        for cap, check, string in ((level, check_associative_full, failing),
+                                   (1, check_associative_reduced, first)):
             report = check(fn, level)
-            assert report == _finish(witness, checked, skipped)
+            assert report == oracle_assoc_scan(dom, cap)[0]
             assert "".join(v for _, v in report.witness.bindings) == string
         assert check_equivalent_definitions(fn, level) == oracle_equiv_scan(dom)
     # "abbbbb" fails no one-letter split: F(abbb) = bbba puts it on the

@@ -21,6 +21,11 @@ from strfn import (
     Alphabet,
     ThetaSpec,
     check_associative_full,
+    check_bounded_retraction,
+    check_determination,
+    check_m_bounded,
+    check_m_determined_range,
+    check_quasi_inverse_conditions,
     extend,
     factorize,
     length_fn,
@@ -766,10 +771,21 @@ def test_fuzzed_api_arguments_raise_only_strfn_errors():
     lambda: check_associative_full(ofo_fn(Alphabet(("a", "b")), 3), True),
     lambda: sweep_alpha_tables(1, 1, jobs="x"),
     lambda: sweep_alpha_tables(1, 1, jobs=None),
+    lambda: check_m_bounded(ofo_fn(Alphabet(("a", "b")), 3), -1, 3),
+    lambda: check_m_determined_range(ofo_fn(Alphabet(("a", "b")), 3), -1, 3),
+    lambda: check_m_bounded(ofo_fn(Alphabet(("a", "b")), 3), "x", 3),
+    lambda: check_m_bounded(ofo_fn(Alphabet(("a", "b")), 3), True, 3),
+    lambda: check_bounded_retraction(ofo_fn(Alphabet(("a", "b")), 3), "x", 3),
+    lambda: check_determination(ofo_fn(Alphabet(("a", "b")), 3),
+                                ofo_fn(Alphabet(("a", "b")), 3), "x", 3),
+    lambda: check_quasi_inverse_conditions(ofo_fn(Alphabet(("a", "b")), 3), -1, 3),
+    lambda: check_quasi_inverse_conditions(ofo_fn(Alphabet(("a", "b")), 3), "x", 3),
 ], ids=["theta-empty-blocks", "theta-equal-blocks", "theta-str-bound", "builtin-int-params",
         "builtin-list-name", "sweep-str-horizon", "builtin-negative-bound", "builtin-str-bound",
         "builtin-bool-bound", "theta-rep-str-bound", "check-str-level", "check-bool-level",
-        "sweep-str-jobs", "sweep-none-jobs"])
+        "sweep-str-jobs", "sweep-none-jobs", "m-bounded-negative-m", "m-range-negative-m",
+        "m-bounded-str-m", "m-bounded-bool-m", "retraction-str-m", "determination-str-m",
+        "quasi-inverse-negative-m", "quasi-inverse-str-m"])
 def test_bad_api_arguments_raise_malformed_spec_errors(call):
     with pytest.raises(MalformedSpecError):
         call()
