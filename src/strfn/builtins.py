@@ -1,16 +1,18 @@
-"""Closed-form example functions: the toolkit's standard fixtures.
+"""Example functions, defined one letter at a time: the toolkit's standard fixtures.
 
 Every builtin is one :class:`BuiltinDef`: its registry name, its params,
-and a module-level closed form with those params bound.  Its factory
-validates the params and wraps it in a :class:`~strfn.core.BoundedFn`.
-A definition pickles, equals another with the same name and params, and
-hashes when its params do; ``length_of`` over a table, whose entries
-are a dict, does not.  ``BUILTINS`` registers each factory under the
-name spec files use for it.
+and a left-sequential machine over them (a start state, a step per
+letter and an output).  Its factory validates the params and wraps it
+in a :class:`~strfn.core.BoundedFn`.  A definition pickles, equals
+another with the same name and params, and hashes when its params do;
+``length_of`` over a table, whose entries are a dict, does not.
+``BUILTINS`` registers each factory under the name spec files use for
+it.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -22,20 +24,37 @@ if TYPE_CHECKING:
 
 
 class BuiltinDef:
-    """A builtin's definition: ``apply(s)`` is ``closed_form(*params.values(), s)``.
+    """A builtin's definition, run one letter at a time: ``machine(*params.values())``
+    gives its ``start`` state (the empty string's), ``step(state, letter)``
+    and ``out(state)``, which is None where the state is the value.
 
-    ``name`` and ``params`` are what a spec file holds, so the params are
-    given in the closed form's order, which is also the registry's.
+    ``apply(s)`` is the fold of s's letters from ``start``.  With no step
+    (``length_of`` over a definition that has none) the state is s itself.
+    ``name`` and ``params`` are what a spec file holds, in the machine's
+    order, which is also the registry's.
     """
 
-    __slots__ = ("name", "params", "codomain", "apply")
+    __slots__ = ("name", "params", "codomain", "machine", "start", "step", "out")
 
-    def __init__(self, name: str, closed_form: Callable[..., Value],
+    def __init__(self, name: str, machine: Callable[..., tuple],
                  codomain: str = STRING, **params: object) -> None:
         self.name = name
         self.params = params
         self.codomain = codomain
-        self.apply = partial(closed_form, *params.values())
+        self.machine = machine
+        self.start, self.step, self.out = machine(*params.values())
+
+    def apply(self, s: str) -> Value:
+        q, step = self.start, self.step
+        if step is None:
+            return self.out(s)
+        for a in s:
+            q = step(q, a)
+        return q if self.out is None else self.out(q)
+
+    def __reduce__(self) -> tuple:
+        # A copy builds its own steps, which may be closures, from the params.
+        return partial(BuiltinDef, self.name, self.machine, self.codomain, **self.params), ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BuiltinDef):
@@ -49,60 +68,62 @@ class BuiltinDef:
         return f"BuiltinDef({self.name!r}, {self.params!r})"
 
 
-def _identity(s: str) -> str:
-    return s
+# The machines.  A string builtin's state is its value: F(s·a) = step(F(s), a).
+
+def _identity() -> tuple:
+    return "", operator.add, None
 
 
-def _sort(order: tuple[str, ...], s: str) -> str:
-    """Stable sort of the letters by the given order."""
-    return "".join(sorted(s, key=order.index))
+def _sort(order: tuple[str, ...]) -> tuple:
+    upto = {a: order[:i + 1] for i, a in enumerate(order)}
+
+    def step(q: str, a: str) -> str:
+        at = sum(map(q.count, upto[a]))  # q is sorted: the letters up to a lead it
+        return q[:at] + a + q[at:]
+    return "", step, None
 
 
-def _letter_remove(letter: str, s: str) -> str:
-    """Delete every occurrence of one letter; a monoid endomorphism."""
-    return s.replace(letter, "")
+def _letter_remove(letter: str) -> tuple:
+    return "", lambda q, a: q if a == letter else q + a, None
 
 
-def _letter_remove_g(letter: str, s: str) -> str:
-    """Like ``_letter_remove``, except powers of the letter collapse to it.
-
-    Sends every string in {a}* (the empty string included) to "a", and
-    anything else to its letter-removed form.  Associative but not
-    standard: the value at the empty string is "a".
-    """
-    if set(s) <= {letter}:
-        return letter
-    return s.replace(letter, "")
+def _letter_remove_g(letter: str) -> tuple:
+    # The value is the letter itself exactly while the input is a power of it.
+    return letter, lambda q, a: q if a == letter else a if q == letter else q + a, None
 
 
-def _ofo(s: str) -> str:
-    """Keep only the first occurrence of each letter, in order."""
-    return "".join(dict.fromkeys(s))
+def _ofo() -> tuple:
+    return "", lambda q, a: q if a in q else q + a, None
 
 
-def _separator_insert(bar: str, s: str) -> str:
-    """Insert the bar letter between adjacent letters when neither is a bar."""
-    if not s:
-        return s
-    out = [s[0]]
-    for prev, cur in zip(s, s[1:]):
-        if prev != bar and cur != bar:
-            out.append(bar)
-        out.append(cur)
-    return "".join(out)
+def _separator_insert(bar: str) -> tuple:
+    # A value ends in its input's last letter.
+    return "", lambda q, a: q + bar + a if q and q[-1] != bar != a else q + a, None
 
 
-def _length(s: str) -> Token:
-    return Token(len(s))
+class _Tokens(dict):
+    """Token(n) by length n, each made once: a length-valued definition's memo."""
+
+    def __missing__(self, n: int) -> Token:
+        token = self[n] = Token(n)
+        return token
 
 
-def _inner_length(inner: object, s: str) -> Token:
-    """Length of another definition's output: |inner(x)|."""
-    return Token(len(inner.apply(s)))
+def _length() -> tuple:
+    return 0, lambda n, a: n + 1, _Tokens().__getitem__
 
 
-def _constant(value: Value, s: str) -> Value:
-    return value
+def _inner_length(inner: object) -> tuple:
+    # The inner definition's machine, with each value measured.
+    tokens = _Tokens()
+    if getattr(inner, "step", None) is None:
+        return "", None, lambda s: tokens[len(inner.apply(s))]
+    out = inner.out
+    return inner.start, inner.step, lambda q: tokens[len(q if out is None else out(q))]
+
+
+def _constant(value: Value) -> tuple:
+    return value, lambda q, a: q, None
 
 
 def identity_fn(alphabet: Alphabet, bound: int) -> BoundedFn:
@@ -112,7 +133,7 @@ def identity_fn(alphabet: Alphabet, bound: int) -> BoundedFn:
 def sort_fn(
     alphabet: Alphabet, bound: int, order: tuple[str, ...] | None = None
 ) -> BoundedFn:
-    """Sort letters by alphabet order, or by an explicit reordering of it."""
+    """Stable sort of the letters by alphabet order, or by an explicit reordering of it."""
     if order is None:
         order = alphabet.letters
     if sorted(order) != sorted(alphabet.letters):
@@ -123,28 +144,33 @@ def sort_fn(
 
 
 def letter_remove_fn(alphabet: Alphabet, bound: int, letter: str) -> BoundedFn:
+    """Delete every occurrence of one letter; a monoid endomorphism."""
     alphabet.index(letter)
-    return BoundedFn(alphabet, bound, BuiltinDef("letter_remove", _letter_remove,
-                                                 letter=letter))
+    return BoundedFn(alphabet, bound, BuiltinDef("letter_remove", _letter_remove, letter=letter))
 
 
 def letter_remove_g_fn(alphabet: Alphabet, bound: int, letter: str) -> BoundedFn:
+    """Like ``letter_remove_fn``, except that {a}* (the empty string included)
+    goes to "a": associative but not standard."""
     alphabet.index(letter)
     return BoundedFn(alphabet, bound, BuiltinDef("letter_remove_g", _letter_remove_g,
                                                  letter=letter))
 
 
 def ofo_fn(alphabet: Alphabet, bound: int) -> BoundedFn:
+    """Keep only the first occurrence of each letter, in order."""
     return BoundedFn(alphabet, bound, BuiltinDef("ofo", _ofo))
 
 
 def separator_insert_fn(alphabet: Alphabet, bound: int, bar: str) -> BoundedFn:
+    """Insert the bar letter between adjacent letters when neither is a bar."""
     alphabet.index(bar)
     return BoundedFn(alphabet, bound, BuiltinDef("separator_insert", _separator_insert,
                                                  bar=bar))
 
 
 def length_fn(alphabet: Alphabet, bound: int) -> BoundedFn:
+    """Token(|x|): the state is the length, and each length has one shared Token."""
     return BoundedFn(alphabet, bound, BuiltinDef("length", _length, TOKEN))
 
 

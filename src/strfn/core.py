@@ -4,8 +4,8 @@ Strings are plain Python ``str`` values and the empty string is the unit
 of concatenation.  An :class:`Alphabet` fixes the letter set together
 with the letter order used for sorting, lexicographic comparison, and
 length-lex enumeration.  Variadic string functions are carried by
-:class:`BoundedFn`: a definition (closed form or lookup table) evaluated
-on every string up to a length bound.
+:class:`BoundedFn`: a definition (a builtin's one-letter step, or a
+lookup table) evaluated on every string up to a length bound.
 
 All checkers in this package quantify over the bounded domain
 ``X^0 ∪ ... ∪ X^L`` in *length-lex* order: shorter strings first, ties
@@ -157,13 +157,56 @@ def power(x: str, n: int) -> str:
 def enumerate_strings(
     alphabet: Alphabet, max_len: int, min_len: int = 0
 ) -> Iterator[str]:
-    """Yield every string of length min_len..max_len in length-lex order."""
-    if max_len < 0:
-        raise ValueError(f"max_len must be nonnegative, got {max_len}")
-    letters = alphabet.letters
-    for k in range(min_len, max_len + 1):
-        for combo in itertools.product(letters, repeat=k):
-            yield "".join(combo)
+    """Yield every string of length min_len..max_len in length-lex order.
+
+    X^n in length-lex order is each head of length ⌈n/2⌉ in turn, followed
+    by each tail of length ⌊n/2⌋: those two levels, grown by :func:`_grow`
+    as the walk reaches them, are all it holds, and each string is one
+    concatenation.
+    """
+    if max_len < 0 or min_len < 0:
+        raise ValueError(f"lengths must be nonnegative, got {min_len}..{max_len}")
+    levels, grow = [[""]], _grow(alphabet.letters, [""], (max_len + 1) // 2)
+    for n in range(min_len, max_len + 1):
+        half = (n + 1) // 2
+        levels.extend(itertools.islice(grow, half + 1 - len(levels)))
+        yield from itertools.starmap(operator.add,
+                                     itertools.product(levels[half], levels[n - half]))
+
+
+def _grow(letters: tuple[str, ...], strings: list[str], upto: int,
+          vals: dict[str, Value] | None = None, step: Callable | None = None,
+          states: list | None = None, out: Callable | None = None) -> Iterator[list[str]]:
+    """Yield X^(n+1), ..., X^upto, each in length-lex order, from ``strings`` = X^n.
+
+    X^(n+1) in length-lex order is each string of X^n, in order, followed
+    by each letter in turn, so every string grows from its prefix.  With a
+    ``step``, each new string p·a also gets its value in ``vals`` before
+    its level is yielded: its state is step(q, a), q being p's state, and
+    its value out(state), or the state itself when ``out`` is None.  Such
+    a state is read back from ``vals``; any other rides along in
+    ``states``, the previous level's, which is all this keeps besides its
+    strings.  The strings are filled one by one in length-lex order, so a
+    step may read ``vals`` for any string before the one it makes.
+    """
+    for _ in range(len(strings[0]), upto):
+        if step is None:
+            strings = [p + a for p in strings for a in letters]
+            yield strings
+            continue
+        grown, moved = [], []
+        for p, q in zip(strings, map(vals.__getitem__, strings) if out is None else states):
+            for a in letters:
+                s = p + a
+                r = step(q, a)
+                grown.append(s)
+                if out is None:
+                    vals[s] = r
+                else:
+                    vals[s] = out(r)
+                    moved.append(r)
+        strings, states = grown, moved
+        yield strings
 
 
 def count_strings(alphabet: Alphabet, max_len: int) -> int:
@@ -193,7 +236,10 @@ class BoundedFn(Record):
 
     ``definition`` is any object with a ``codomain`` attribute
     ("string" or "token") and an ``apply(s) -> Value`` method; lookup
-    tables and the closed-form builtins both satisfy this.
+    tables and the builtins both satisfy this.  A definition that also
+    has ``start``, ``step(state, letter)`` and ``out`` (a function of the
+    state, or None where the state is the value) has its domain built one
+    letter at a time; ``apply`` must then be their fold.
     """
 
     __slots__ = ("alphabet", "bound", "definition", "_domain")
@@ -268,8 +314,7 @@ class Domain:
         self.alphabet = fn.alphabet
         self.level = level
         if vals is None:
-            apply = fn.definition.apply
-            vals = {s: apply(s) for s in enumerate_strings(fn.alphabet, level)}
+            vals = _evaluate(fn.definition, fn.alphabet, level)
         self.vals: dict[str, Value] = vals
 
     @cached_property
@@ -300,6 +345,24 @@ class Domain:
         """
         k = len(self.alphabet)
         return list(itertools.accumulate((t + 1) * k**t for t in range(self.level + 1)))
+
+
+def _evaluate(definition: object, alphabet: Alphabet, level: int) -> dict[str, Value]:
+    """The values of ``definition`` on X^{<=level}, keys in length-lex order.
+
+    A definition with a ``step`` is run one letter at a time from its
+    ``start`` state (see :func:`_grow`); any other is applied to each
+    string.
+    """
+    step = getattr(definition, "step", None)
+    if step is None:
+        apply = definition.apply
+        return {s: apply(s) for s in enumerate_strings(alphabet, level)}
+    start, out = definition.start, definition.out
+    vals = {"": start if out is None else out(start)}
+    for _ in _grow(alphabet.letters, [""], level, vals, step, [start], out):
+        pass
+    return vals
 
 
 def table_fn(

@@ -13,7 +13,7 @@ import itertools
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
-    STRING, Alphabet, BoundedFn, Record, Value, _total_table, count_strings,
+    STRING, Alphabet, BoundedFn, Record, Value, _grow, _is_count, _total_table, count_strings,
     enumerate_strings,
 )
 from .errors import ConditionsFailedError, MalformedSpecError, PreconditionError
@@ -170,30 +170,27 @@ def recursion_extension(spec: PartialSpec, level: int) -> BoundedFn:
         raise PreconditionError(
             f"extension level {level} must be at least m + 2 = {spec.m + 2}"
         )
-    # One table, filled in length-lex order: the stored parts are already
-    # validated, and every fold reads a shorter, already filled string.
-    # X^(n+1) in length-lex order is each string of X^n in order followed
-    # by each letter in turn, so a string's prefix is the one it grew from.
-    letters = spec.alphabet.letters
-    entries: dict[str, str] = {s: spec.value_at(s)
-                               for s in enumerate_strings(spec.alphabet, spec.m + 1)}
-    strings = [s for s in entries if len(s) == spec.m + 1]
-    for _ in range(spec.m + 2, level + 1):
-        grown = []
-        for prefix in strings:
-            head = entries[prefix]
-            for a in letters:
-                s = prefix + a
-                folded = head + a
-                if folded not in entries:
-                    raise MalformedSpecError(
-                        f"fold {folded!r} of {s!r} leaves the stored arities; "
-                        f"outputs must have at most m = {spec.m} letters"
-                    )
-                entries[s] = entries[folded]
-                grown.append(s)
-        strings = grown
-    return _total_table(spec.alphabet, level, STRING, entries)
+    # One table, filled in length-lex order by core's level loop: the
+    # stored parts first, then each longer string s·a from the fold of its
+    # prefix s, which the loop has already filled.
+    alphabet, m = spec.alphabet, spec.m
+    entries: dict[str, Value] = {s: spec.value_at(s)
+                                 for s in enumerate_strings(alphabet, m + 1)}
+
+    def step(head: str, a: str) -> Value:
+        return entries[head + a]
+
+    try:
+        for _ in _grow(alphabet.letters, list(enumerate_strings(alphabet, m + 1, m + 1)),
+                       level, entries, step):
+            pass
+    except KeyError:
+        s = next(s for s in enumerate_strings(alphabet, level) if s not in entries)
+        raise MalformedSpecError(
+            f"fold {entries[s[:-1]] + s[-1]!r} of {s!r} leaves the stored arities; "
+            f"outputs must have at most m = {m} letters"
+        ) from None
+    return _total_table(alphabet, level, STRING, entries)
 
 
 def extend(spec: PartialSpec, level: int) -> BoundedFn:
@@ -225,8 +222,9 @@ def check_determination(
     failure is raised as PreconditionError carrying the reports.  When
     the low-arity parts differ the claim does not apply: VACUOUS.
     """
-    from .checkers import check_associative_full, check_m_bounded
+    from .checkers import _require_m, check_associative_full, check_m_bounded
 
+    _require_m(m)
     if fn.alphabet != other.alphabet:
         raise PreconditionError("determination check requires a common alphabet")
     f_vals = fn.domain(level).vals
@@ -261,8 +259,11 @@ def identity_patch(fn: BoundedFn, k: int, m: int, level: int) -> BoundedFn:
     patched entries are read off the checked domain in length-lex order, so
     the result is its own domain at ``level``.
     """
-    from .checkers import check_associative_full, check_m_bounded
+    from .checkers import _require_m, check_associative_full, check_m_bounded
 
+    _require_m(m)
+    if not _is_count(k):
+        raise MalformedSpecError(f"patch arity k must be a nonnegative int, got {k!r}")
     if k > m:
         raise PreconditionError(f"patch arity {k} exceeds the bound m = {m}")
     _require_gates("patch", {

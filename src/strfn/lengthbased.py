@@ -359,9 +359,10 @@ def psi_table(pairs: Mapping[int, str] | Sequence[tuple[int, str]]) -> PsiTable:
     return PsiTable(tuple(pairs.items()) if isinstance(pairs, Mapping) else pairs)
 
 
-def _psi_alpha_length(alpha: AlphaFn, psi: PsiTable, s: str) -> str:
-    """Closed form psi(alpha(|x|)); associative whenever alpha classifies."""
-    return psi.apply(eval_alpha(alpha, len(s)))
+def _psi_alpha(alpha: AlphaFn, psi: PsiTable) -> tuple:
+    """The machine of psi(alpha(|x|)), associative whenever alpha
+    classifies: the state is the length n."""
+    return 0, lambda n, a: n + 1, lambda n: psi.apply(eval_alpha(alpha, n))
 
 
 def compose_length_based(
@@ -374,7 +375,7 @@ def compose_length_based(
         out = psi.apply(eval_alpha(alpha, k))
         alphabet.validate(out)
     return BoundedFn(alphabet, bound,
-                     BuiltinDef("length_based", _psi_alpha_length, alpha=alpha, psi=psi))
+                     BuiltinDef("length_based", _psi_alpha, alpha=alpha, psi=psi))
 
 
 class LengthBasedRejection(Record):

@@ -13,8 +13,9 @@ import itertools
 from strfn import (
     FAILS, HOLDS, VACUOUS, AlphaFn, AlphaRejection, BoundedFn, CheckReport,
     InsufficientHorizonError, NotApplicableError, Token, UnevaluableError, Witness,
-    enumerate_strings, identity_alpha,
+    enumerate_strings, eval_alpha, identity_alpha,
 )
+from strfn.builtins import BuiltinDef
 
 
 def _finish(witness, checked: int, skipped: int) -> CheckReport:
@@ -380,6 +381,41 @@ def oracle_alpha_equations(values) -> CheckReport:
                         detail="equal values fail to shift together",
                     )
     return CheckReport(HOLDS if checked else VACUOUS, None, checked, 0)
+
+
+def _separator_insert(bar: str, s: str) -> str:
+    if not s:
+        return s
+    out = [s[0]]
+    for prev, cur in zip(s, s[1:]):
+        if prev != bar and cur != bar:
+            out.append(bar)
+        out.append(cur)
+    return "".join(out)
+
+
+# Each builtin's closed form, keyed by its registry name: f(params, s).
+_CLOSED_FORMS = {
+    "identity": lambda p, s: s,
+    "sort": lambda p, s: "".join(sorted(s, key=p["order"].index)),
+    "letter_remove": lambda p, s: s.replace(p["letter"], ""),
+    "letter_remove_g": lambda p, s: (p["letter"] if set(s) <= {p["letter"]}
+                                     else s.replace(p["letter"], "")),
+    "ofo": lambda p, s: "".join(dict.fromkeys(s)),
+    "separator_insert": lambda p, s: _separator_insert(p["bar"], s),
+    "length": lambda p, s: Token(len(s)),
+    "length_of": lambda p, s: Token(len(oracle_builtin(p["inner"])(s))),
+    "constant": lambda p, s: p["value"],
+    "length_based": lambda p, s: p["psi"].apply(eval_alpha(p["alpha"], len(s))),
+}
+
+
+def oracle_builtin(definition):
+    """A builtin definition's closed form as a function of the string,
+    from its name and params alone; any other definition's ``apply``."""
+    if not isinstance(definition, BuiltinDef):
+        return definition.apply
+    return functools.partial(_CLOSED_FORMS[definition.name], definition.params)
 
 
 def oracle_standard(fn: BoundedFn, level: int) -> bool:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from strfn import (
@@ -8,6 +10,7 @@ from strfn import (
     PreconditionError,
     Token,
     build_builtin,
+    compose_length_based,
     constant_fn,
     enumerate_strings,
     identity_alpha,
@@ -20,7 +23,11 @@ from strfn import (
     psi_table,
     separator_insert_fn,
     sort_fn,
+    table_fn,
 )
+from strfn.builtins import BuiltinDef
+
+from helpers import oracle_builtin
 
 
 def test_identity(ab):
@@ -194,3 +201,66 @@ def test_build_builtin_missing_param(ab):
 def test_build_builtin_rejects_a_param_of_another_kind(ab, name, params):
     with pytest.raises(MalformedSpecError, match=r"parameter '\w+' must be"):
         build_builtin(name, ab, 3, params)
+
+
+def _instances():
+    """ROADMAP item 8's 46 instances, every builtin over ab, ba, abc and a|b
+    with every letter as the parameter, then the rest of the registry and
+    ``length_of`` over each string-valued one."""
+    made = []
+    for letters in ("ab", "ba", "abc", "a|b"):
+        alphabet = Alphabet(tuple(letters))
+        made += [(f"{name}-{letters}", lambda b, f=f, x=alphabet: f(x, b))
+                 for name, f in (("identity", identity_fn), ("ofo", ofo_fn),
+                                 ("sort", sort_fn), ("length", length_fn))]
+        made += [(f"{name}-{letters}-{c}", lambda b, f=f, x=alphabet, c=c: f(x, b, c))
+                 for name, f in (("letter_remove", letter_remove_fn),
+                                 ("letter_remove_g", letter_remove_g_fn),
+                                 ("separator_insert", separator_insert_fn))
+                 for c in letters]
+    assert len(made) == 46
+    abc = Alphabet(("a", "b", "c"))
+    made += [
+        ("sort-abc-cab", lambda b: sort_fn(abc, b, ("c", "a", "b"))),
+        ("constant-abc-ca", lambda b: constant_fn(abc, b, "ca")),
+        ("constant-abc-token", lambda b: constant_fn(abc, b, Token("k"))),
+        ("length_based-ab", lambda b: compose_length_based(
+            Alphabet(("a", "b")), b, identity_alpha(),
+            psi_table({n: "a" * n for n in range(b + 1)}))),
+    ]
+    made += [(f"length_of-{name}", lambda b, make=make: length_of_fn(make(b)))
+             for name, make in made if make(0).string_valued]
+    return made
+
+
+INSTANCES = _instances()
+
+
+@pytest.mark.parametrize("name, make", INSTANCES, ids=[name for name, _ in INSTANCES])
+def test_machines_match_the_closed_forms(monkeypatch, name, make):
+    rng = random.Random(name)
+    fn = make(12)
+    closed = oracle_builtin(fn.definition)
+    letters = fn.alphabet.letters
+    for s in ("".join(rng.choices(letters, k=rng.randint(0, 12))) for _ in range(200)):
+        assert fn.eval(s) == closed(s)
+    # A domain is stepped one letter at a time, and never applies the definition.
+    monkeypatch.setattr(BuiltinDef, "apply", None)
+    for level in range(8):
+        expected = {s: closed(s) for s in enumerate_strings(fn.alphabet, level)}
+        assert list(make(level).value_map().items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("level", [0, 1, 5, 9])
+def test_a_length_domain_shares_one_token_per_length(ab, level):
+    for fn in (length_fn(ab, level), length_of_fn(identity_fn(ab, level))):
+        tokens = {id(v): v for v in fn.value_map().values()}
+        assert sorted(v.payload for v in tokens.values()) == list(range(level + 1))
+
+
+def test_length_of_a_table_applies_it(ab):
+    inner = table_fn(ab, 4, {s: s[:1] for s in enumerate_strings(ab, 4)})
+    fn = length_of_fn(inner)
+    assert fn.definition.step is None
+    assert fn.value_map() == {s: Token(min(len(s), 1)) for s in enumerate_strings(ab, 4)}
+    assert fn.eval("ab") == Token(1)

@@ -19,6 +19,7 @@ import pytest
 import strfn
 from strfn import (
     Alphabet,
+    BoundedFn,
     ThetaSpec,
     check_associative_full,
     check_bounded_retraction,
@@ -28,6 +29,7 @@ from strfn import (
     check_quasi_inverse_conditions,
     extend,
     factorize,
+    identity_patch,
     length_fn,
     length_of_fn,
     letter_remove_g_fn,
@@ -780,15 +782,45 @@ def test_fuzzed_api_arguments_raise_only_strfn_errors():
                                 ofo_fn(Alphabet(("a", "b")), 3), "x", 3),
     lambda: check_quasi_inverse_conditions(ofo_fn(Alphabet(("a", "b")), 3), -1, 3),
     lambda: check_quasi_inverse_conditions(ofo_fn(Alphabet(("a", "b")), 3), "x", 3),
+    lambda: check_determination(ofo_fn(Alphabet(("a", "b")), 3),
+                                ofo_fn(Alphabet(("a", "b")), 3), True, 3),
+    lambda: identity_patch(ofo_fn(Alphabet(("a", "b")), 3), 1, "x", 3),
+    lambda: identity_patch(ofo_fn(Alphabet(("a", "b")), 3), "x", 2, 3),
+    lambda: identity_patch(ofo_fn(Alphabet(("a", "b")), 3), True, 2, 3),
+    lambda: identity_patch(ofo_fn(Alphabet(("a", "b")), 3), -1, 2, 3),
 ], ids=["theta-empty-blocks", "theta-equal-blocks", "theta-str-bound", "builtin-int-params",
         "builtin-list-name", "sweep-str-horizon", "builtin-negative-bound", "builtin-str-bound",
         "builtin-bool-bound", "theta-rep-str-bound", "check-str-level", "check-bool-level",
         "sweep-str-jobs", "sweep-none-jobs", "m-bounded-negative-m", "m-range-negative-m",
         "m-bounded-str-m", "m-bounded-bool-m", "retraction-str-m", "determination-str-m",
-        "quasi-inverse-negative-m", "quasi-inverse-str-m"])
+        "quasi-inverse-negative-m", "quasi-inverse-str-m", "determination-bool-m",
+        "patch-str-m", "patch-str-k", "patch-bool-k", "patch-negative-k"])
 def test_bad_api_arguments_raise_malformed_spec_errors(call):
     with pytest.raises(MalformedSpecError):
         call()
+
+
+class _Counting:
+    """A definition that counts its ``apply`` calls."""
+
+    def __init__(self, inner):
+        self.inner, self.codomain, self.calls = inner, inner.codomain, 0
+
+    def apply(self, s):
+        self.calls += 1
+        return self.inner.apply(s)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fn: check_determination(fn, fn, "x", 6),
+    lambda fn: identity_patch(fn, 1, "x", 6),
+    lambda fn: identity_patch(fn, "x", 2, 6),
+], ids=["determination", "patch-m", "patch-k"])
+def test_a_bad_m_or_k_is_refused_before_any_evaluation(call):
+    counting = _Counting(ofo_fn(Alphabet(("a", "b")), 6).definition)
+    with pytest.raises(MalformedSpecError):
+        call(BoundedFn(Alphabet(("a", "b")), 6, counting))
+    assert counting.calls == 0
 
 
 _THETA_VALUES = ["", "a", "b", "c", "|", "aa", "ab", "ba", "bb", "abc", "cab", "a|",
