@@ -160,53 +160,50 @@ def enumerate_strings(
     """Yield every string of length min_len..max_len in length-lex order.
 
     X^n in length-lex order is each head of length ⌈n/2⌉ in turn, followed
-    by each tail of length ⌊n/2⌋: those two levels, grown by :func:`_grow`
-    as the walk reaches them, are all it holds, and each string is one
-    concatenation.
+    by each tail of length ⌊n/2⌋.  So the walk holds only the strings up to
+    half its length, grown by :func:`_grow` as it reaches them, and makes
+    each string by one concatenation.
     """
     if max_len < 0 or min_len < 0:
         raise ValueError(f"lengths must be nonnegative, got {min_len}..{max_len}")
-    levels, grow = [[""]], _grow(alphabet.letters, [""], (max_len + 1) // 2)
+    letters, halves, levels = alphabet.letters, {"": ""}, [[""]]
     for n in range(min_len, max_len + 1):
         half = (n + 1) // 2
-        levels.extend(itertools.islice(grow, half + 1 - len(levels)))
+        while len(levels) <= half:  # the next level, the newest keys of ``halves``
+            _grow(letters, halves, levels[-1], len(levels), operator.add)
+            levels.append(list(halves)[len(halves) - len(letters) * len(levels[-1]):])
         yield from itertools.starmap(operator.add,
                                      itertools.product(levels[half], levels[n - half]))
 
 
-def _grow(letters: tuple[str, ...], strings: list[str], upto: int,
-          vals: dict[str, Value] | None = None, step: Callable | None = None,
-          states: list | None = None, out: Callable | None = None) -> Iterator[list[str]]:
-    """Yield X^(n+1), ..., X^upto, each in length-lex order, from ``strings`` = X^n.
+def _grow(letters: tuple[str, ...], vals: dict[str, Value], strings: list[str], upto: int,
+          step: Callable, states: list | None = None, out: Callable | None = None) -> None:
+    """Fill ``vals`` on X^(n+1), ..., X^upto from ``strings``, X^n in length-lex order.
 
-    X^(n+1) in length-lex order is each string of X^n, in order, followed
-    by each letter in turn, so every string grows from its prefix.  With a
-    ``step``, each new string p·a also gets its value in ``vals`` before
-    its level is yielded: its state is step(q, a), q being p's state, and
-    its value out(state), or the state itself when ``out`` is None.  Such
-    a state is read back from ``vals``; any other rides along in
-    ``states``, the previous level's, which is all this keeps besides its
-    strings.  The strings are filled one by one in length-lex order, so a
-    step may read ``vals`` for any string before the one it makes.
+    X^(n+1) in length-lex order is each string p of X^n, in order, followed
+    by each letter a in turn.  So p·a gets the state step(q, a), q being
+    p's state, and the value out(state), or the state itself when ``out``
+    is None; and the strings of a level are the newest keys of ``vals``
+    once it is filled.  A state that is the value is read back from
+    ``vals``; any other rides along in ``states``, the previous level's.
+    Besides those, only the previous level's strings are kept.  The strings
+    are filled one by one, so a step may read ``vals`` for any string
+    before the one it makes.
     """
-    for _ in range(len(strings[0]), upto):
-        if step is None:
-            strings = [p + a for p in strings for a in letters]
-            yield strings
-            continue
-        grown, moved = [], []
+    for n in range(len(strings[0]) + 1, upto + 1):
+        moved = []
         for p, q in zip(strings, map(vals.__getitem__, strings) if out is None else states):
             for a in letters:
-                s = p + a
                 r = step(q, a)
-                grown.append(s)
                 if out is None:
-                    vals[s] = r
+                    vals[p + a] = r
                 else:
-                    vals[s] = out(r)
+                    vals[p + a] = out(r)
                     moved.append(r)
-        strings, states = grown, moved
-        yield strings
+        if n < upto:
+            strings = list(itertools.islice(reversed(vals), len(strings) * len(letters)))
+            strings.reverse()
+        states = moved
 
 
 def count_strings(alphabet: Alphabet, max_len: int) -> int:
@@ -360,8 +357,7 @@ def _evaluate(definition: object, alphabet: Alphabet, level: int) -> dict[str, V
         return {s: apply(s) for s in enumerate_strings(alphabet, level)}
     start, out = definition.start, definition.out
     vals = {"": start if out is None else out(start)}
-    for _ in _grow(alphabet.letters, [""], level, vals, step, [start], out):
-        pass
+    _grow(alphabet.letters, vals, [""], level, step, [start], out)
     return vals
 
 

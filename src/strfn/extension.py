@@ -181,9 +181,8 @@ def recursion_extension(spec: PartialSpec, level: int) -> BoundedFn:
         return entries[head + a]
 
     try:
-        for _ in _grow(alphabet.letters, list(enumerate_strings(alphabet, m + 1, m + 1)),
-                       level, entries, step):
-            pass
+        _grow(alphabet.letters, entries, list(enumerate_strings(alphabet, m + 1, m + 1)),
+              level, step)
     except KeyError:
         s = next(s for s in enumerate_strings(alphabet, level) if s not in entries)
         raise MalformedSpecError(
