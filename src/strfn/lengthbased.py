@@ -35,8 +35,8 @@ from .errors import (
     UnevaluableError, WitnessError,
 )
 
-# reports, checkers, builtins and forkmap are imported by the functions
-# that use them, so classifying profiles compiles none of them.
+# reports, checkers and builtins are imported by the functions that use
+# them, so classifying profiles compiles none of them.
 if TYPE_CHECKING:
     from .reports import CheckReport
 
@@ -552,37 +552,47 @@ class AlphaSweep(Record):
         return not self.mismatches
 
 
-def _sweep_chunk(prefix: int, horizon: int, max_value: int) -> AlphaSweep:
-    equations_hold = accepted = insufficient = 0
-    mismatches = []
-    above = max_value > horizon  # else no entry can exceed the horizon
-    for values in itertools.product((prefix,), *[range(max_value + 1)] * horizon):
-        try:
-            ok = _shape(values)[2]
-        except InsufficientHorizonError:
-            insufficient += 1
-            continue
-        if above and max(values) > horizon:
-            insufficient += 1
-            continue
-        holds = _equations_hold(values)
-        equations_hold += holds
-        accepted += ok
-        if ok != holds:
-            mismatches.append(values)
-    total = (max_value + 1) ** horizon
-    return AlphaSweep(total, equations_hold, accepted, total - insufficient - accepted,
-                      insufficient, mismatches)
-
-
 def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSweep:
     """Compare the profile equations with classify_alpha over all tables.
 
-    Enumerates every table of length horizon+1 with entries 0..max_value.
-    A table is counted under ``insufficient``, and left out of the
+    Covers every table of length horizon+1 with entries 0..max_value.  A
+    table is counted under ``insufficient``, and left out of the
     comparison, when classify_alpha raises InsufficientHorizonError or an
     entry exceeds the horizon (possible when max_value > horizon), where
-    the equations cannot be evaluated.  Deterministic for any worker count.
+    the equations cannot be evaluated.  ``mismatches`` lists the tables
+    the two disagree on in lexicographic order.  ``jobs`` is checked and
+    has no effect: the sweep runs in-process.
+
+    Each decider runs only on the tables its own code can accept, and
+    every other table is counted without being built:
+
+    - Equations.  :func:`_equations_hold` fails at the first n with
+      alpha(alpha(n)) != alpha(n), so only an idempotent table holds.
+      Such a table is its image F, a nonempty set of fixed points, and a
+      map of every other n into F; each is made once, from its F.  A
+      holding table counts unless :func:`_shape` raises on it.
+    - Shape.  :func:`_shape` accepts the identity, and tables with
+      threshold n1 and period ell where horizon >= n1 + 2 ell.  There no
+      n < n1 is moved, since n1 is at most every moved n; the tail
+      repeats the window values[n1 : n1 + ell]; and each window entry is
+      n plus a multiple of ell (see :func:`_shape`).  So each accepted
+      table is made from some (n1, ell, window) whose entries are at most
+      the horizon (a larger one makes the table insufficient).  In each
+      table made so, _shape finds that same n1 and ell, so it never
+      raises and no table is made twice.  Every moved n and alpha(n) is
+      at least n1, and every jump a multiple of ell.  The entry at n1, or
+      its repeat at n1 + ell, is moved, which gives n1.  A window entry
+      n + j ell with j > 0 repeats at n + (j - 1) ell, a jump of ell;
+      with none, the repeat at n1 + ell jumps by ell.
+    - Insufficient.  :func:`_shape` raises exactly when some n is moved
+      and horizon < n1 + 2 ell, n1 being the least min(n, alpha(n)) and
+      ell the least |alpha(n) - n| over the moved n.  One pass over the
+      positions counts the prefixes by their (n1, ell) so far, and counts
+      every completion of a prefix at once when its next entry exceeds
+      the horizon.
+
+    ``rejected`` is then total - insufficient - accepted, and a mismatch
+    is a table in one of the two accepted sets and not in the other.
     """
     if not _is_count(horizon):
         raise MalformedSpecError(f"horizon must be a nonnegative int, got {horizon!r}")
@@ -590,17 +600,45 @@ def sweep_alpha_tables(horizon: int, max_value: int, jobs: int = 1) -> AlphaSwee
         raise MalformedSpecError(f"max_value must be a nonnegative int, got {max_value!r}")
     if not (_is_int(jobs) and jobs > 0):
         raise MalformedSpecError(f"jobs must be a positive int, got {jobs!r}")
-    from .forkmap import starmap
+    size, top = horizon + 1, min(horizon, max_value)
 
-    chunks = starmap(
-        _sweep_chunk, [(p, horizon, max_value) for p in range(max_value + 1)], jobs
-    )
-    total = AlphaSweep()
-    for chunk in chunks:
-        total.total += chunk.total
-        total.equations_hold += chunk.equations_hold
-        total.accepted += chunk.accepted
-        total.rejected += chunk.rejected
-        total.insufficient += chunk.insufficient
-        total.mismatches += chunk.mismatches
-    return total
+    holding = set()
+    for k in range(1, top + 2):
+        for image in itertools.combinations(range(top + 1), k):
+            options = [(n,) if n in image else image for n in range(size)]
+            for values in itertools.product(*options):
+                if _equations_hold(values):
+                    try:
+                        _shape(values)
+                    except InsufficientHorizonError:
+                        continue
+                    holding.add(values)
+
+    candidates = [tuple(range(size))] if top == horizon else []
+    for ell in range(1, horizon // 2 + 1):
+        for n1 in range(horizon - 2 * ell + 1):
+            for window in itertools.product(*[range(n, top + 1, ell)
+                                              for n in range(n1, n1 + ell)]):
+                candidates.append((*range(n1), *(window * (size // ell + 1))[: size - n1]))
+    accepted = {values for values in candidates if _shape(values)[2]}
+
+    # Prefixes by (n1, ell) of their moved n; ell = 0 while none is moved,
+    # and n1 starts at the horizon, which no min(n, alpha(n)) exceeds.
+    insufficient, prefixes = 0, {(horizon, 0): 1}
+    for n in range(size):
+        completions = (max_value - top) * (max_value + 1) ** (horizon - n)
+        grown: dict[tuple[int, int], int] = {}
+        for (n1, ell), count in prefixes.items():
+            insufficient += count * completions
+            for v in range(top + 1):
+                jump = abs(v - n)
+                key = (min(n1, n, v), min(ell or jump, jump)) if jump else (n1, ell)
+                grown[key] = grown.get(key, 0) + count
+        prefixes = grown
+    insufficient += sum(count for (n1, ell), count in prefixes.items()
+                        if ell and horizon < n1 + 2 * ell)
+
+    total = (max_value + 1) ** size
+    return AlphaSweep(total, len(holding), len(accepted),
+                      total - insufficient - len(accepted), insufficient,
+                      sorted(accepted ^ holding))

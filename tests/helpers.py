@@ -11,10 +11,11 @@ import functools
 import itertools
 
 from strfn import (
-    FAILS, HOLDS, VACUOUS, AlphaFn, AlphaRejection, BoundedFn, CheckReport,
+    FAILS, HOLDS, VACUOUS, AlphaFn, AlphaRejection, AlphaSweep, BoundedFn, CheckReport,
     InsufficientHorizonError, NotApplicableError, Token, UnevaluableError, Witness,
     enumerate_strings, eval_alpha, identity_alpha,
 )
+from strfn import lengthbased
 from strfn.builtins import BuiltinDef
 
 
@@ -534,6 +535,33 @@ def oracle_classify(values):
                 "periodicity", f"alpha({n}) = {values[n]} but alpha({n + ell}) = {values[n + ell]}"
             )
     return AlphaFn("structured", n1, ell, tuple(values[: n1 + ell]))
+
+
+def oracle_sweep(horizon, max_value):
+    """``sweep_alpha_tables`` by running both deciders on every table in turn.
+
+    The deciders are read from ``lengthbased`` at each call, so a test
+    that replaces one there replaces it here too.
+    """
+    equations_hold = accepted = insufficient = 0
+    mismatches = []
+    for values in itertools.product(range(max_value + 1), repeat=horizon + 1):
+        try:
+            ok = lengthbased._shape(values)[2]
+        except InsufficientHorizonError:
+            insufficient += 1
+            continue
+        if max(values) > horizon:
+            insufficient += 1
+            continue
+        holds = lengthbased._equations_hold(values)
+        equations_hold += holds
+        accepted += ok
+        if ok != holds:
+            mismatches.append(values)
+    total = (max_value + 1) ** (horizon + 1)
+    return AlphaSweep(total, equations_hold, accepted, total - insufficient - accepted,
+                      insufficient, mismatches)
 
 
 def oracle_period_break(values, start, period):

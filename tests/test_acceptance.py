@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from helpers import random_string_table, random_token_table
+from helpers import oracle_sweep, random_string_table, random_token_table
 from strfn import (
     Alphabet,
     ThetaSpec,
@@ -183,7 +183,8 @@ def test_criterion_06_preassociativity_transfers(ab3):
 
 def test_criterion_07_alpha_sweep():
     result = sweep_alpha_tables(6, 6, jobs=4)
-    ok = (result.total == 7 ** 7 == 823543
+    ok = (result == oracle_sweep(6, 6)
+          and result.total == 7 ** 7 == 823543
           and result.agree
           and result.mismatches == []
           and result.insufficient > 0

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import random
-import time
 from collections import Counter
 
 import pytest
@@ -30,11 +28,9 @@ from strfn import (
     VACUOUS,
     Alphabet,
     CheckReport,
-    InsufficientHorizonError,
     NotApplicableError,
     PreconditionError,
     Token,
-    WorkerError,
     check_associative_full,
     check_associative_reduced,
     check_equivalent_definitions,
@@ -55,7 +51,6 @@ from strfn import (
     ofo_fn,
     separator_insert_fn,
     sort_fn,
-    sweep_alpha_tables,
     table_fn,
 )
 from strfn.checkers import (
@@ -68,7 +63,6 @@ from strfn.checkers import (
     _splits,
 )
 from strfn.factorization import factorize
-from strfn.forkmap import starmap
 
 
 def fixture_functions(ab3):
@@ -200,108 +194,6 @@ def test_late_failures_and_seeded_tables(ab, ab3):
         assert check_associative_reduced(fn, 4).verdict == FAILS
         fn = random_string_table(ab, 4, rng, out_max=2)
         assert check_associative_full(fn, 4).ok == oracle_associative(fn, 4)[0]
-
-
-def _counting_forks(monkeypatch):
-    """The pids that ``os.fork`` returns to the caller from now on."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def test_pool_never_outnumbers_tasks_or_cpus(monkeypatch):
-    # The caller runs one share itself, so w workers fork w - 1 children.
-    forks = _counting_forks(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    serial = sweep_alpha_tables(3, 3)
-    assert forks == []
-    assert sweep_alpha_tables(3, 3, jobs=500) == serial
-    assert len(forks) == 3
-    assert sweep_alpha_tables(3, 3, jobs=3) == serial
-    assert len(forks) == 3 + 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert sweep_alpha_tables(3, 3, jobs=500) == serial
-    assert len(forks) == 3 + 2
-
-
-CALLER = os.getpid()
-
-
-def _square(i):
-    return i * i, os.getpid() == CALLER
-
-
-def _fails_in_child(i):
-    if os.getpid() != CALLER:
-        raise ValueError(f"task {i} failed in a child")
-    return i
-
-
-def _fails_in_caller(i):
-    if os.getpid() == CALLER:
-        raise KeyboardInterrupt(f"task {i} interrupted the caller")
-    time.sleep(30)  # until the caller kills it
-    return i
-
-
-def _exits_in_child(i):
-    if os.getpid() != CALLER:
-        os._exit(7)
-    return i
-
-
-class _TwoArgError(Exception):
-    def __init__(self, first, second):  # pickle rebuilds it from args, which lack second
-        super().__init__(first)
-
-
-def _unsendable_in_child(i):
-    if os.getpid() != CALLER:
-        raise _TwoArgError(1, 2)  # its pickle does not load back
-    return i
-
-
-def _horizon_in_child(i):
-    if os.getpid() != CALLER:
-        raise InsufficientHorizonError(1, 2, 3)
-    return i
-
-
-@pytest.mark.parametrize("task, error, message", [
-    (_fails_in_child, ValueError, "^task 1 failed in a child$"),
-    (_fails_in_caller, KeyboardInterrupt, "^task 0 interrupted the caller$"),
-    (_exits_in_child, WorkerError, r"ended without its results \(exit status 7\)$"),
-    (_unsendable_in_child, WorkerError, "could not send its outcome: TypeError"),
-    (_horizon_in_child, InsufficientHorizonError,
-     r"^horizon 3 too small for threshold 1 and period 2: need horizon >= 5$"),
-], ids=["child-raises", "caller-interrupted", "child-exits", "child-unsendable",
-        "child-horizon-error"])
-def test_fork_map_raises_and_leaves_no_child(monkeypatch, task, error, message):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    start = time.monotonic()
-    with pytest.raises(error, match=message):
-        starmap(task, [(i,) for i in range(4)], 2)
-    assert time.monotonic() - start < 10  # no child outlived the error
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_fork_map_keeps_task_order_on_an_uneven_split(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    forks = _counting_forks(monkeypatch)
-    # Two workers: the caller runs the even tasks, one child the odd ones.
-    assert starmap(_square, [(i,) for i in range(7)], 2) == [
-        (i * i, i % 2 == 0) for i in range(7)]
-    assert sweep_alpha_tables(2, 4, jobs=2) == sweep_alpha_tables(2, 4)
-    assert len(forks) == 2
 
 
 # -------------------------------------------------------------- preassociativity

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import oracle_alpha_equations, oracle_classify, oracle_period_break
+from helpers import oracle_alpha_equations, oracle_classify, oracle_period_break, oracle_sweep
 from strfn import (
     FAILS,
     HOLDS,
@@ -297,13 +297,24 @@ def test_classify_matches_the_oracle_on_random_tables():
 
 @pytest.mark.parametrize("planted", [(0, 1, 2, 3), (0, 1, 1, 3)])
 def test_sweep_reports_a_planted_disagreement(monkeypatch, planted):
-    # The sweep compares the verdict pass with the equations: flipping the
-    # equations on one table, accepted or rejected, must show there alone.
+    # The sweep runs each decider only on the tables that decider can
+    # accept, so a flipped verdict shows only inside its candidate set:
+    # for the equations an idempotent table, accepted or rejected, and for
+    # the shape an accepted table.  Each flip must show there alone.
     assert sweep_alpha_tables(3, 3).agree
     holds = lengthbased._equations_hold
     monkeypatch.setattr(lengthbased, "_equations_hold",
                         lambda values: holds(values) != (values == planted))
     assert sweep_alpha_tables(3, 3, jobs=1).mismatches == [planted]
+    monkeypatch.undo()
+    shape = lengthbased._shape
+
+    def flipped(values):
+        n, ell, ok = shape(values)
+        return n, ell, ok != (values == (0, 2, 2, 2))
+
+    monkeypatch.setattr(lengthbased, "_shape", flipped)
+    assert sweep_alpha_tables(3, 3).mismatches == [(0, 2, 2, 2)]
 
 
 def test_classify_outcome_counts_at_horizon_four():
@@ -536,6 +547,43 @@ def test_sweep_totals_at_horizon_five():
     sweep = sweep_alpha_tables(5, 5)
     assert (sweep.total, sweep.equations_hold, sweep.accepted, sweep.rejected,
             sweep.insufficient, sweep.mismatches) == (46656, 34, 34, 46012, 610, [])
+
+
+def test_sweep_matches_the_oracle_at_every_small_size():
+    # Horizons below, at and above max_value, up to 120 000 tables each.
+    sizes = [(h, m) for h in range(17) for m in range(17) if (m + 1) ** (h + 1) <= 120_000]
+    assert len(sizes) == 113
+    for horizon, max_value in sizes:
+        assert sweep_alpha_tables(horizon, max_value) == oracle_sweep(horizon, max_value), \
+            (horizon, max_value)
+
+
+def test_sweep_lists_mismatches_in_the_oracle_order(monkeypatch):
+    # Flip the equations on every idempotent table with an even entry sum,
+    # and the shape on every accepted table with an odd one: many
+    # mismatches, each inside its decider's candidate set.
+    holds, shape = lengthbased._equations_hold, lengthbased._shape
+
+    def flipped_holds(values):
+        idempotent = all(values[v] == v for v in values)
+        return holds(values) != (idempotent and sum(values) % 2 == 0)
+
+    def flipped_shape(values):
+        n, ell, ok = shape(values)
+        return n, ell, ok and sum(values) % 2 == 0
+
+    monkeypatch.setattr(lengthbased, "_equations_hold", flipped_holds)
+    monkeypatch.setattr(lengthbased, "_shape", flipped_shape)
+    sweep = sweep_alpha_tables(4, 4)
+    assert len(sweep.mismatches) > 50
+    assert sweep == oracle_sweep(4, 4)
+
+
+def test_sweep_totals_at_horizon_seven():
+    # 8^8 tables: the counts of a brute-force run over all of them.
+    sweep = sweep_alpha_tables(7, 7)
+    assert (sweep.total, sweep.equations_hold, sweep.accepted, sweep.rejected,
+            sweep.insufficient, sweep.mismatches) == (16777216, 107, 107, 16762135, 14974, [])
 
 
 def test_sweep_rejects_negative_arguments():

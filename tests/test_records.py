@@ -3,10 +3,10 @@
 Each class compares equal only to an instance of its exact class with
 equal fields, hashes as the tuple of those fields (so set iteration
 orders stay as they were), prints as ``Name(field=value, ...)``, builds
-from its field names as keywords, and survives a pickle round trip,
-which the sweep's worker processes rely on.  Every error class survives
-that round trip too, with its fields, so a worker's error reaches the
-caller with its type.
+from its field names as keywords, and survives a pickle round trip, so
+it can cross a process boundary.  Every error class survives that round
+trip too, with its fields, so an error raised in another process reaches
+the caller with its type.
 """
 
 from __future__ import annotations
