@@ -190,6 +190,20 @@ def oracle_preassoc_scan(dom) -> CheckReport:
     return _finish(None, checked, skipped)
 
 
+def oracle_first_failing_pair(dom) -> tuple[int, int, int]:
+    """Where the pair scan of :func:`oracle_preassoc_scan` first fails: the
+    index k of its class in leader order and the positions p < q of its
+    members.  Only called once a failure is known to exist."""
+    vals, level = dom.vals, dom.level
+    contexts, cum = oracle_contexts(dom.alphabet, level), dom.context_counts
+    for k, members in enumerate(dom.classes.values()):
+        for (p, y), (q, y2) in itertools.combinations(enumerate(members), 2):
+            both = contexts[:cum[level - len(y2)]]  # |y| <= |y2| <= level
+            if any(vals[x + y + z] != vals[x + y2 + z] for x, z in both):
+                return k, p, q
+    raise AssertionError("the pair scan does not fail")
+
+
 def oracle_absorbed_string(fn: BoundedFn, level: int) -> str | None:
     """``find_absorbed_string`` straight from the definition.
 

@@ -14,6 +14,7 @@ from helpers import (
     oracle_associative_reduced,
     oracle_equiv_scan,
     oracle_absorbed_string,
+    oracle_first_failing_pair,
     oracle_preassoc_first_witness,
     oracle_preassoc_scan,
     oracle_preassociative,
@@ -590,6 +591,15 @@ def test_deciders_match_the_scans():
         report = check_preassociative(fn, level)
         assert report == oracle_preassoc_scan(dom), kind
         seen["preassoc", _is_congruence(dom), report.verdict, report.incomplete] += 1
+        if report.verdict == FAILS:
+            # The failing counters add the classes before the failing one
+            # and the pairs (m_0, m_p) up to the parting member m_q.
+            k, p, q = oracle_first_failing_pair(dom)
+            assert p == 0, kind
+            classes = list(dom.classes.values())
+            seen["preassoc fails after a class with pairs"] += any(
+                len(members) > 1 for members in classes[:k])
+            seen["preassoc fails at q >= 2"] += q >= 2
         if not fn.string_valued:
             continue
         shrinks = _never_lengthens(dom.vals)
@@ -615,6 +625,8 @@ def test_deciders_match_the_scans():
             seen["equiv", path, reports["i"].verdict] += 1
     assert seen["preassoc", True, HOLDS, True] >= 100
     assert seen["preassoc", False, FAILS, True] >= 100
+    assert seen["preassoc fails after a class with pairs"] >= 100
+    assert seen["preassoc fails at q >= 2"] >= 10
     for name in ("check_associative_full", "check_associative_reduced"):
         assert seen[name, "one-letter", HOLDS, False] >= 100
         assert seen[name, "one-letter", FAILS, False] >= 100
